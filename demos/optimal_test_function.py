@@ -13,8 +13,7 @@ import csv
 
 import numpy as np
 
-from lowzero import Symmetry, build_context, reconstruct, residuals, smallest_root
-from lowzero.testfunction import assemble
+from lowzero import Symmetry, reconstruct, residuals
 
 CASES = [
     (Symmetry.O, 0.9),
@@ -28,14 +27,8 @@ print("=== Residuals of the reconstructed optimizers ===")
 print(f"{'kernel':7s} {'R':>5s} {'cells':>5s} {'ode':>9s} {'integral':>9s} "
       f"{'compat':>9s} {'quotient':>9s}")
 for g, R in CASES:
-    if g is Symmetry.O or R <= 0.5:
-        h, res = reconstruct(g, R)
-        ctx = None
-    else:
-        ctx = build_context(g, R)
-        lam = smallest_root(ctx)
-        h = assemble(ctx, lam)
-    report = residuals(h, ctx)
+    h, _ = reconstruct(g, R)
+    report = residuals(h)
     print(
         f"{g.value:7s} {R:5.2f} {len(h.pieces):5d} {report.delayed_ode:9.1e}"
         f" {report.volterra:9.1e} {report.compatibility:9.1e} {report.rayleigh_gap:9.1e}"
@@ -43,10 +36,8 @@ for g, R in CASES:
 
 print()
 g, R = Symmetry.SOminus, 1.2
-ctx = build_context(g, R)
-lam = smallest_root(ctx)
-h = assemble(ctx, lam)
-print(f"=== Sampling the {g.value} optimizer at R={R} (lam={lam:.6f}) ===")
+h, _ = reconstruct(g, R)
+print(f"=== Sampling the {g.value} optimizer at R={R} (lam={h.lam:.6f}) ===")
 print("partition points:", ", ".join(f"{b:+.3f}" for b in h.breakpoints()))
 with open("optimal_test_function.csv", "w", newline="") as handle:
     writer = csv.writer(handle, lineterminator="\n")

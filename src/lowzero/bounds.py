@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .solver import BoundResult, minimal_quotient, tan_ratio_inverse
+from .solver import BoundResult, equation_branch, minimal_quotient, tan_ratio_inverse
 from .symmetry import FamilySpec, Symmetry, family_params
 
 __all__ = [
@@ -38,7 +38,7 @@ def height_bound_result(w_star: Symmetry, nu_max: float) -> BoundResult:
     if nu_max <= 0:
         raise ValueError("nu_max must be positive")
     nu = nu_max / 2.0
-    if w_star is Symmetry.U or w_star is Symmetry.O or nu_max <= 1.0:
+    if not equation_branch(w_star, nu):
         return minimal_quotient(w_star, nu)
     first = minimal_quotient(w_star, nu - _LIMIT_OFFSET)
     second = minimal_quotient(w_star, nu - 2 * _LIMIT_OFFSET)

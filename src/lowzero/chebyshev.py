@@ -3,7 +3,8 @@
 Everything here evaluates through the three-term recurrence, never through
 the trigonometric forms: the solver routinely needs arguments with |x| > 1,
 and the recurrence is exact-form stable for the small orders (n <= ~20)
-appearing in this package.  The trig identities are reserved for tests.
+appearing in this package.  The trig identities, the first kind and the
+truncated generating sums are reserved for tests.
 
 Order -1 is allowed for the second kind and denotes the zero polynomial,
 which closes recurrences that shift orders down by one.
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-__all__ = ["u_eval", "t_eval", "u_roots", "u_stack", "truncated_geometric"]
+__all__ = ["u_eval", "u_roots", "u_stack"]
 
 
 def u_eval(n: int, x):
@@ -28,19 +29,6 @@ def u_eval(n: int, x):
     if n == 0:
         return prev
     cur = 2 * x
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
-
-
-def t_eval(n: int, x):
-    """First-kind Chebyshev polynomial T_n(x); scalar or ndarray x."""
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    prev = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    if n == 0:
-        return prev
-    cur = x
     for _ in range(n - 1):
         prev, cur = cur, 2 * x * cur - prev
     return cur
@@ -64,22 +52,3 @@ def u_stack(n_max: int, x):
     for _ in range(n_max - 1):
         out.append(2 * x * out[-1] - out[-2])
     return out
-
-
-def truncated_geometric(n: int, x: float, z: complex) -> complex:
-    """Partial sum  sum_{j=0}^{n-1} U_j(x) z^j  by direct summation.
-
-    The closed form (1 - z^n U_n(x) + z^{n+1} U_{n-1}(x)) / (1 - 2zx + z^2)
-    is equivalent away from the denominator's zero set and is used as a test
-    oracle only, so this routine stays safe at the singularity.
-    """
-    if n < 1:
-        raise ValueError("need at least one term")
-    total = 0j
-    u_prev, u_cur = 0.0, 1.0  # U_{-1}, U_0
-    zpow = 1.0 + 0j
-    for _ in range(n):
-        total += u_cur * zpow
-        u_prev, u_cur = u_cur, 2 * x * u_cur - u_prev
-        zpow *= z
-    return total

@@ -137,13 +137,7 @@ def cmd_testfn(args) -> int:
         print("error: --samples must be at least 2", file=sys.stderr)
         return 2
     try:
-        if args.symmetry is Symmetry.O or args.R <= 0.5:
-            h, _ = testfunction.reconstruct(args.symmetry, args.R)
-            ctx = None
-        else:
-            ctx = solver.build_context(args.symmetry, args.R)
-            lam = solver.smallest_root(ctx)
-            h = testfunction.assemble(ctx, lam)
+        h, _ = testfunction.reconstruct(args.symmetry, args.R)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -157,7 +151,7 @@ def cmd_testfn(args) -> int:
     finally:
         if owned:
             stream.close()
-    report = testfunction.residuals(h, ctx)
+    report = testfunction.residuals(h)
     print(
         "residuals:"
         f" delayed_ode={report.delayed_ode:.3e}"

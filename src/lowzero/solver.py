@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -47,8 +47,11 @@ __all__ = [
     "forcing_amplitude_scaled",
     "spectral_equation",
     "spectral_equation_two_piece",
+    "first_root",
     "smallest_root",
     "u_product_roots",
+    "equation_branch",
+    "solve",
     "minimal_quotient",
 ]
 
@@ -156,8 +159,7 @@ class BoundResult:
     ``m_tilde`` is the minimal normalized quotient, ``bound`` its square root
     (the quantity bounding the lowest zero), ``lam`` the scaled frequency
     2*pi*sqrt(m_tilde) when the transcendental branch produced it.  The Sp
-    diagnostic fields record the near-integer flag described in
-    ``minimal_quotient``.
+    diagnostic fields record the near-integer flag described in ``solve``.
     """
 
     m_tilde: float
@@ -295,11 +297,10 @@ def build_context(g: Symmetry, R: float, w: float = 1.0) -> EquationContext:
                 shift_hi * th - 0.5 * math.pi * (j + delta * (n - 2 * k - 1) / 2.0)
             )
 
-    det = float(np.linalg.det(M))
-    row_scale = float(np.prod(np.linalg.norm(M, axis=1)))
-    if abs(det) < 1e-10 * max(row_scale, 1e-300):
+    cond = float(np.linalg.cond(M, 1))
+    if cond > 1e10:
         raise DegenerateRadiusError(
-            f"continuity matrix is singular at R={R!r} (det {det:.3e}); "
+            f"continuity matrix is singular at R={R!r} (cond {cond:.3e}); "
             "perturb R by about 1e-6 and retry"
         )
 
@@ -462,60 +463,85 @@ def _upper_frequency(ctx: EquationContext) -> float:
     return 4 * math.pi * math.sqrt(m_up) / (2 * ctx.R)
 
 
-def smallest_root(
-    ctx: EquationContext,
-    grid_step: float = 1e-3,
-    lam_max: Optional[float] = None,
-    exclusion_radius: float = 1e-6,
-) -> float:
-    """Smallest positive root of the equation away from the excluded set.
+GRID_STEP = 1e-3
+EXCLUSION_RADIUS = 1e-6
+ROOT_XTOL = 1e-12
 
-    Scans a uniform grid for sign changes, refines each bracket by bisection
-    to 1e-11, and discards refined roots within ``exclusion_radius`` of a
-    root of U_n * U_{n-1} (the regularized equation genuinely vanishes at
-    some of those).
+
+def first_root(f, lam_max: float, excluded) -> float:
+    """Smallest sign change of ``f`` in (0, lam_max] away from ``excluded``.
+
+    ``f`` takes a scalar or an ndarray of frequencies; ``excluded`` is
+    ascending.  The scan grid steps by ``GRID_STEP`` and is split at every
+    excluded frequency e: the grid points within ``EXCLUSION_RADIUS`` of e
+    give way to e -+ ``EXCLUSION_RADIUS``, and the bracket between those two
+    is skipped, because the regularized equations genuinely vanish at some
+    excluded frequencies.  The first remaining bracket whose sign changes is
+    bisected to ``ROOT_XTOL``.
     """
-    if lam_max is None:
-        lam_max = _upper_frequency(ctx)
-    grid = np.arange(grid_step, lam_max + grid_step, grid_step)
-    vals = np.asarray(spectral_equation(ctx, grid))
-    excluded = u_product_roots(ctx.n)
+    grid = np.arange(GRID_STEP, lam_max + GRID_STEP, GRID_STEP)
+    ex = np.asarray(excluded, dtype=float)
+    ex = ex[(ex > grid[0]) & (ex < grid[-1])]
+    windows = np.column_stack([ex - EXCLUSION_RADIUS, ex + EXCLUSION_RADIUS])
+    pieces = np.split(grid, np.searchsorted(grid, windows.ravel()))
+    pieces[1::2] = windows  # odd pieces held the grid points inside a window
+    pts = np.concatenate(pieces)
+    vals = np.asarray(f(pts))
+    sign = np.signbit(vals)
+    below = np.searchsorted(ex, pts)  # excluded frequencies below each point
+    hits = np.flatnonzero((sign[:-1] != sign[1:]) & (below[:-1] == below[1:]))
+    if hits.size == 0:
+        raise RootScanError(f"no admissible root in (0, {lam_max:.3f}]", pts, vals)
+    i = int(hits[0])
+    return _bisect(f, float(pts[i]), float(pts[i + 1]), ROOT_XTOL)
 
-    def admissible(root: float) -> bool:
-        return all(abs(root - e) > exclusion_radius for e in excluded)
 
-    f = lambda x: float(spectral_equation(ctx, x))
-    for i in range(len(grid) - 1):
-        lo, hi = grid[i], grid[i + 1]
-        flo, fhi = vals[i], vals[i + 1]
-        root = None
-        if flo == 0.0:
-            root = lo
-        elif (flo < 0) != (fhi < 0):
-            try:
-                root = _bisect(f, float(lo), float(hi), 1e-12)
-            except ValueError:
-                # The function grazes zero inside the bracket and fp noise
-                # flipped the sign of a ~1e-16 endpoint (happens exactly at
-                # the excluded Chebyshev roots); the nearer endpoint is then
-                # accurate to the graze location.
-                root = float(lo) if abs(flo) <= abs(fhi) else float(hi)
-        if root is not None and admissible(root):
-            return float(root)
-    raise RootScanError(
-        f"no admissible root in (0, {lam_max:.3f}] for {ctx.g} at R={ctx.R}",
-        grid,
-        vals,
-    )
+def smallest_root(ctx: EquationContext) -> float:
+    """Smallest positive root of the equation away from the excluded set."""
+    f = lambda lam: spectral_equation(ctx, lam)
+    try:
+        return first_root(f, _upper_frequency(ctx), u_product_roots(ctx.n))
+    except RootScanError as exc:
+        message = f"{exc} for {ctx.g} at R={ctx.R}"
+        raise RootScanError(message, exc.grid, exc.values) from None
 
 
 # ---------------------------------------------------------------------------
 # Dispatcher
 # ---------------------------------------------------------------------------
 
-def _build_context_nudged(g: Symmetry, R: float, w: float) -> EquationContext:
+def equation_branch(g: Symmetry, R: float) -> bool:
+    """True where the minimum solves the transcendental equation: Sp and SO
+    kernels past half support.  The U kernel has its exact value and the O
+    kernel, like every kernel up to half support, the shifted cosine."""
+    return g not in (Symmetry.U, Symmetry.O) and R > 0.5
+
+
+def solve(
+    g: Symmetry, R: float, w: float = 1.0
+) -> tuple[BoundResult, Optional[EquationContext]]:
+    """Minimum for kernel g at support R, with the context it was solved on.
+
+    Dispatches on kernel and support: exact unitary value, shifted-cosine
+    branch, or transcendental-equation branch; the context is None off the
+    equation branch.  A support where the continuity matrix degenerates is
+    nudged by 1e-6 with a warning, and the context records the support used.
+    In the symplectic equation branch, a square-rooted scaled minimum within
+    1e-4 of an odd integer is flagged (the piecewise construction is then
+    only conditionally optimal) and the compatibility integral of the
+    reconstructed optimizer over [R-1, R] is attached as a diagnostic; it
+    should vanish.
+    """
+    if R <= 0:
+        raise ValueError("R must be positive")
+    if g is Symmetry.U:
+        m_tilde = 1.0 / (16 * R * R)
+        return BoundResult(m_tilde, math.sqrt(m_tilde), "unitary_exact"), None
+    if not equation_branch(g, R):
+        return small_support_minimum(g, R), None
+
     try:
-        return build_context(g, R, w=w)
+        ctx = build_context(g, R, w=w)
     except DegenerateRadiusError:
         n = int(math.floor(2 * R)) + 1
         for nudged in (R - 1e-6, R + 1e-6):
@@ -528,36 +554,13 @@ def _build_context_nudged(g: Symmetry, R: float, w: float) -> EquationContext:
                     f"support {R} is numerically degenerate; using {nudged}",
                     stacklevel=3,
                 )
-                return ctx
-        raise
-
-
-def minimal_quotient(g: Symmetry, R: float, w: float = 1.0) -> BoundResult:
-    """Minimal normalized Rayleigh quotient for kernel g at support R.
-
-    Dispatches on kernel and support: exact unitary value, shifted-cosine
-    branch, or transcendental-equation branch.  In the symplectic equation
-    branch, a square-rooted scaled minimum within 1e-4 of an odd integer is
-    flagged (the piecewise construction is then only conditionally optimal)
-    and the compatibility integral of the reconstructed optimizer over
-    [R-1, R] is attached as a diagnostic; it should vanish.
-    """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if g is Symmetry.U:
-        m_tilde = 1.0 / (16 * R * R)
-        return BoundResult(m_tilde=m_tilde, bound=math.sqrt(m_tilde), branch="unitary_exact")
-    if g is Symmetry.O or R <= 0.5:
-        return small_support_minimum(g, R)
-
-    ctx = _build_context_nudged(g, R, w)
+                break
+        else:
+            raise
     lam = smallest_root(ctx)
     m_tilde = (lam / (2 * math.pi)) ** 2
     result = BoundResult(
-        m_tilde=m_tilde,
-        bound=math.sqrt(m_tilde),
-        branch="transcendental",
-        lam=lam,
+        m_tilde=m_tilde, bound=math.sqrt(m_tilde), branch="transcendental", lam=lam
     )
     if g is Symmetry.Sp:
         sqrt_scaled = 2 * ctx.R * lam / math.pi  # sqrt of the 16R^2-scaled minimum
@@ -565,14 +568,12 @@ def minimal_quotient(g: Symmetry, R: float, w: float = 1.0) -> BoundResult:
         if nearest_odd >= 1 and abs(sqrt_scaled - nearest_odd) < 1e-4:
             from .testfunction import assemble
 
-            h = assemble(ctx, lam)
-            compat = h.integral(ctx.R - 1, ctx.R)
-            result = BoundResult(
-                m_tilde=m_tilde,
-                bound=math.sqrt(m_tilde),
-                branch="transcendental",
-                lam=lam,
-                sp_flag=True,
-                sp_compat_integral=compat,
-            )
-    return result
+            compat = assemble(ctx, lam).integral(ctx.R - 1, ctx.R)
+            result = replace(result, sp_flag=True, sp_compat_integral=compat)
+    return result, ctx
+
+
+def minimal_quotient(g: Symmetry, R: float, w: float = 1.0) -> BoundResult:
+    """Minimal normalized Rayleigh quotient for kernel g at support R; see
+    ``solve``."""
+    return solve(g, R, w)[0]

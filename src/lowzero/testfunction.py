@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,8 +30,7 @@ from .solver import (
     _ipow,
     forcing_amplitude,
     small_support_minimum,
-    build_context,
-    smallest_root,
+    solve,
 )
 from .symmetry import Symmetry
 
@@ -62,13 +61,18 @@ class Piece:
 
 @dataclass(frozen=True)
 class PiecewiseTestFunction:
-    """Even, continuous, compactly supported piecewise-sinusoidal function."""
+    """Even, continuous, compactly supported piecewise-sinusoidal function.
+
+    ``ctx`` is the equation context it was assembled from, None for the
+    shifted cosine.
+    """
 
     pieces: tuple[Piece, ...]
     R: float
     lam: float
     g: Symmetry
     w: float = 1.0
+    ctx: Optional[EquationContext] = field(default=None, compare=False, repr=False)
 
     def breakpoints(self) -> np.ndarray:
         pts = [p.lo for p in self.pieces] + [self.pieces[-1].hi]
@@ -218,7 +222,9 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
         add_piece(m, mid, amps, ctx.theta_lo, mode_coefficient(ctx, lam, k, order=n - 1))
 
     pieces.sort(key=lambda p: p.lo)
-    return PiecewiseTestFunction(pieces=tuple(pieces), R=ctx.R, lam=lam, g=ctx.g, w=ctx.w)
+    return PiecewiseTestFunction(
+        pieces=tuple(pieces), R=ctx.R, lam=lam, g=ctx.g, w=ctx.w, ctx=ctx
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,33 +236,30 @@ def small_support_function(g: Symmetry, R: float, w: float = 1.0) -> tuple[
 ]:
     """Shifted-cosine optimizer -(w/lam)(cos(lam*u) - cos(lam*R)) on [-R, R]."""
     res = small_support_minimum(g, R)
-    lam = 2 * math.pi * res.bound
+    return _shifted_cosine(g, R, 2 * math.pi * res.bound, w), res
+
+
+def _shifted_cosine(g: Symmetry, R: float, lam: float, w: float) -> PiecewiseTestFunction:
     terms = (
         (-w / lam, lam, 0.5 * math.pi),  # -(w/lam) cos(lam u)
         (w / lam * math.cos(lam * R), 0.0, 0.5 * math.pi),
     )
-    h = PiecewiseTestFunction(
+    return PiecewiseTestFunction(
         pieces=(Piece(lo=-R, hi=R, terms=terms),), R=R, lam=lam, g=g, w=w
     )
-    return h, res
 
 
 def reconstruct(g: Symmetry, R: float, w: float = 1.0) -> tuple[
     PiecewiseTestFunction, BoundResult
 ]:
-    """Optimizer and minimum for any non-unitary kernel and support."""
+    """Optimizer and minimum for any non-unitary kernel and support, solved
+    (and nudged off a degenerate support) exactly as ``solver.solve`` does."""
     if g is Symmetry.U:
         raise ValueError("the unitary kernel has no attained optimizer to build")
-    if g is Symmetry.O or R <= 0.5:
-        return small_support_function(g, R, w=w)
-    ctx = build_context(g, R, w=w)
-    lam = smallest_root(ctx)
-    return assemble(ctx, lam), BoundResult(
-        m_tilde=(lam / (2 * math.pi)) ** 2,
-        bound=lam / (2 * math.pi),
-        branch="transcendental",
-        lam=lam,
-    )
+    res, ctx = solve(g, R, w=w)
+    if ctx is None:
+        return _shifted_cosine(g, R, 2 * math.pi * res.bound, w), res
+    return assemble(ctx, res.lam), res
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +395,12 @@ def residuals(
 ) -> ResidualReport:
     """Evaluate every defining property of a reconstructed optimizer.
 
-    ``ctx`` enables the closed-form-vs-quadrature integral comparisons and is
-    required exactly when h came from the equation branch.  Sample points for
+    ``ctx`` (default ``h.ctx``) enables the closed-form-vs-quadrature
+    integral comparisons on the equation branch.  Sample points for
     the pointwise defects avoid a 1e-6 neighbourhood of the cell boundaries,
     where h is only one-sidedly differentiable.
     """
+    ctx = h.ctx if ctx is None else ctx
     lam = h.lam if lam is None else lam
     delta = h.g.delta
     eps = float(h.g.epsilon)

@@ -78,21 +78,9 @@ def two_piece_cases() -> list[dict]:
     return cases
 
 
-def _two_piece_root(g: Symmetry, R: float, step: float = 1e-3) -> float:
-    grid = np.arange(step, 8.0, step)
-    vals = np.asarray(solver.spectral_equation_two_piece(g, R, grid))
-    excluded = solver.u_product_roots(2)
-    f = lambda x: float(solver.spectral_equation_two_piece(g, R, x))
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            root = float(grid[i])
-        elif (vals[i] < 0) != (vals[i + 1] < 0):
-            root = solver._bisect(f, float(grid[i]), float(grid[i + 1]), 1e-12)
-        else:
-            continue
-        if all(abs(root - e) > 1e-6 for e in excluded):
-            return root
-    raise solver.RootScanError(f"no two-piece root for {g} at R={R}", grid, vals)
+def _two_piece_root(g: Symmetry, R: float) -> float:
+    f = lambda lam: solver.spectral_equation_two_piece(g, R, lam)
+    return solver.first_root(f, 8.0, solver.u_product_roots(2))
 
 
 RESIDUAL_PAIRS = (
@@ -108,14 +96,8 @@ RESIDUAL_PAIRS = (
 def residual_cases() -> list[dict]:
     cases = []
     for g, R in RESIDUAL_PAIRS:
-        if g is Symmetry.O or R <= 0.5:
-            h, _ = testfunction.reconstruct(g, R)
-            ctx = None
-        else:
-            ctx = solver.build_context(g, R)
-            lam = solver.smallest_root(ctx)
-            h = testfunction.assemble(ctx, lam)
-        report = testfunction.residuals(h, ctx)
+        h, _ = testfunction.reconstruct(g, R)
+        report = testfunction.residuals(h)
         cases.append(
             _case(
                 f"residuals/{g.value}/R={R:.4f}",

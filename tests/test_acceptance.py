@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from chebyshev_oracles import truncated_geometric
 from lowzero import proportion as prop
 from lowzero import rayleigh, verification
 from lowzero.bounds import height_bound, orthogonal_asymptotic
-from lowzero.chebyshev import u_eval, truncated_geometric
+from lowzero.chebyshev import u_eval
 from lowzero.solver import (
     build_context,
     minimal_quotient,
@@ -25,7 +26,7 @@ from lowzero.solver import (
     tan_ratio_inverse,
 )
 from lowzero.symmetry import Symmetry
-from lowzero.testfunction import assemble, reconstruct, residuals
+from lowzero.testfunction import reconstruct, residuals
 
 
 def oracle_detector_hat(u: float, R: float, beta: float) -> float:
@@ -120,13 +121,8 @@ def test_criterion_05_two_piece_cross_route():
 def test_criterion_06_reconstruction_residuals():
     with criterion(6, "optimizer residuals across both branches", 30.0):
         for g, R in verification.RESIDUAL_PAIRS:
-            if g is Symmetry.O or R <= 0.5:
-                h, _ = reconstruct(g, R)
-                ctx = None
-            else:
-                ctx = build_context(g, R)
-                h = assemble(ctx, smallest_root(ctx))
-            report = residuals(h, ctx)
+            h, _ = reconstruct(g, R)
+            report = residuals(h)
             assert report.delayed_ode <= 1e-6, (g, R)
             assert report.volterra <= 1e-6, (g, R)
             assert report.compatibility <= 1e-6, (g, R)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowzero.chebyshev import t_eval, truncated_geometric, u_eval, u_roots, u_stack
+from chebyshev_oracles import t_eval, truncated_geometric
+from lowzero.chebyshev import u_eval, u_roots, u_stack
 
 
 def trig_u(n: int, x: float) -> float:

@@ -48,6 +48,18 @@ def test_bound_oracle_check(capsys):
     )
 
 
+def test_bound_symplectic_large_support(capsys):
+    # past R = 9 the continuity matrix has n >= 19 rows, yet cond(M) < 1e6
+    code, out, _ = run(
+        capsys, "bound", "--symmetry", "Sp", "--nu-max", "19.4", "--oracle-check",
+        "--trunc", "1940",
+    )
+    assert code == 0
+    record = parse_kv(out)
+    assert float(record["bound"]) <= float(record["oracle"])
+    assert float(record["oracle_gap"]) <= 1e-8
+
+
 def test_bound_json_format(capsys):
     code, out, _ = run(
         capsys, "bound", "--symmetry", "SO+", "--nu-max", "2", "--format", "json"
@@ -105,6 +117,21 @@ def test_curve_csv(tmp_path, capsys):
     assert all(a > b for a, b in zip(bounds_col, bounds_col[1:]))
     raw = out_file.read_bytes()
     assert b"\r" not in raw
+
+
+def test_curve_through_roots_near_excluded_frequencies(tmp_path):
+    out_file = tmp_path / "so_minus.csv"
+    code = main(
+        [
+            "curve", "--symmetry", "SO-", "--nu-from", "1", "--nu-to", "3",
+            "--steps", "100", "--out", str(out_file),
+        ]
+    )
+    assert code == 0
+    rows = out_file.read_text().splitlines()[1:]
+    assert len(rows) == 100
+    bounds_col = [float(r.split(",")[1]) for r in rows]
+    assert all(a >= b for a, b in zip(bounds_col, bounds_col[1:]))
 
 
 def test_curve_deterministic(tmp_path):

@@ -249,11 +249,19 @@ def test_smallest_root_avoids_excluded_set():
 
 
 def test_smallest_root_matches_oracle_spot():
-    for g, R in [(Symmetry.SOplus, 0.75), (Symmetry.Sp, 0.6), (Symmetry.SOminus, 1.2)]:
+    for g, R, tol in [
+        (Symmetry.SOplus, 0.75, 5e-3),
+        (Symmetry.Sp, 0.6, 5e-3),
+        (Symmetry.SOminus, 1.2, 5e-3),
+        # roots within one grid step of an excluded frequency
+        (Symmetry.Sp, 6.949, 1e-8),
+        (Symmetry.SOplus, 2.99, 1e-8),
+        (Symmetry.SOminus, 1.1676, 1e-8),
+    ]:
         ctx = build_context(g, R)
         lam = smallest_root(ctx)
         assert lam / (2 * math.pi) == pytest.approx(
-            rayleigh.sqrt_quotient(g, R, 400), abs=5e-3
+            rayleigh.sqrt_quotient(g, R, max(400, round(200 * R))), abs=tol
         )
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from lowzero import rayleigh
+from lowzero import rayleigh, solver
 from lowzero.chebyshev import u_eval
-from lowzero.solver import build_context, smallest_root
+from lowzero.solver import DegenerateRadiusError, build_context, smallest_root
 from lowzero.symmetry import Symmetry
 from lowzero.testfunction import (
     assemble,
@@ -189,6 +189,24 @@ def test_small_support_function_is_shifted_cosine():
             expected = -(1.0 / lam) * (math.cos(lam * u) - math.cos(lam * R))
             assert h(float(u)) == pytest.approx(expected, abs=1e-13)
         assert h(R + 1e-9) == 0.0
+
+
+def test_reconstruct_nudges_like_minimal_quotient(monkeypatch):
+    R = 0.75
+    real = solver.build_context
+
+    def degenerate_at_r(g, radius, w=1.0):
+        if radius == R:
+            raise DegenerateRadiusError("rigged")
+        return real(g, radius, w=w)
+
+    monkeypatch.setattr(solver, "build_context", degenerate_at_r)
+    with pytest.warns(UserWarning, match="degenerate"):
+        h, res = reconstruct(Symmetry.Sp, R)
+    with pytest.warns(UserWarning, match="degenerate"):
+        expected = solver.minimal_quotient(Symmetry.Sp, R)
+    assert res == expected
+    assert h.R != R
 
 
 def test_reconstruct_dispatch():
