@@ -98,27 +98,49 @@ def tan_ratio(x: float) -> float:
     return math.tan(t) / t
 
 
-def _bisect(f, lo: float, hi: float, xtol: float) -> float:
-    """Plain bisection; sign logic only, so invariant under f -> -f."""
-    flo = f(lo)
+def _bisect(f, lo: float, hi: float, xtol: float, levels: int = 1) -> float:
+    """Plain bisection; sign logic only, so invariant under f -> -f.
+
+    With ``levels`` > 1, ``f`` takes an ndarray: the two ends go in one call,
+    then each call holds the 2**levels - 1 midpoints the next ``levels``
+    halvings can reach, in heap order (node i halves into 2i+1 and 2i+2).
+    The walk down that tree takes exactly the steps of one-at-a-time
+    bisection, so the root does not depend on ``levels`` as long as ``f``
+    gives an array element the bits it gives the same float.
+    """
+
+    def evaluate(xs):
+        return f(np.array(xs)).tolist() if levels > 1 else [f(x) for x in xs]
+
+    flo, fhi = evaluate([lo, hi])
     if flo == 0.0:
         return lo
-    fhi = f(hi)
     if fhi == 0.0:
         return hi
     if (flo < 0) == (fhi < 0):
         raise ValueError("bisection bracket does not straddle a sign change")
     while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+        mids, cells = [], [(lo, hi)]
+        while len(mids) < 2**levels - 1:
+            a, b = cells[len(mids)]
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            cells += [(a, mid), (mid, b)]
+        values = evaluate(mids)
+        node = 0
+        for _ in range(levels):
+            if hi - lo <= xtol:
+                break
+            mid = mids[node]  # equals 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                return mid
+            fm = values[node]
+            if fm == 0.0:
+                return mid
+            if (fm < 0) == (flo < 0):
+                lo, flo, node = mid, fm, 2 * node + 2
+            else:
+                hi, node = mid, 2 * node + 1
     return 0.5 * (lo + hi)
 
 
@@ -284,16 +306,18 @@ def build_context(g: Symmetry, R: float, w: float = 1.0) -> EquationContext:
 
     shift_lo = a[n - 1] - (n - 2) / 2.0
     shift_hi = a[n - 1] - (n - 1) / 2.0
+    u_lo = [cheb.u_stack(n - 1, float(th)) for th in theta_lo]
+    u_hi = [cheb.u_stack(n - 1, float(th)) for th in theta_hi]
     M = np.zeros((n, n))
     for k in range(n):
         for j0, th in enumerate(theta_lo):
             j = j0 + 1
-            M[k, j0] = cheb.u_eval(k, th) * math.sin(
+            M[k, j0] = u_lo[j0][k] * math.sin(
                 shift_lo * th - 0.5 * math.pi * (j + delta * (n - 2 * k - 2) / 2.0)
             )
         for j0, th in enumerate(theta_hi):
             j = j0 + 1
-            M[k, n // 2 + j0] = cheb.u_eval(k, th) * math.sin(
+            M[k, n // 2 + j0] = u_hi[j0][k] * math.sin(
                 shift_hi * th - 0.5 * math.pi * (j + delta * (n - 2 * k - 1) / 2.0)
             )
 
@@ -317,7 +341,7 @@ def build_context(g: Symmetry, R: float, w: float = 1.0) -> EquationContext:
         v_alpha[j0] = 2 * ratio * math.sin(0.5 * math.pi * (j + delta * (n - 2) / 2.0))
         acc = 0.0
         for l in range(n - 1):
-            acc += cheb.u_eval(l, th) * math.sin(
+            acc += u_lo[j0][l] * math.sin(
                 0.5 * math.pi * (j + delta * (n - 2 * l - 2) / 2.0)
             )
         v_beta[j0] = 2 * ratio * acc
@@ -328,7 +352,7 @@ def build_context(g: Symmetry, R: float, w: float = 1.0) -> EquationContext:
         v_alpha[col] = 2 * ratio * math.sin(0.5 * math.pi * (j + delta * (n - 1) / 2.0))
         acc = 0.0
         for l in range(n):
-            acc += cheb.u_eval(l, th) * math.sin(
+            acc += u_hi[j0][l] * math.sin(
                 0.5 * math.pi * (j + delta * (n - 2 * l - 1) / 2.0)
             )
         v_beta[col] = 2 * ratio * acc
@@ -365,12 +389,21 @@ def forcing_amplitude_scaled(ctx: EquationContext, lam):
     delta = ctx.delta
     u = cheb.u_stack(ctx.n - 1, lam)
     zfac = 1j * delta * np.exp(1j * lam)
-    acc = np.zeros(lam.shape, dtype=complex) + u[0]
-    zpow = np.ones(lam.shape, dtype=complex)
+    fr, fi = zfac.real, zfac.imag
+    # General complex products are spelled out in real parts, as a scalar
+    # complex multiply computes them: numpy's array multiply may fuse the
+    # multiply-adds, and array and scalar calls must agree bit for bit.
+    zr, zi = 1.0, 0.0
+    acc_r, acc_i = u[0], 0.0
     for k in range(1, ctx.n):
-        zpow = zpow * zfac
-        acc = acc + zpow * u[k]
-    out = -2j * ctx.w * np.exp(-1j * lam * ctx.a[ctx.n - 1]) * acc
+        zr, zi = zr * fr - zi * fi, zr * fi + zi * fr
+        acc_r = acc_r + zr * u[k]
+        acc_i = acc_i + zi * u[k]
+    lead = -2j * ctx.w * np.exp(-1j * lam * ctx.a[ctx.n - 1])
+    lr, li = lead.real, lead.imag
+    out = np.empty(lam.shape, dtype=complex)
+    out.real = lr * acc_r - li * acc_i
+    out.imag = lr * acc_i + li * acc_r
     return out if out.shape else complex(out)
 
 
@@ -466,6 +499,7 @@ def _upper_frequency(ctx: EquationContext) -> float:
 GRID_STEP = 1e-3
 EXCLUSION_RADIUS = 1e-6
 ROOT_XTOL = 1e-12
+_BISECT_LEVELS = 6  # halvings per call of the equation: 63 points per call
 
 
 def first_root(f, lam_max: float, excluded) -> float:
@@ -493,7 +527,7 @@ def first_root(f, lam_max: float, excluded) -> float:
     if hits.size == 0:
         raise RootScanError(f"no admissible root in (0, {lam_max:.3f}]", pts, vals)
     i = int(hits[0])
-    return _bisect(f, float(pts[i]), float(pts[i + 1]), ROOT_XTOL)
+    return _bisect(f, float(pts[i]), float(pts[i + 1]), ROOT_XTOL, _BISECT_LEVELS)
 
 
 def smallest_root(ctx: EquationContext) -> float:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -78,30 +80,55 @@ class PiecewiseTestFunction:
         pts = [p.lo for p in self.pieces] + [self.pieces[-1].hi]
         return np.asarray(pts)
 
-    def _piece_index(self, u: float) -> int:
-        if u < self.pieces[0].lo or u > self.pieces[-1].hi:
-            return -1
-        for i, p in enumerate(self.pieces):
-            if u < p.hi or (i == len(self.pieces) - 1 and u <= p.hi):
-                return i
-        return -1
+    @cached_property
+    def _los(self) -> list[float]:
+        return [p.lo for p in self.pieces]
 
-    def __call__(self, u):
-        if isinstance(u, np.ndarray):
-            return np.array([self(float(x)) for x in u.ravel()]).reshape(u.shape)
+    @cached_property
+    def _his(self) -> list[float]:
+        return [p.hi for p in self.pieces]
+
+    @cached_property
+    def _antiderivatives(self) -> list[tuple[tuple[Optional[float], float, float], ...]]:
+        """Per cell and term, (f, ph, a/f); a term of frequency below
+        ``_ZERO_FREQ`` is a constant and is stored as (None, ph, a*sin(ph))."""
+        return [
+            tuple(
+                (None, ph, a * math.sin(ph)) if abs(f) < _ZERO_FREQ else (f, ph, a / f)
+                for a, f, ph in p.terms
+            )
+            for p in self.pieces
+        ]
+
+    def _piece_index(self, u: float) -> int:
+        """Cell holding u (the first whose upper end exceeds it, the last
+        cell keeping its upper end), or -1 off the support."""
+        if not self._los[0] <= u <= self._his[-1]:
+            return -1
+        return min(bisect_right(self._his, u), len(self.pieces) - 1)
+
+    def _value(self, u) -> float:
         i = self._piece_index(float(u))
         if i < 0:
             return 0.0
         return sum(a * math.sin(f * u + p) for a, f, p in self.pieces[i].terms)
 
-    def derivative(self, u):
-        """One-sided derivative (right-sided at interior breakpoints)."""
-        if isinstance(u, np.ndarray):
-            return np.array([self.derivative(float(x)) for x in u.ravel()]).reshape(u.shape)
+    def _slope(self, u) -> float:
         i = self._piece_index(float(u))
         if i < 0:
             return 0.0
         return sum(a * f * math.cos(f * u + p) for a, f, p in self.pieces[i].terms)
+
+    def __call__(self, u):
+        if isinstance(u, np.ndarray):
+            return np.array([self._value(float(x)) for x in u.ravel()]).reshape(u.shape)
+        return self._value(u)
+
+    def derivative(self, u):
+        """One-sided derivative (right-sided at interior breakpoints)."""
+        if isinstance(u, np.ndarray):
+            return np.array([self._slope(float(x)) for x in u.ravel()]).reshape(u.shape)
+        return self._slope(u)
 
     def integral(self, lo: float, hi: float) -> float:
         """Exact integral over [lo, hi] via per-term antiderivatives.
@@ -115,18 +142,17 @@ class PiecewiseTestFunction:
         if hi <= lo:
             return 0.0
         total = 0.0
-        for p in self.pieces:
+        for i in range(bisect_right(self._his, lo), bisect_left(self._los, hi)):
+            p = self.pieces[i]
             seg_lo = max(lo, p.lo)
             seg_hi = min(hi, p.hi)
             if seg_hi <= seg_lo:
                 continue
-            for a, f, ph in p.terms:
-                if abs(f) < _ZERO_FREQ:
-                    total += a * math.sin(ph) * (seg_hi - seg_lo)
+            for f, ph, c in self._antiderivatives[i]:
+                if f is None:
+                    total += c * (seg_hi - seg_lo)
                 else:
-                    total += (a / f) * (
-                        math.cos(f * seg_lo + ph) - math.cos(f * seg_hi + ph)
-                    )
+                    total += c * (math.cos(f * seg_lo + ph) - math.cos(f * seg_hi + ph))
         return total
 
 
@@ -334,21 +360,22 @@ def quotient_quadrature(h: PiecewiseTestFunction) -> float:
     brks = list(h.breakpoints())
     shifted = [1 - b for b in brks] + [-1 - b for b in brks]
 
-    i_h2 = _quad(lambda u: h(u) ** 2, -R, R, _quad_points(h, -R, R))
-    i_d2 = _quad(lambda u: h.derivative(u) ** 2, -R, R, _quad_points(h, -R, R))
+    value, slope = h._value, h._slope
+    i_h2 = _quad(lambda u: value(u) ** 2, -R, R, _quad_points(h, -R, R))
+    i_d2 = _quad(lambda u: slope(u) ** 2, -R, R, _quad_points(h, -R, R))
     i_h = h.integral(-R, R)
 
     num = i_d2
     den = i_h2 + eps * i_h**2
     if delta:
         conv_h = _quad(
-            lambda t: h(t) * h.integral(-1 - t, 1 - t),
+            lambda t: value(t) * h.integral(-1 - t, 1 - t),
             -R,
             R,
             _quad_points(h, -R, R, extra=shifted),
         )
         conv_d = _quad(
-            lambda t: h.derivative(t) * (h(1 - t) - h(-1 - t)),
+            lambda t: slope(t) * (value(1 - t) - value(-1 - t)),
             -R,
             R,
             _quad_points(h, -R, R, extra=shifted),
@@ -442,8 +469,8 @@ def residuals(
     ray = abs(quotient_quadrature(h) - target) / target
 
     if ctx is not None:
-        tail_quad = _quad(h, R - 1, R, _quad_points(h, R - 1, R))
-        full_quad = _quad(h, -R, R, _quad_points(h, -R, R))
+        tail_quad = _quad(h._value, R - 1, R, _quad_points(h, R - 1, R))
+        full_quad = _quad(h._value, -R, R, _quad_points(h, -R, R))
         scale = max(abs(tail_exact), abs(full_exact), 1e-300)
         tail_gap = abs(tail_integral_closed(ctx, lam) - tail_quad) / scale
         full_gap = abs(full_integral_closed(ctx, lam) - full_quad) / scale

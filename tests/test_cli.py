@@ -1,6 +1,9 @@
+import csv
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lowzero.cli import main
@@ -296,3 +299,38 @@ def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1
     assert "FAIL rigged/one" in captured.err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "golden,argv",
+    [
+        (
+            "curve_SOplus_nu1-3_steps100.csv",
+            ["curve", "--symmetry", "SO+", "--nu-from", "1", "--nu-to", "3", "--steps", "100"],
+        ),
+        (
+            "testfn_SOminus_R5.2_samples801.csv",
+            ["testfn", "--symmetry", "SO-", "--R", "5.2", "--samples", "801"],
+        ),
+    ],
+)
+def test_csv_matches_golden(golden, argv, tmp_path, capsys):
+    # the golden files hold the exact bytes these commands wrote when they
+    # were recorded; values get a relative tolerance so the test holds on
+    # CPUs whose libm rounds differently
+    out_file = tmp_path / golden
+    assert main(argv + ["--out", str(out_file)]) == 0
+    capsys.readouterr()
+    got = list(csv.reader(out_file.read_text().splitlines()))
+    want = list(csv.reader((DATA / golden).read_text().splitlines()))
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    got, want = got[1:], want[1:]
+    assert [row[0] for row in got] == [row[0] for row in want]
+    assert [row[2:] for row in got] == [row[2:] for row in want]  # curve: branch
+    np.testing.assert_allclose(
+        [float(row[1]) for row in got], [float(row[1]) for row in want], rtol=1e-12, atol=0
+    )

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from lowzero import rayleigh
+from lowzero import rayleigh, solver
 from lowzero.solver import (
+    ROOT_XTOL,
     DegenerateRadiusError,
+    _bisect,
     build_context,
     forcing_amplitude,
     forcing_amplitude_scaled,
@@ -215,6 +217,57 @@ def test_equation_scalar_vs_vector():
     vec = np.asarray(spectral_equation(ctx, grid))
     scal = np.array([spectral_equation(ctx, float(x)) for x in grid])
     assert np.allclose(vec, scal, rtol=1e-12, atol=1e-14)
+
+
+BIT_EQUALITY_CONTEXTS = [(g, R) for g in EQUATION_KERNELS for R in (0.75, 2.3, 6.949, 9.6)]
+
+
+@pytest.mark.parametrize("g,R", BIT_EQUALITY_CONTEXTS)
+def test_equation_array_matches_scalar_bitwise(g, R):
+    ctx = build_context(g, R)
+    grid = np.linspace(1e-3, 6.0, 502)[1:-1]
+    vec = spectral_equation(ctx, grid)
+    scal = np.array([spectral_equation(ctx, float(x)) for x in grid])
+    assert np.array_equal(vec, scal)
+
+
+@pytest.mark.parametrize("g,R", BIT_EQUALITY_CONTEXTS)
+def test_batched_bisection_matches_one_at_a_time(g, R, monkeypatch):
+    brackets = []
+
+    def recording_bisect(f, lo, hi, xtol, levels=1):
+        brackets.append((lo, hi))
+        return _bisect(f, lo, hi, xtol, levels)
+
+    monkeypatch.setattr(solver, "_bisect", recording_bisect)
+    ctx = build_context(g, R)
+    root = smallest_root(ctx)
+    (lo, hi), = brackets
+    calls = []
+
+    def f(lam):
+        calls.append(np.size(lam))
+        return spectral_equation(ctx, lam)
+
+    batched = _bisect(f, lo, hi, ROOT_XTOL, levels=6)
+    batched_calls = len(calls)
+    single = _bisect(f, lo, hi, ROOT_XTOL, levels=1)
+    assert batched == single == root
+    assert batched_calls < (len(calls) - batched_calls) / 4
+
+
+@pytest.mark.parametrize("root", [0.5, 0.375, 0.5 + 2.0**-9, 0.5 - 2.0**-14])
+def test_batched_bisection_stops_on_exact_zero(root):
+    f = lambda x: x - root  # vanishes exactly at a dyadic midpoint of (0, 1)
+    for levels in (1, 3, 6):
+        assert _bisect(f, 0.0, 1.0, 1e-12, levels=levels) == root
+
+
+def test_batched_bisection_bracket_narrower_than_xtol():
+    f = lambda x: x - 0.3
+    lo, hi = 0.3 - 1e-14, 0.3 + 2e-14
+    results = {_bisect(f, lo, hi, 1e-12, levels=levels) for levels in (1, 6)}
+    assert results == {0.5 * (lo + hi)}
 
 
 def test_two_piece_vanishes_at_excluded_half():

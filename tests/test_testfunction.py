@@ -6,6 +6,7 @@ import pytest
 import scipy.integrate
 
 from lowzero import rayleigh, solver
+from testfunction_oracles import integral_all_pieces, piece_index_linear_scan
 from lowzero.chebyshev import u_eval
 from lowzero.solver import DegenerateRadiusError, build_context, smallest_root
 from lowzero.symmetry import Symmetry
@@ -289,6 +290,22 @@ def test_exact_integral_matches_quadrature():
             limit=200, epsabs=1e-12,
         )
         assert h.integral(lo, hi) == pytest.approx(quad, abs=1e-10)
+
+
+@pytest.mark.parametrize("g,R", [(Symmetry.SOminus, 5.2), (Symmetry.Sp, 0.75)])
+def test_table_driven_evaluation_matches_oracle_bitwise(g, R):
+    h, _ = reconstruct(g, R)
+    us = np.linspace(-R - 0.5, R + 0.5, 397)
+    for u in us:
+        u = float(u)
+        assert h.integral(u - 1, u + 1) == integral_all_pieces(h, u - 1, u + 1)
+        assert h.integral(u, R + 1) == integral_all_pieces(h, u, R + 1)
+    assert np.array_equal(h(us), np.array([h(float(u)) for u in us]))
+    for u in [float(u) for u in us] + [float(b) for b in h.breakpoints()]:
+        i = piece_index_linear_scan(h, u)
+        terms = h.pieces[i].terms if i >= 0 else ()
+        assert h(u) == sum(a * math.sin(f * u + p) for a, f, p in terms)
+        assert h.derivative(u) == sum(a * f * math.cos(f * u + p) for a, f, p in terms)
 
 
 # ---------------------------------------------------------------------------
