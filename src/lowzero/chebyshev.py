@@ -1,13 +1,10 @@
-"""Chebyshev polynomials of the first and second kind.
+"""Chebyshev polynomials of the second kind.
 
 Everything here evaluates through the three-term recurrence, never through
 the trigonometric forms: the solver routinely needs arguments with |x| > 1,
 and the recurrence is exact-form stable for the small orders (n <= ~20)
 appearing in this package.  The trig identities, the first kind and the
 truncated generating sums are reserved for tests.
-
-Order -1 is allowed for the second kind and denotes the zero polynomial,
-which closes recurrences that shift orders down by one.
 """
 
 from __future__ import annotations
@@ -16,22 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["u_eval", "u_roots", "u_stack"]
-
-
-def u_eval(n: int, x):
-    """Second-kind Chebyshev polynomial U_n(x); scalar or ndarray x."""
-    if n < -1:
-        raise ValueError("order must be >= -1")
-    if n == -1:
-        return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
-    prev = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    if n == 0:
-        return prev
-    cur = 2 * x
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
+__all__ = ["u_roots", "u_stack"]
 
 
 def u_roots(n: int) -> list[float]:

@@ -60,9 +60,7 @@ def cmd_bound(args) -> int:
         lines["sp_near_integer"] = "true"
         lines["sp_compat_integral"] = _fmt(result.sp_compat_integral)
     if args.oracle_check:
-        nu = args.nu_max / 2.0
-        R = nu if result.branch != "transcendental" else nu - 1e-5
-        oracle = rayleigh.sqrt_quotient(args.symmetry, R, args.trunc)
+        oracle = rayleigh.sqrt_quotient(args.symmetry, result.support, args.trunc)
         lines["oracle"] = _fmt(oracle)
         lines["oracle_gap"] = _fmt(abs(oracle - result.bound))
     if args.format == "json":

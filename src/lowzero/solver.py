@@ -17,8 +17,8 @@ of which vanish on an excluded set.  Multiplying through by those factors
 leaves a smooth function whose zeros away from the excluded set are exactly
 the equation's roots, which is what a bracketing root scan needs.
 
-The complex amplitude is normalized by the convention w := 1 throughout; the
-equation is linear in that scale, so the root set does not depend on it.
+The complex amplitude has scale 1 (the convention w := 1); the equation is
+linear in that scale, so the root set does not depend on it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "small_support_minimum",
     "build_context",
     "forcing_amplitude",
-    "forcing_amplitude_scaled",
     "spectral_equation",
     "spectral_equation_two_piece",
     "first_root",
@@ -179,14 +178,17 @@ class BoundResult:
     """Outcome of one quotient minimization.
 
     ``m_tilde`` is the minimal normalized quotient, ``bound`` its square root
-    (the quantity bounding the lowest zero), ``lam`` the scaled frequency
-    2*pi*sqrt(m_tilde) when the transcendental branch produced it.  The Sp
-    diagnostic fields record the near-integer flag described in ``solve``.
+    (the quantity bounding the lowest zero), ``support`` the support R it was
+    solved at (after any nudge off a degenerate support), ``lam`` the scaled
+    frequency 2*pi*sqrt(m_tilde) when the transcendental branch produced it.
+    The Sp diagnostic fields record the near-integer flag described in
+    ``solve``.
     """
 
     m_tilde: float
     bound: float
     branch: str
+    support: float
     lam: Optional[float] = None
     sp_flag: bool = False
     sp_compat_integral: Optional[float] = None
@@ -217,7 +219,7 @@ def small_support_minimum(g: Symmetry, R: float) -> BoundResult:
         m_tilde=m_tilde,
         bound=math.sqrt(m_tilde),
         branch="small_support",
-        lam=None,
+        support=R,
     )
 
 
@@ -233,10 +235,10 @@ class EquationContext:
     ``a`` holds the positive partition points a_1 < ... < a_n of [-R, R]
     (index 0 unused), with a_n = R.  ``theta_lo``/``theta_hi`` are the
     nonnegative Chebyshev frequencies of orders n-1 and n feeding the two
-    blocks of the continuity matrix ``m_matrix``.  ``alpha``/``beta_arr`` are
-    the integral contractions of the inverse matrix entering the final
-    equation.  ``w`` is the amplitude normalization (any nonzero value gives
-    the same roots).
+    blocks of the continuity matrix ``m_matrix``; ``u_lo``/``u_hi`` hold
+    U_k at those frequencies, indexed [k, j] for k = 0..n-1.
+    ``alpha``/``beta_arr`` are the integral contractions of the inverse
+    matrix entering the final equation.
     """
 
     g: Symmetry
@@ -245,10 +247,11 @@ class EquationContext:
     a: np.ndarray
     theta_lo: np.ndarray
     theta_hi: np.ndarray
+    u_lo: np.ndarray
+    u_hi: np.ndarray
     m_matrix: np.ndarray
     alpha: np.ndarray
     beta_arr: np.ndarray
-    w: float = 1.0
 
     @property
     def delta(self) -> int:
@@ -276,7 +279,7 @@ def _sin_over_theta(c: float, theta: float) -> float:
     return c * float(np.sinc(c * theta / math.pi))
 
 
-def build_context(g: Symmetry, R: float, w: float = 1.0) -> EquationContext:
+def build_context(g: Symmetry, R: float) -> EquationContext:
     """Assemble the frequency-independent data for the equation branch.
 
     Requires a Sp/SO kernel, R > 1/2, and 2R away from integers (the
@@ -306,18 +309,18 @@ def build_context(g: Symmetry, R: float, w: float = 1.0) -> EquationContext:
 
     shift_lo = a[n - 1] - (n - 2) / 2.0
     shift_hi = a[n - 1] - (n - 1) / 2.0
-    u_lo = [cheb.u_stack(n - 1, float(th)) for th in theta_lo]
-    u_hi = [cheb.u_stack(n - 1, float(th)) for th in theta_hi]
+    u_lo = np.array(cheb.u_stack(n - 1, theta_lo))
+    u_hi = np.array(cheb.u_stack(n - 1, theta_hi))
     M = np.zeros((n, n))
     for k in range(n):
         for j0, th in enumerate(theta_lo):
             j = j0 + 1
-            M[k, j0] = u_lo[j0][k] * math.sin(
+            M[k, j0] = u_lo[k, j0] * math.sin(
                 shift_lo * th - 0.5 * math.pi * (j + delta * (n - 2 * k - 2) / 2.0)
             )
         for j0, th in enumerate(theta_hi):
             j = j0 + 1
-            M[k, n // 2 + j0] = u_hi[j0][k] * math.sin(
+            M[k, n // 2 + j0] = u_hi[k, j0] * math.sin(
                 shift_hi * th - 0.5 * math.pi * (j + delta * (n - 2 * k - 1) / 2.0)
             )
 
@@ -341,7 +344,7 @@ def build_context(g: Symmetry, R: float, w: float = 1.0) -> EquationContext:
         v_alpha[j0] = 2 * ratio * math.sin(0.5 * math.pi * (j + delta * (n - 2) / 2.0))
         acc = 0.0
         for l in range(n - 1):
-            acc += u_lo[j0][l] * math.sin(
+            acc += u_lo[l, j0] * math.sin(
                 0.5 * math.pi * (j + delta * (n - 2 * l - 2) / 2.0)
             )
         v_beta[j0] = 2 * ratio * acc
@@ -352,7 +355,7 @@ def build_context(g: Symmetry, R: float, w: float = 1.0) -> EquationContext:
         v_alpha[col] = 2 * ratio * math.sin(0.5 * math.pi * (j + delta * (n - 1) / 2.0))
         acc = 0.0
         for l in range(n):
-            acc += u_hi[j0][l] * math.sin(
+            acc += u_hi[l, j0] * math.sin(
                 0.5 * math.pi * (j + delta * (n - 2 * l - 1) / 2.0)
             )
         v_beta[col] = 2 * ratio * acc
@@ -367,10 +370,11 @@ def build_context(g: Symmetry, R: float, w: float = 1.0) -> EquationContext:
         a=a,
         theta_lo=theta_lo,
         theta_hi=theta_hi,
+        u_lo=u_lo,
+        u_hi=u_hi,
         m_matrix=M,
         alpha=alpha,
         beta_arr=beta_arr,
-        w=w,
     )
 
 
@@ -378,16 +382,15 @@ def build_context(g: Symmetry, R: float, w: float = 1.0) -> EquationContext:
 # The transcendental equation
 # ---------------------------------------------------------------------------
 
-def forcing_amplitude_scaled(ctx: EquationContext, lam):
+def _scaled_amplitude(ctx: EquationContext, lam: np.ndarray, u) -> np.ndarray:
     """Complex forcing amplitude times U_n * U_{n-1}; entire in the frequency.
 
-    Equals ``-2i w exp(-i lam a_{n-1}) sum_k (i delta e^{i lam})^k U_k(lam)``,
-    which is the pole-free numerator of ``forcing_amplitude``.  Accepts a
-    scalar or an ndarray of frequencies.
+    Equals ``-2i exp(-i lam a_{n-1}) sum_k (i delta e^{i lam})^k U_k(lam)``
+    (scale 1), the pole-free numerator of ``forcing_amplitude``, given the
+    stack ``u`` of U_0(lam)..U_{n-1}(lam) (or more orders) at the ndarray
+    ``lam``.
     """
-    lam = np.asarray(lam, dtype=float)
     delta = ctx.delta
-    u = cheb.u_stack(ctx.n - 1, lam)
     zfac = 1j * delta * np.exp(1j * lam)
     fr, fi = zfac.real, zfac.imag
     # General complex products are spelled out in real parts, as a scalar
@@ -399,12 +402,12 @@ def forcing_amplitude_scaled(ctx: EquationContext, lam):
         zr, zi = zr * fr - zi * fi, zr * fi + zi * fr
         acc_r = acc_r + zr * u[k]
         acc_i = acc_i + zi * u[k]
-    lead = -2j * ctx.w * np.exp(-1j * lam * ctx.a[ctx.n - 1])
+    lead = -2j * np.exp(-1j * lam * ctx.a[ctx.n - 1])
     lr, li = lead.real, lead.imag
     out = np.empty(lam.shape, dtype=complex)
     out.real = lr * acc_r - li * acc_i
     out.imag = lr * acc_i + li * acc_r
-    return out if out.shape else complex(out)
+    return out
 
 
 def forcing_amplitude(ctx: EquationContext, lam: float) -> complex:
@@ -418,8 +421,9 @@ def forcing_amplitude(ctx: EquationContext, lam: float) -> complex:
     for root in u_product_roots(ctx.n):
         if abs(lam - root) < 1e-9:
             raise ValueError(f"frequency {lam} is excluded (Chebyshev root)")
-    denom = cheb.u_eval(ctx.n, lam) * cheb.u_eval(ctx.n - 1, lam)
-    return forcing_amplitude_scaled(ctx, lam) / denom
+    lam = np.asarray(lam, dtype=float)
+    u = cheb.u_stack(ctx.n, lam)
+    return complex(_scaled_amplitude(ctx, lam, u)) / float(u[ctx.n] * u[ctx.n - 1])
 
 
 def u_product_roots(n: int) -> list[float]:
@@ -448,8 +452,7 @@ def spectral_equation(ctx: EquationContext, lam):
     delta = ctx.delta
     eps = ctx.eps
     u = cheb.u_stack(ctx.n - 1, lam)
-    ztil = forcing_amplitude_scaled(ctx, lam)
-    ztil = np.asarray(ztil)
+    ztil = _scaled_amplitude(ctx, lam, u)
     out = (delta / lam) * ztil.real
     for k in range(ctx.n):
         zk = ztil * _ipow(-delta, k)
@@ -498,6 +501,7 @@ def _upper_frequency(ctx: EquationContext) -> float:
 
 GRID_STEP = 1e-3
 EXCLUSION_RADIUS = 1e-6
+EXCLUSION_CORE = 1e-9
 ROOT_XTOL = 1e-12
 _BISECT_LEVELS = 6  # halvings per call of the equation: 63 points per call
 
@@ -508,10 +512,13 @@ def first_root(f, lam_max: float, excluded) -> float:
     ``f`` takes a scalar or an ndarray of frequencies; ``excluded`` is
     ascending.  The scan grid steps by ``GRID_STEP`` and is split at every
     excluded frequency e: the grid points within ``EXCLUSION_RADIUS`` of e
-    give way to e -+ ``EXCLUSION_RADIUS``, and the bracket between those two
-    is skipped, because the regularized equations genuinely vanish at some
-    excluded frequencies.  The first remaining bracket whose sign changes is
-    bisected to ``ROOT_XTOL``.
+    give way to e -+ ``EXCLUSION_RADIUS``.  The regularized equations
+    genuinely vanish at the excluded frequencies, so a window [e -+ radius]
+    whose ends differ in sign holds no root, and one whose ends agree holds
+    a second zero besides e: that root is bisected in whichever of
+    [e - radius, e - core] and [e + core, e + radius] changes sign, with
+    core ``EXCLUSION_CORE``, and a root inside the core raises.  The first
+    bracket holding a root is bisected to ``ROOT_XTOL``.
     """
     grid = np.arange(GRID_STEP, lam_max + GRID_STEP, GRID_STEP)
     ex = np.asarray(excluded, dtype=float)
@@ -523,11 +530,24 @@ def first_root(f, lam_max: float, excluded) -> float:
     vals = np.asarray(f(pts))
     sign = np.signbit(vals)
     below = np.searchsorted(ex, pts)  # excluded frequencies below each point
-    hits = np.flatnonzero((sign[:-1] != sign[1:]) & (below[:-1] == below[1:]))
+    window = below[:-1] != below[1:]
+    hits = np.flatnonzero((sign[:-1] != sign[1:]) != window)
     if hits.size == 0:
         raise RootScanError(f"no admissible root in (0, {lam_max:.3f}]", pts, vals)
     i = int(hits[0])
-    return _bisect(f, float(pts[i]), float(pts[i + 1]), ROOT_XTOL, _BISECT_LEVELS)
+    lo, hi = float(pts[i]), float(pts[i + 1])
+    if window[i]:
+        e = float(ex[below[i]])
+        core = np.signbit(f(np.array([e - EXCLUSION_CORE, e + EXCLUSION_CORE])))
+        if core[0] != sign[i]:
+            hi = e - EXCLUSION_CORE
+        elif core[1] != sign[i + 1]:
+            lo = e + EXCLUSION_CORE
+        else:
+            raise RootScanError(
+                f"root within {EXCLUSION_CORE:g} of excluded frequency {e!r}", pts, vals
+            )
+    return _bisect(f, lo, hi, ROOT_XTOL, _BISECT_LEVELS)
 
 
 def smallest_root(ctx: EquationContext) -> float:
@@ -551,15 +571,14 @@ def equation_branch(g: Symmetry, R: float) -> bool:
     return g not in (Symmetry.U, Symmetry.O) and R > 0.5
 
 
-def solve(
-    g: Symmetry, R: float, w: float = 1.0
-) -> tuple[BoundResult, Optional[EquationContext]]:
+def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]]:
     """Minimum for kernel g at support R, with the context it was solved on.
 
     Dispatches on kernel and support: exact unitary value, shifted-cosine
     branch, or transcendental-equation branch; the context is None off the
     equation branch.  A support where the continuity matrix degenerates is
-    nudged by 1e-6 with a warning, and the context records the support used.
+    nudged by 1e-6 with a warning, and the result and the context record the
+    support used.
     In the symplectic equation branch, a square-rooted scaled minimum within
     1e-4 of an odd integer is flagged (the piecewise construction is then
     only conditionally optimal) and the compatibility integral of the
@@ -570,18 +589,18 @@ def solve(
         raise ValueError("R must be positive")
     if g is Symmetry.U:
         m_tilde = 1.0 / (16 * R * R)
-        return BoundResult(m_tilde, math.sqrt(m_tilde), "unitary_exact"), None
+        return BoundResult(m_tilde, math.sqrt(m_tilde), "unitary_exact", R), None
     if not equation_branch(g, R):
         return small_support_minimum(g, R), None
 
     try:
-        ctx = build_context(g, R, w=w)
+        ctx = build_context(g, R)
     except DegenerateRadiusError:
         n = int(math.floor(2 * R)) + 1
         for nudged in (R - 1e-6, R + 1e-6):
             if (n - 1) / 2.0 < nudged < n / 2.0:
                 try:
-                    ctx = build_context(g, nudged, w=w)
+                    ctx = build_context(g, nudged)
                 except DegenerateRadiusError:
                     continue
                 warnings.warn(
@@ -594,7 +613,11 @@ def solve(
     lam = smallest_root(ctx)
     m_tilde = (lam / (2 * math.pi)) ** 2
     result = BoundResult(
-        m_tilde=m_tilde, bound=math.sqrt(m_tilde), branch="transcendental", lam=lam
+        m_tilde=m_tilde,
+        bound=math.sqrt(m_tilde),
+        branch="transcendental",
+        support=ctx.R,
+        lam=lam,
     )
     if g is Symmetry.Sp:
         sqrt_scaled = 2 * ctx.R * lam / math.pi  # sqrt of the 16R^2-scaled minimum
@@ -607,7 +630,7 @@ def solve(
     return result, ctx
 
 
-def minimal_quotient(g: Symmetry, R: float, w: float = 1.0) -> BoundResult:
+def minimal_quotient(g: Symmetry, R: float) -> BoundResult:
     """Minimal normalized Rayleigh quotient for kernel g at support R; see
     ``solve``."""
-    return solve(g, R, w)[0]
+    return solve(g, R)[0]

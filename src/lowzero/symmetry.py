@@ -22,7 +22,6 @@ __all__ = [
     "Symmetry",
     "FamilySpec",
     "FamilyParams",
-    "kernel_params",
     "unit_window",
     "density_fourier",
     "family_params",
@@ -80,11 +79,6 @@ _KERNEL_TABLE = {
     Symmetry.SOplus: (1, Fraction(0)),
     Symmetry.SOminus: (-1, Fraction(1)),
 }
-
-
-def kernel_params(g: Symmetry) -> tuple[int, Fraction]:
-    """Return the density-kernel pair (delta, epsilon) of a symmetry type."""
-    return _KERNEL_TABLE[g]
 
 
 def unit_window(y: float) -> float:

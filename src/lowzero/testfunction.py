@@ -26,14 +26,7 @@ import numpy as np
 import scipy.integrate
 
 from . import chebyshev as cheb
-from .solver import (
-    BoundResult,
-    EquationContext,
-    _ipow,
-    forcing_amplitude,
-    small_support_minimum,
-    solve,
-)
+from .solver import BoundResult, EquationContext, _ipow, forcing_amplitude, solve
 from .symmetry import Symmetry
 
 __all__ = [
@@ -42,7 +35,6 @@ __all__ = [
     "mode_coefficient",
     "solve_continuity",
     "assemble",
-    "small_support_function",
     "reconstruct",
     "residuals",
     "quotient_quadrature",
@@ -51,6 +43,7 @@ __all__ = [
 ]
 
 _ZERO_FREQ = 1e-14
+_RESIDUAL_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -66,14 +59,13 @@ class PiecewiseTestFunction:
     """Even, continuous, compactly supported piecewise-sinusoidal function.
 
     ``ctx`` is the equation context it was assembled from, None for the
-    shifted cosine.
+    shifted cosine.  Amplitudes follow the scale-1 convention of ``solver``.
     """
 
     pieces: tuple[Piece, ...]
     R: float
     lam: float
     g: Symmetry
-    w: float = 1.0
     ctx: Optional[EquationContext] = field(default=None, compare=False, repr=False)
 
     def breakpoints(self) -> np.ndarray:
@@ -160,30 +152,29 @@ class PiecewiseTestFunction:
 # Equation-branch assembly
 # ---------------------------------------------------------------------------
 
-def mode_coefficient(
-    ctx: EquationContext, lam: float, k: int, order: Optional[int] = None
-) -> complex:
+def mode_coefficient(ctx: EquationContext, lam: float, k: int, order: int) -> complex:
     """Complex amplitude of the lam-frequency mode on one partition cell.
 
     ``order`` selects the interval family (the Chebyshev order whose roots
     provide the cell's homogeneous frequencies): ``n`` for the outermost
-    family, ``n - 1`` for the interleaved one.  Defaults to ``n``.
+    family, ``n - 1`` for the interleaved one.
     """
-    m = ctx.n if order is None else order
+    m = order
     if not 0 <= k <= m - 1:
         raise ValueError(f"cell index {k} out of range for order {m}")
     delta = ctx.delta
     denom = lam + delta * math.sin(lam)
     if abs(denom) < 1e-12:
         raise ValueError("frequency cancels the mode normalization")
-    um = cheb.u_eval(m, lam)
+    u = cheb.u_stack(m, lam)
+    um = u[m]
     if abs(um) < 1e-12:
         raise ValueError("frequency is a root of the homogeneous order")
-    lead = 1j * ctx.w / denom
+    lead = 1j / denom
     return lead * (
-        _ipow(delta, k - m) * cmath.exp(-1j * lam * (m + 1) / 2) * cheb.u_eval(k, lam) / um
+        _ipow(delta, k - m) * cmath.exp(-1j * lam * (m + 1) / 2) * u[k] / um
         - cmath.exp(1j * lam * (m - 2 * k - 1) / 2)
-        + _ipow(delta, k + 1) * cmath.exp(1j * lam * (m + 1) / 2) * cheb.u_eval(m - k - 1, lam) / um
+        + _ipow(delta, k + 1) * cmath.exp(1j * lam * (m + 1) / 2) * u[m - k - 1] / um
     )
 
 
@@ -195,9 +186,10 @@ def solve_continuity(ctx: EquationContext, lam: float) -> np.ndarray:
     *negatives* of the outer (order n) family amplitudes.
     """
     z = forcing_amplitude(ctx, lam)
+    u = cheb.u_stack(ctx.n - 1, lam)
     rhs = np.empty(ctx.n)
     for k in range(ctx.n):
-        rhs[k] = cheb.u_eval(k, lam) * (z * _ipow(-ctx.delta, k)).imag
+        rhs[k] = u[k] * (z * _ipow(-ctx.delta, k)).imag
     return np.linalg.solve(ctx.m_matrix, rhs)
 
 
@@ -239,52 +231,37 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
     for k in range(n):  # outer family: cells n-1, n-3, ..., -(n-1)
         m = n - 1 - 2 * k
         mid = (n - 2 * k - 1) / 2.0
-        amps = [r_outer[j0] * cheb.u_eval(k, th) for j0, th in enumerate(ctx.theta_hi)]
+        amps = r_outer * ctx.u_hi[k]
         add_piece(m, mid, amps, ctx.theta_hi, mode_coefficient(ctx, lam, k, order=n))
     for k in range(n - 1):  # inner family: cells n-2, n-4, ..., -(n-2)
         m = n - 2 - 2 * k
         mid = (n - 2 * k - 2) / 2.0
-        amps = [r_inner[j0] * cheb.u_eval(k, th) for j0, th in enumerate(ctx.theta_lo)]
+        amps = r_inner * ctx.u_lo[k]
         add_piece(m, mid, amps, ctx.theta_lo, mode_coefficient(ctx, lam, k, order=n - 1))
 
     pieces.sort(key=lambda p: p.lo)
-    return PiecewiseTestFunction(
-        pieces=tuple(pieces), R=ctx.R, lam=lam, g=ctx.g, w=ctx.w, ctx=ctx
-    )
+    return PiecewiseTestFunction(pieces=tuple(pieces), R=ctx.R, lam=lam, g=ctx.g, ctx=ctx)
 
 
-# ---------------------------------------------------------------------------
-# Small-support branch
-# ---------------------------------------------------------------------------
-
-def small_support_function(g: Symmetry, R: float, w: float = 1.0) -> tuple[
-    PiecewiseTestFunction, BoundResult
-]:
-    """Shifted-cosine optimizer -(w/lam)(cos(lam*u) - cos(lam*R)) on [-R, R]."""
-    res = small_support_minimum(g, R)
-    return _shifted_cosine(g, R, 2 * math.pi * res.bound, w), res
-
-
-def _shifted_cosine(g: Symmetry, R: float, lam: float, w: float) -> PiecewiseTestFunction:
+def _shifted_cosine(g: Symmetry, R: float, lam: float) -> PiecewiseTestFunction:
+    """Shifted-cosine optimizer -(1/lam)(cos(lam*u) - cos(lam*R)) on [-R, R]."""
     terms = (
-        (-w / lam, lam, 0.5 * math.pi),  # -(w/lam) cos(lam u)
-        (w / lam * math.cos(lam * R), 0.0, 0.5 * math.pi),
+        (-1 / lam, lam, 0.5 * math.pi),  # -(1/lam) cos(lam u)
+        (1 / lam * math.cos(lam * R), 0.0, 0.5 * math.pi),
     )
     return PiecewiseTestFunction(
-        pieces=(Piece(lo=-R, hi=R, terms=terms),), R=R, lam=lam, g=g, w=w
+        pieces=(Piece(lo=-R, hi=R, terms=terms),), R=R, lam=lam, g=g
     )
 
 
-def reconstruct(g: Symmetry, R: float, w: float = 1.0) -> tuple[
-    PiecewiseTestFunction, BoundResult
-]:
+def reconstruct(g: Symmetry, R: float) -> tuple[PiecewiseTestFunction, BoundResult]:
     """Optimizer and minimum for any non-unitary kernel and support, solved
     (and nudged off a degenerate support) exactly as ``solver.solve`` does."""
     if g is Symmetry.U:
         raise ValueError("the unitary kernel has no attained optimizer to build")
-    res, ctx = solve(g, R, w=w)
+    res, ctx = solve(g, R)
     if ctx is None:
-        return _shifted_cosine(g, R, 2 * math.pi * res.bound, w), res
+        return _shifted_cosine(g, R, 2 * math.pi * res.bound), res
     return assemble(ctx, res.lam), res
 
 
@@ -298,13 +275,13 @@ class ResidualReport:
 
     ``delayed_ode``: sup-norm defect of h'(u) = phi'(u) - (delta/2)(h(u+1)-h(u-1));
     ``volterra``: defect of the integrated form on [0, R);
-    ``compatibility``: the scalar relation (w/lam) cos(lam R)
+    ``compatibility``: the scalar relation (1/lam) cos(lam R)
       + (delta/2) * int_{R-1}^R h + eps * int h;
     ``rayleigh_gap``: quotient-vs-lam^2/(4 pi^2) gap by adaptive quadrature;
     ``int_tail_gap``/``int_full_gap``: closed-form-vs-quadrature gaps for the
       two integrals of h (only meaningful on the equation branch);
-    ``k_normalization``: the integral-equation constant implied by the w = 1
-      convention, reported for reference.
+    ``k_normalization``: the integral-equation constant implied by the
+      scale-1 convention, reported for reference.
     """
 
     delayed_ode: float
@@ -329,7 +306,7 @@ class ResidualReport:
 def _phi(h: PiecewiseTestFunction, u: float) -> float:
     if abs(u) > h.R:
         return 0.0
-    return -(h.w / h.lam) * (math.cos(h.lam * u) - math.cos(h.lam * h.R))
+    return -(1 / h.lam) * (math.cos(h.lam * u) - math.cos(h.lam * h.R))
 
 
 def _quad_points(h: PiecewiseTestFunction, lo: float, hi: float, extra=()) -> list[float]:
@@ -388,15 +365,16 @@ def quotient_quadrature(h: PiecewiseTestFunction) -> float:
 def tail_integral_closed(ctx: EquationContext, lam: float) -> float:
     """Closed form of the integral of the optimizer over [R-1, R]."""
     z = forcing_amplitude(ctx, lam)
+    u = cheb.u_stack(ctx.n - 1, lam)
     delta = ctx.delta
     acc_sin = 0.0
     for k in range(ctx.n):
-        acc_sin += cheb.u_eval(k, lam) * (z * _ipow(-delta, k)).imag * ctx.alpha[k]
+        acc_sin += u[k] * (z * _ipow(-delta, k)).imag * ctx.alpha[k]
     acc_mode = 0j
     for k in range(ctx.n):
-        acc_mode += _ipow(-delta, k) * cheb.u_eval(k, lam)
+        acc_mode += _ipow(-delta, k) * u[k]
     phi_part = (
-        -(2 * ctx.w / (delta * lam)) * math.cos(lam * ctx.R)
+        -(2 / (delta * lam)) * math.cos(lam * ctx.R)
         - (2 / lam) * z.real
         + 2 * delta * (1j * z * acc_mode).real
     )
@@ -406,53 +384,50 @@ def tail_integral_closed(ctx: EquationContext, lam: float) -> float:
 def full_integral_closed(ctx: EquationContext, lam: float) -> float:
     """Closed form of the integral of the optimizer over [-R, R]."""
     z = forcing_amplitude(ctx, lam)
+    u = cheb.u_stack(ctx.n - 1, lam)
     delta = ctx.delta
     acc = 0.0
     for k in range(ctx.n):
         rot = z * _ipow(-delta, k)
-        acc += cheb.u_eval(k, lam) * (rot.imag * ctx.beta_arr[k] - (2 / lam) * rot.real)
+        acc += u[k] * (rot.imag * ctx.beta_arr[k] - (2 / lam) * rot.real)
     return acc
 
 
 def residuals(
-    h: PiecewiseTestFunction,
-    ctx: Optional[EquationContext] = None,
-    lam: Optional[float] = None,
-    samples: int = 200,
+    h: PiecewiseTestFunction, ctx: Optional[EquationContext] = None
 ) -> ResidualReport:
     """Evaluate every defining property of a reconstructed optimizer.
 
     ``ctx`` (default ``h.ctx``) enables the closed-form-vs-quadrature
-    integral comparisons on the equation branch.  Sample points for
-    the pointwise defects avoid a 1e-6 neighbourhood of the cell boundaries,
-    where h is only one-sidedly differentiable.
+    integral comparisons on the equation branch.  The pointwise defects are
+    sampled at ``_RESIDUAL_SAMPLES`` points, avoiding a 1e-6 neighbourhood of
+    the cell boundaries, where h is only one-sidedly differentiable.
     """
     ctx = h.ctx if ctx is None else ctx
-    lam = h.lam if lam is None else lam
     delta = h.g.delta
     eps = float(h.g.epsilon)
-    R, w = h.R, h.w
+    R, lam = h.R, h.lam
 
     brks = h.breakpoints()
-    us = np.linspace(-R + 1e-4, R - 1e-4, samples)
+    us = np.linspace(-R + 1e-4, R - 1e-4, _RESIDUAL_SAMPLES)
     us = us[np.min(np.abs(us[:, None] - brks[None, :]), axis=1) > 1e-6]
 
     h_scale = max(1e-300, max(abs(h(float(u))) for u in us))
-    dh_scale = max(abs(w), max(abs(h.derivative(float(u))) for u in us))
+    dh_scale = max(1.0, max(abs(h.derivative(float(u))) for u in us))
 
     ode = 0.0
     for u in us:
         u = float(u)
         defect = (
             h.derivative(u)
-            - w * math.sin(lam * u)
+            - math.sin(lam * u)
             + 0.5 * delta * (h(u + 1) - h(u - 1))
         )
         ode = max(ode, abs(defect))
     ode /= dh_scale
 
     volt = 0.0
-    for u in np.linspace(0.0, R - 1e-6, samples // 2):
+    for u in np.linspace(0.0, R - 1e-6, _RESIDUAL_SAMPLES // 2):
         u = float(u)
         shift = h.integral(u + 1, R + 1) - h.integral(u - 1, R - 1)
         defect = h(u) - _phi(h, u) - 0.5 * delta * shift
@@ -461,8 +436,8 @@ def residuals(
 
     tail_exact = h.integral(R - 1, R)
     full_exact = h.integral(-R, R)
-    compat = (w / lam) * math.cos(lam * R) + 0.5 * delta * tail_exact + eps * full_exact
-    compat_scale = max(abs(w / lam), abs(tail_exact), abs(full_exact), 1e-300)
+    compat = (1 / lam) * math.cos(lam * R) + 0.5 * delta * tail_exact + eps * full_exact
+    compat_scale = max(abs(1 / lam), abs(tail_exact), abs(full_exact), 1e-300)
     compat = abs(compat) / compat_scale
 
     target = lam**2 / (4 * math.pi**2)
@@ -478,7 +453,7 @@ def residuals(
         tail_gap = full_gap = 0.0
 
     sqrt_scaled = 2 * R * lam / math.pi
-    k_norm = -4 * R * w * sqrt_scaled * math.cos(0.5 * math.pi * sqrt_scaled) / math.pi**2
+    k_norm = -4 * R * sqrt_scaled * math.cos(0.5 * math.pi * sqrt_scaled) / math.pi**2
 
     return ResidualReport(
         delayed_ode=ode,

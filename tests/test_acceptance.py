@@ -16,7 +16,7 @@ from chebyshev_oracles import truncated_geometric
 from lowzero import proportion as prop
 from lowzero import rayleigh, verification
 from lowzero.bounds import height_bound, orthogonal_asymptotic
-from lowzero.chebyshev import u_eval
+from lowzero.chebyshev import u_stack
 from lowzero.solver import (
     build_context,
     minimal_quotient,
@@ -191,9 +191,9 @@ def test_criterion_10_chebyshev_identities():
             n = int(rng.integers(2, 13))
             j = int(rng.integers(1, n))
             x = float(rng.uniform(-2, 2))
-            p1 = u_eval(n - 1, x) * u_eval(j, x)
-            p2 = u_eval(n, x) * u_eval(j - 1, x)
-            rhs = u_eval(n - 1 - j, x)
+            p1 = u_stack(n - 1, x)[n - 1] * u_stack(j, x)[j]
+            p2 = u_stack(n, x)[n] * u_stack(j - 1, x)[j - 1]
+            rhs = u_stack(n - 1 - j, x)[n - 1 - j]
             assert abs(p1 - p2 - rhs) <= 1e-10 * max(1.0, abs(p1), abs(p2), abs(rhs))
         for _ in range(200):
             n = int(rng.integers(1, 14))
@@ -203,7 +203,7 @@ def test_criterion_10_chebyshev_identities():
             if abs(denom) <= 1e-9:
                 continue
             closed = (
-                1 - z**n * u_eval(n, x) + z ** (n + 1) * u_eval(n - 1, x)
+                1 - z**n * u_stack(n, x)[n] + z ** (n + 1) * u_stack(n - 1, x)[n - 1]
             ) / denom
             direct = truncated_geometric(n, x, z)
             assert abs(direct - closed) <= 1e-10 * max(1.0, abs(closed))

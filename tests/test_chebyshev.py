@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebyshev_oracles import t_eval, truncated_geometric
-from lowzero.chebyshev import u_eval, u_roots, u_stack
+from lowzero.chebyshev import u_roots, u_stack
 
 
 def trig_u(n: int, x: float) -> float:
@@ -19,11 +19,10 @@ def trig_t(n: int, x: float) -> float:
 
 
 def test_u_small_values():
-    assert u_eval(-1, 0.37) == 0.0
-    assert u_eval(0, -2.5) == 1.0
-    assert u_eval(2, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert u_eval(3, 1.0) == 4.0  # U_n(1) = n + 1
-    assert u_eval(5, 0.3) == pytest.approx(trig_u(5, 0.3), rel=1e-12)
+    assert u_stack(0, -2.5)[0] == 1.0
+    assert u_stack(2, 0.5)[2] == pytest.approx(0.0, abs=1e-15)
+    assert u_stack(3, 1.0)[3] == 4.0  # U_n(1) = n + 1
+    assert u_stack(5, 0.3)[5] == pytest.approx(trig_u(5, 0.3), rel=1e-12)
 
 
 def test_t_small_values():
@@ -36,7 +35,7 @@ def test_trig_agreement_inside_unit_interval():
     rng = np.random.default_rng(1)
     for x in rng.uniform(-0.99, 0.99, 60):
         for n in range(0, 14):
-            assert u_eval(n, float(x)) == pytest.approx(
+            assert u_stack(n, float(x))[n] == pytest.approx(
                 trig_u(n, float(x)), rel=1e-12, abs=1e-12
             )
             assert t_eval(n, float(x)) == pytest.approx(
@@ -47,11 +46,11 @@ def test_trig_agreement_inside_unit_interval():
 def test_array_evaluation_matches_scalar():
     xs = np.linspace(-2.0, 2.0, 11)
     for n in range(0, 9):
-        vec = u_eval(n, xs)
-        assert np.allclose(vec, [u_eval(n, float(x)) for x in xs], rtol=1e-14)
+        vec = u_stack(n, xs)[n]
+        assert np.array_equal(vec, [u_stack(n, float(x))[n] for x in xs])
     stack = u_stack(8, xs)
     for n in range(9):
-        assert np.allclose(stack[n], u_eval(n, xs), rtol=0, atol=0)
+        assert np.array_equal(stack[n], u_stack(n, xs)[n])
 
 
 def test_u_roots_order_and_vanishing():
@@ -61,14 +60,14 @@ def test_u_roots_order_and_vanishing():
         roots = u_roots(n)
         assert all(a > b for a, b in zip(roots, roots[1:]))
         for r in roots:
-            assert abs(u_eval(n, r)) < 1e-12
+            assert abs(u_stack(n, r)[n]) < 1e-12
 
 
 def test_u_at_roots_of_next_order_alternates():
     # U_{n-1} at the j-th root of U_n equals (-1)^(j+1)
     for n in range(2, 12):
         for j, root in enumerate(u_roots(n), start=1):
-            assert u_eval(n - 1, root) == pytest.approx((-1) ** (j + 1), abs=1e-10)
+            assert u_stack(n - 1, root)[n - 1] == pytest.approx((-1) ** (j + 1), abs=1e-10)
 
 
 def test_leading_coefficient_power_of_two():
@@ -76,7 +75,7 @@ def test_leading_coefficient_power_of_two():
     for k in (1, 2, 3, 4):
         n = 2 * k
         x = 1e4
-        assert u_eval(n, x) / x**n == pytest.approx(2.0**n, rel=1e-6)
+        assert u_stack(n, x)[n] / x**n == pytest.approx(2.0**n, rel=1e-6)
 
 
 @settings(max_examples=200, derandomize=True)
@@ -87,9 +86,9 @@ def test_leading_coefficient_power_of_two():
 )
 def test_product_identity(n, x, data):
     j = data.draw(st.integers(min_value=1, max_value=n - 1))
-    p1 = u_eval(n - 1, x) * u_eval(j, x)
-    p2 = u_eval(n, x) * u_eval(j - 1, x)
-    rhs = u_eval(n - 1 - j, x)
+    p1 = u_stack(n - 1, x)[n - 1] * u_stack(j, x)[j]
+    p2 = u_stack(n, x)[n] * u_stack(j - 1, x)[j - 1]
+    rhs = u_stack(n - 1 - j, x)[n - 1 - j]
     # relative to the cancelling products: the difference of two O(2^n x^n)
     # terms cannot beat that scale in double precision
     scale = max(1.0, abs(p1), abs(p2), abs(rhs))
@@ -103,9 +102,9 @@ def test_product_identity_dense_sweep():
         for j in range(1, n):
             for x in xs:
                 x = float(x)
-                p1 = u_eval(n - 1, x) * u_eval(j, x)
-                p2 = u_eval(n, x) * u_eval(j - 1, x)
-                rhs = u_eval(n - 1 - j, x)
+                p1 = u_stack(n - 1, x)[n - 1] * u_stack(j, x)[j]
+                p2 = u_stack(n, x)[n] * u_stack(j - 1, x)[j - 1]
+                rhs = u_stack(n - 1 - j, x)[n - 1 - j]
                 scale = max(1.0, abs(p1), abs(p2), abs(rhs))
                 assert abs(p1 - p2 - rhs) <= 1e-10 * scale
 
@@ -128,7 +127,8 @@ def test_truncated_geometric_closed_form():
         denom = 1 - 2 * z * x + z * z
         if abs(denom) <= 1e-9:
             continue
-        closed = (1 - z**n * u_eval(n, x) + z ** (n + 1) * u_eval(n - 1, x)) / denom
+        u = u_stack(n, x)
+        closed = (1 - z**n * u[n] + z ** (n + 1) * u[n - 1]) / denom
         direct = truncated_geometric(n, x, z)
         assert abs(direct - closed) <= 1e-12 * max(1.0, abs(closed))
 
@@ -136,13 +136,12 @@ def test_truncated_geometric_closed_form():
 def test_truncated_geometric_unit_circle():
     direct = truncated_geometric(4, 0.2, 1j)
     denom = 1 - 2 * 1j * 0.2 + (1j) ** 2
-    closed = (1 - (1j) ** 4 * u_eval(4, 0.2) + (1j) ** 5 * u_eval(3, 0.2)) / denom
+    u = u_stack(4, 0.2)
+    closed = (1 - (1j) ** 4 * u[4] + (1j) ** 5 * u[3]) / denom
     assert abs(direct - closed) <= 1e-12
 
 
 def test_bad_orders_rejected():
-    with pytest.raises(ValueError):
-        u_eval(-2, 0.0)
     with pytest.raises(ValueError):
         t_eval(-1, 0.0)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lowzero.cli import main
+from lowzero.solver import DegenerateRadiusError
 
 
 def run(capsys, *argv):
@@ -61,6 +62,46 @@ def test_bound_symplectic_large_support(capsys):
     record = parse_kv(out)
     assert float(record["bound"]) <= float(record["oracle"])
     assert float(record["oracle_gap"]) <= 1e-8
+
+
+def test_bound_root_inside_exclusion_window(capsys):
+    # the root lies within 1e-6 of the excluded frequency cos(pi/5), so both
+    # ends of that exclusion window agree in sign
+    code, out, _ = run(
+        capsys, "bound", "--symmetry", "SO+", "--nu-max", "3.5784491015624997",
+        "--oracle-check", "--format", "json",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert float(record["oracle_gap"]) <= 1e-9
+
+
+def test_bound_oracle_check_uses_solved_support(capsys, monkeypatch):
+    from lowzero import rayleigh, solver
+
+    nu = 2.0
+    R = nu / 2 - 1e-5
+    real_build, real_oracle = solver.build_context, rayleigh.sqrt_quotient
+    oracle_supports = []
+
+    def degenerate_at_r(g, radius):
+        if radius == R:
+            raise DegenerateRadiusError("rigged")
+        return real_build(g, radius)
+
+    def recording_oracle(g, radius, trunc):
+        oracle_supports.append(radius)
+        return real_oracle(g, radius, trunc)
+
+    monkeypatch.setattr(solver, "build_context", degenerate_at_r)
+    monkeypatch.setattr(rayleigh, "sqrt_quotient", recording_oracle)
+    with pytest.warns(UserWarning, match="degenerate"):
+        code, out, _ = run(
+            capsys, "bound", "--symmetry", "Sp", "--nu-max", str(nu), "--oracle-check"
+        )
+    assert code == 0
+    assert oracle_supports == [R - 1e-6]
+    assert float(parse_kv(out)["oracle_gap"]) <= 5e-3
 
 
 def test_bound_json_format(capsys):

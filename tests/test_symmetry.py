@@ -8,7 +8,6 @@ from lowzero.symmetry import (
     Symmetry,
     density_fourier,
     family_params,
-    kernel_params,
     unit_window,
 )
 
@@ -31,7 +30,6 @@ CORRECTIVE = {
 
 def test_kernel_table_exact():
     for g, pair in KERNEL_TABLE.items():
-        assert kernel_params(g) == pair
         assert (g.delta, g.epsilon) == pair
 
 

@@ -7,7 +7,7 @@ import scipy.integrate
 
 from lowzero import rayleigh, solver
 from testfunction_oracles import integral_all_pieces, piece_index_linear_scan
-from lowzero.chebyshev import u_eval
+from lowzero.chebyshev import u_stack
 from lowzero.solver import DegenerateRadiusError, build_context, smallest_root
 from lowzero.symmetry import Symmetry
 from lowzero.testfunction import (
@@ -17,7 +17,6 @@ from lowzero.testfunction import (
     quotient_quadrature,
     reconstruct,
     residuals,
-    small_support_function,
     solve_continuity,
     tail_integral_closed,
 )
@@ -60,23 +59,24 @@ def test_mode_conjugation_identity():
 
 
 def test_mode_cross_order_identity():
-    # z_{n-1}(0) = i*delta*(U_n/U_{n-1})*e^{i lam/2}*z_n(0) - 2*w*delta*e^{i lam n/2};
-    # the final term is what produces -2 w delta lam cos(lam R) in the
-    # derivative limit at the inner edge of the outermost cell.
+    # z_{n-1}(0) = i*delta*(U_n/U_{n-1})*e^{i lam/2}*z_n(0) - 2*delta*e^{i lam n/2}
+    # (scale 1); the final term is what produces -2 delta lam cos(lam R) in
+    # the derivative limit at the inner edge of the outermost cell.
     for g, R in EQUATION_CASES:
         ctx = build_context(g, R)
-        n, d, w = ctx.n, ctx.delta, ctx.w
+        n, d = ctx.n, ctx.delta
         lam = 0.837
+        u = u_stack(n, lam)
         zn0 = mode_coefficient(ctx, lam, 0, order=n)
         zlo0 = mode_coefficient(ctx, lam, 0, order=n - 1)
         rhs = (
-            1j * d * u_eval(n, lam) / u_eval(n - 1, lam) * cmath.exp(1j * lam / 2) * zn0
-            - 2 * w * d * cmath.exp(1j * lam * n / 2)
+            1j * d * u[n] / u[n - 1] * cmath.exp(1j * lam / 2) * zn0
+            - 2 * d * cmath.exp(1j * lam * n / 2)
         )
         assert zlo0 == pytest.approx(rhs, abs=1e-10)
         lhs_deriv = lam * (zlo0 * cmath.exp(1j * lam * (R - n / 2))).real
-        rhs_deriv = -2 * w * d * lam * math.cos(lam * R) + lam * (
-            1j * d * u_eval(n, lam) / u_eval(n - 1, lam)
+        rhs_deriv = -2 * d * lam * math.cos(lam * R) + lam * (
+            1j * d * u[n] / u[n - 1]
             * zn0 * cmath.exp(1j * lam * (R - (n - 1) / 2))
         ).real
         assert lhs_deriv == pytest.approx(rhs_deriv, abs=1e-10)
@@ -95,12 +95,13 @@ def test_mode_coefficient_outermost_cell_display():
     # through by (i*delta)^n U_n, instead of the term-by-term expression
     for g, R in EQUATION_CASES:
         ctx = build_context(g, R)
-        n, d, w = ctx.n, ctx.delta, ctx.w
+        n, d = ctx.n, ctx.delta
         for lam in (0.41, 1.3):
+            u = u_stack(n, lam)
             zfac = 1j * d * cmath.exp(1j * lam)
-            series = 1 - zfac**n * u_eval(n, lam) + zfac ** (n + 1) * u_eval(n - 1, lam)
+            series = 1 - zfac**n * u[n] + zfac ** (n + 1) * u[n - 1]
             alt = (
-                1j * w / ((1j * d) ** n * u_eval(n, lam))
+                1j / ((1j * d) ** n * u[n])
                 * cmath.exp(-1j * lam * (n + 1) / 2)
                 * series
                 / (lam + d * math.sin(lam))
@@ -121,9 +122,8 @@ def test_solve_continuity_residual():
         ctx, lam = _solved(g, R)
         x = solve_continuity(ctx, lam)
         z = forcing_amplitude(ctx, lam)
-        rhs = np.array(
-            [u_eval(k, lam) * (z * _ipow(-ctx.delta, k)).imag for k in range(ctx.n)]
-        )
+        u = u_stack(ctx.n - 1, lam)
+        rhs = np.array([u[k] * (z * _ipow(-ctx.delta, k)).imag for k in range(ctx.n)])
         residual = np.linalg.norm(ctx.m_matrix @ x - rhs)
         assert residual <= 1e-10 * max(np.linalg.norm(rhs), 1e-30)
 
@@ -137,15 +137,6 @@ def test_solve_continuity_two_cells_cramer():
     assert inv[1, 0] == pytest.approx(0.0, abs=1e-14)
     assert inv[0, 1] == pytest.approx(-d * math.tan(theta_cap), rel=1e-12)
     assert inv[1, 1] == pytest.approx(d / math.cos(theta_cap), rel=1e-12)
-
-
-def test_solve_continuity_linear_in_scale():
-    base = build_context(Symmetry.Sp, 0.8, w=1.0)
-    double = build_context(Symmetry.Sp, 0.8, w=2.0)
-    lam = smallest_root(base)
-    assert np.allclose(
-        solve_continuity(double, lam), 2 * solve_continuity(base, lam), rtol=1e-12
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +175,7 @@ def test_assembled_frequency_split():
 
 def test_small_support_function_is_shifted_cosine():
     for g, R in SMALL_CASES:
-        h, _ = small_support_function(g, R)
+        h, _ = reconstruct(g, R)
         lam = h.lam
         for u in np.linspace(-R, R, 41):
             expected = -(1.0 / lam) * (math.cos(lam * u) - math.cos(lam * R))
@@ -196,10 +187,10 @@ def test_reconstruct_nudges_like_minimal_quotient(monkeypatch):
     R = 0.75
     real = solver.build_context
 
-    def degenerate_at_r(g, radius, w=1.0):
+    def degenerate_at_r(g, radius):
         if radius == R:
             raise DegenerateRadiusError("rigged")
-        return real(g, radius, w=w)
+        return real(g, radius)
 
     monkeypatch.setattr(solver, "build_context", degenerate_at_r)
     with pytest.warns(UserWarning, match="degenerate"):
@@ -253,17 +244,14 @@ def test_lambda_mode_integrals_closed_form():
             Piece(p.lo, p.hi, tuple(t for t in p.terms if abs(t[1] - lam) < 1e-12))
             for p in h.pieces
         )
-        h_lam = PiecewiseTestFunction(
-            pieces=lam_pieces, R=h.R, lam=lam, g=h.g, w=h.w
-        )
+        h_lam = PiecewiseTestFunction(pieces=lam_pieces, R=h.R, lam=lam, g=h.g)
         z = forcing_amplitude(ctx, lam)
+        u = u_stack(ctx.n - 1, lam)
         d = ctx.delta
-        full_closed = -(2 / lam) * sum(
-            u_eval(k, lam) * (z * _ipow(-d, k)).real for k in range(ctx.n)
-        )
-        acc = sum(_ipow(-d, k) * u_eval(k, lam) for k in range(ctx.n))
+        full_closed = -(2 / lam) * sum(u[k] * (z * _ipow(-d, k)).real for k in range(ctx.n))
+        acc = sum(_ipow(-d, k) * u[k] for k in range(ctx.n))
         tail_closed = (
-            -(2 * ctx.w / (d * lam)) * math.cos(lam * R)
+            -(2 / (d * lam)) * math.cos(lam * R)
             - (2 / lam) * z.real
             + 2 * d * (1j * z * acc).real
         )
@@ -340,17 +328,3 @@ def test_quotient_matches_solved_minimum_and_oracle():
         assert math.sqrt(quotient_quadrature(h)) == pytest.approx(
             rayleigh.sqrt_quotient(g, R, 400), abs=5e-3
         )
-
-
-def test_compatibility_scale_covariance():
-    ctx, lam = _solved(Symmetry.Sp, 0.8)
-    h = assemble(ctx, lam)
-    ctx2 = build_context(Symmetry.Sp, 0.8, w=2.0)
-    h2 = assemble(ctx2, lam)
-    # doubling the normalization doubles every linear functional of h
-    assert h2.integral(ctx.R - 1, ctx.R) == pytest.approx(
-        2 * h.integral(ctx.R - 1, ctx.R), rel=1e-10
-    )
-    assert h2.integral(-ctx.R, ctx.R) == pytest.approx(
-        2 * h.integral(-ctx.R, ctx.R), rel=1e-10
-    )
