@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -238,7 +239,8 @@ class EquationContext:
     blocks of the continuity matrix ``m_matrix``; ``u_lo``/``u_hi`` hold
     U_k at those frequencies, indexed [k, j] for k = 0..n-1.
     ``alpha``/``beta_arr`` are the integral contractions of the inverse
-    matrix entering the final equation.
+    matrix entering the final equation.  A context may be shared between
+    callers (see ``build_context``), so its arrays are read-only.
     """
 
     g: Symmetry
@@ -266,6 +268,11 @@ class EquationContext:
         pos = self.a[1:]
         return np.concatenate([-pos[::-1], pos])
 
+    @cached_property
+    def root(self) -> float:
+        """``smallest_root`` of this context, computed on first use."""
+        return smallest_root(self)
+
 
 def _ipow(delta: int, p: int) -> complex:
     """(i*delta)^p computed exactly for delta = +-1 and integer p."""
@@ -286,7 +293,17 @@ def build_context(g: Symmetry, R: float) -> EquationContext:
     partition alternates gaps of 2R-(n-1) and n-2R, both of which must stay
     positive).  Raises ``DegenerateRadiusError`` at the finitely many R where
     the continuity matrix degenerates.
+
+    The contexts of the last 16 (kernel, support) pairs are kept, so a
+    support solved a moment ago returns the same context, with its root.
+    A float support and an equal ``np.float64`` one are separate entries,
+    so the context's ``R`` keeps the type the caller passed.
     """
+    return _build_context(g, R)
+
+
+@lru_cache(maxsize=16, typed=True)
+def _build_context(g: Symmetry, R: float) -> EquationContext:
     if g not in (Symmetry.Sp, Symmetry.SOplus, Symmetry.SOminus):
         raise ValueError("equation branch applies to Sp and SO kernels only")
     if R <= 0.5:
@@ -363,6 +380,8 @@ def build_context(g: Symmetry, R: float) -> EquationContext:
     alpha = np.linalg.solve(M.T, v_alpha)
     beta_arr = np.linalg.solve(M.T, v_beta)
 
+    for arr in (a, theta_lo, theta_hi, u_lo, u_hi, M, alpha, beta_arr):
+        arr.setflags(write=False)
     return EquationContext(
         g=g,
         R=R,
@@ -578,7 +597,8 @@ def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]
     branch, or transcendental-equation branch; the context is None off the
     equation branch.  A support where the continuity matrix degenerates is
     nudged by 1e-6 with a warning, and the result and the context record the
-    support used.
+    support used.  A support solved a moment ago reuses its context and the
+    root found on it (see ``build_context``).
     In the symplectic equation branch, a square-rooted scaled minimum within
     1e-4 of an odd integer is flagged (the piecewise construction is then
     only conditionally optimal) and the compatibility integral of the
@@ -610,7 +630,7 @@ def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]
                 break
         else:
             raise
-    lam = smallest_root(ctx)
+    lam = ctx.root
     m_tilde = (lam / (2 * math.pi)) ** 2
     result = BoundResult(
         m_tilde=m_tilde,

@@ -19,7 +19,7 @@ import cmath
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -81,16 +81,24 @@ class PiecewiseTestFunction:
         return [p.hi for p in self.pieces]
 
     @cached_property
-    def _antiderivatives(self) -> list[tuple[tuple[Optional[float], float, float], ...]]:
-        """Per cell and term, (f, ph, a/f); a term of frequency below
-        ``_ZERO_FREQ`` is a constant and is stored as (None, ph, a*sin(ph))."""
-        return [
-            tuple(
-                (None, ph, a * math.sin(ph)) if abs(f) < _ZERO_FREQ else (f, ph, a / f)
-                for a, f, ph in p.terms
-            )
-            for p in self.pieces
-        ]
+    def _antiderivatives(self) -> list[tuple[tuple, ...]]:
+        """Per cell and term, (f, ph, c, cos_lo, cos_hi, whole): c = a/f, the
+        term integrates to c*(cos(f*x + ph) - cos(f*y + ph)) over [x, y],
+        cos_lo and cos_hi are those cosines at the cell's ends and whole is
+        the integral over the cell.  A term of frequency below ``_ZERO_FREQ``
+        is a constant and is stored as (None, ph, a*sin(ph), None, None, None).
+        """
+        cells = []
+        for p in self.pieces:
+            terms = []
+            for a, f, ph in p.terms:
+                if abs(f) < _ZERO_FREQ:
+                    terms.append((None, ph, a * math.sin(ph), None, None, None))
+                    continue
+                c, cos_lo, cos_hi = a / f, math.cos(f * p.lo + ph), math.cos(f * p.hi + ph)
+                terms.append((f, ph, c, cos_lo, cos_hi, c * (cos_lo - cos_hi)))
+            cells.append(tuple(terms))
+        return cells
 
     def _piece_index(self, u: float) -> int:
         """Cell holding u (the first whose upper end exceeds it, the last
@@ -126,6 +134,9 @@ class PiecewiseTestFunction:
         """Exact integral over [lo, hi] via per-term antiderivatives.
 
         The range is clipped to the support, where the function vanishes.
+        A cell covered whole adds its stored per-term integrals, and a cell
+        edge inside the range reuses its stored cosines: the same operands
+        in the same order as evaluating every term afresh, so the same sum.
         """
         if hi < lo:
             return -self.integral(hi, lo)
@@ -140,11 +151,18 @@ class PiecewiseTestFunction:
             seg_hi = min(hi, p.hi)
             if seg_hi <= seg_lo:
                 continue
-            for f, ph, c in self._antiderivatives[i]:
+            at_lo, at_hi = seg_lo == p.lo, seg_hi == p.hi
+            for f, ph, c, cos_lo, cos_hi, whole in self._antiderivatives[i]:
                 if f is None:
                     total += c * (seg_hi - seg_lo)
+                elif at_lo and at_hi:
+                    total += whole
                 else:
-                    total += c * (math.cos(f * seg_lo + ph) - math.cos(f * seg_hi + ph))
+                    if not at_lo:
+                        cos_lo = math.cos(f * seg_lo + ph)
+                    if not at_hi:
+                        cos_hi = math.cos(f * seg_hi + ph)
+                    total += c * (cos_lo - cos_hi)
         return total
 
 
@@ -331,13 +349,19 @@ def quotient_quadrature(h: PiecewiseTestFunction) -> float:
     inner antiderivatives; quadrature subdivides at every cell boundary and
     at boundaries shifted by +-1.
     """
+    return _quotient_quadrature(h, cache(h._value), cache(h._slope))
+
+
+def _quotient_quadrature(h: PiecewiseTestFunction, value, slope) -> float:
+    """``quotient_quadrature`` with h and h' evaluated through ``value`` and
+    ``slope``: memos local to the caller, since the adaptive rules revisit
+    nodes across integrals and h may outlive the call."""
     delta = h.g.delta
     eps = float(h.g.epsilon)
     R = h.R
     brks = list(h.breakpoints())
     shifted = [1 - b for b in brks] + [-1 - b for b in brks]
 
-    value, slope = h._value, h._slope
     i_h2 = _quad(lambda u: value(u) ** 2, -R, R, _quad_points(h, -R, R))
     i_d2 = _quad(lambda u: slope(u) ** 2, -R, R, _quad_points(h, -R, R))
     i_h = h.integral(-R, R)
@@ -412,16 +436,17 @@ def residuals(
     us = np.linspace(-R + 1e-4, R - 1e-4, _RESIDUAL_SAMPLES)
     us = us[np.min(np.abs(us[:, None] - brks[None, :]), axis=1) > 1e-6]
 
-    h_scale = max(1e-300, max(abs(h(float(u))) for u in us))
-    dh_scale = max(1.0, max(abs(h.derivative(float(u))) for u in us))
+    value, slope = cache(h._value), cache(h._slope)  # shared with the quotient
+    h_scale = max(1e-300, max(abs(value(float(u))) for u in us))
+    dh_scale = max(1.0, max(abs(slope(float(u))) for u in us))
 
     ode = 0.0
     for u in us:
         u = float(u)
         defect = (
-            h.derivative(u)
+            slope(u)
             - math.sin(lam * u)
-            + 0.5 * delta * (h(u + 1) - h(u - 1))
+            + 0.5 * delta * (value(u + 1) - value(u - 1))
         )
         ode = max(ode, abs(defect))
     ode /= dh_scale
@@ -430,7 +455,7 @@ def residuals(
     for u in np.linspace(0.0, R - 1e-6, _RESIDUAL_SAMPLES // 2):
         u = float(u)
         shift = h.integral(u + 1, R + 1) - h.integral(u - 1, R - 1)
-        defect = h(u) - _phi(h, u) - 0.5 * delta * shift
+        defect = value(u) - _phi(h, u) - 0.5 * delta * shift
         volt = max(volt, abs(defect))
     volt /= h_scale
 
@@ -441,11 +466,11 @@ def residuals(
     compat = abs(compat) / compat_scale
 
     target = lam**2 / (4 * math.pi**2)
-    ray = abs(quotient_quadrature(h) - target) / target
+    ray = abs(_quotient_quadrature(h, value, slope) - target) / target
 
     if ctx is not None:
-        tail_quad = _quad(h._value, R - 1, R, _quad_points(h, R - 1, R))
-        full_quad = _quad(h._value, -R, R, _quad_points(h, -R, R))
+        tail_quad = _quad(value, R - 1, R, _quad_points(h, R - 1, R))
+        full_quad = _quad(value, -R, R, _quad_points(h, -R, R))
         scale = max(abs(tail_exact), abs(full_exact), 1e-300)
         tail_gap = abs(tail_integral_closed(ctx, lam) - tail_quad) / scale
         full_gap = abs(full_integral_closed(ctx, lam) - full_quad) / scale

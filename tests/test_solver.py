@@ -171,6 +171,52 @@ def test_context_guards():
         build_context(Symmetry.Sp, 1.0 + 1e-12)
 
 
+CONTEXT_ARRAYS = ("a", "theta_lo", "theta_hi", "u_lo", "u_hi", "m_matrix", "alpha", "beta_arr")
+
+
+def test_context_cached_per_kernel_support_and_type():
+    ctx = build_context(Symmetry.Sp, 2.3)
+    assert build_context(Symmetry.Sp, 2.3) is ctx
+    assert build_context(Symmetry.SOplus, 2.3) is not ctx
+    wide = build_context(Symmetry.Sp, np.float64(2.3))
+    assert wide is not ctx
+    assert type(wide.R) is np.float64 and type(ctx.R) is float
+    assert type(minimal_quotient(Symmetry.Sp, np.float64(2.3)).support) is np.float64
+
+
+@pytest.mark.parametrize("name", CONTEXT_ARRAYS)
+def test_context_arrays_are_read_only(name):
+    arr = getattr(build_context(Symmetry.SOminus, 1.2), name)
+    with pytest.raises(ValueError):
+        arr[(0,) * arr.ndim] = 1.0
+
+
+def test_solve_finds_each_root_once(monkeypatch):
+    solver._build_context.cache_clear()
+    supports = []
+
+    def counting_root(ctx):
+        supports.append(ctx.R)
+        return smallest_root(ctx)
+
+    monkeypatch.setattr(solver, "smallest_root", counting_root)
+    first = solver.solve(Symmetry.SOplus, 3.7)
+    second = solver.solve(Symmetry.SOplus, 3.7)
+    assert supports == [3.7]
+    assert first[0] == second[0]
+    assert first[1] is second[1]
+
+
+def test_degenerate_support_is_not_cached(monkeypatch):
+    solver._build_context.cache_clear()
+    monkeypatch.setattr(np.linalg, "cond", lambda M, p=None: 1e12)
+    for _ in range(2):
+        with pytest.raises(DegenerateRadiusError):
+            build_context(Symmetry.Sp, 1.3)
+    monkeypatch.undo()
+    assert build_context(Symmetry.Sp, 1.3).R == 1.3
+
+
 # ---------------------------------------------------------------------------
 # Forcing amplitude and the equation
 # ---------------------------------------------------------------------------

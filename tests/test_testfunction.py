@@ -280,7 +280,10 @@ def test_exact_integral_matches_quadrature():
         assert h.integral(lo, hi) == pytest.approx(quad, abs=1e-10)
 
 
-@pytest.mark.parametrize("g,R", [(Symmetry.SOminus, 5.2), (Symmetry.Sp, 0.75)])
+BITWISE_CASES = [(Symmetry.SOminus, 5.2), (Symmetry.Sp, 0.75), (Symmetry.SOplus, 3.7)]
+
+
+@pytest.mark.parametrize("g,R", BITWISE_CASES)
 def test_table_driven_evaluation_matches_oracle_bitwise(g, R):
     h, _ = reconstruct(g, R)
     us = np.linspace(-R - 0.5, R + 0.5, 397)
@@ -288,6 +291,16 @@ def test_table_driven_evaluation_matches_oracle_bitwise(g, R):
         u = float(u)
         assert h.integral(u - 1, u + 1) == integral_all_pieces(h, u - 1, u + 1)
         assert h.integral(u, R + 1) == integral_all_pieces(h, u, R + 1)
+    # windows that end on cell edges, cover whole cells or sit inside one
+    # cell, and the convolution windows (-1-t, 1-t) with t on the breakpoints
+    brks = [float(b) for b in h.breakpoints()]
+    mids = [0.5 * (lo + hi) for lo, hi in zip(brks, brks[1:])]
+    windows = [(b, c) for b in brks for c in brks if b != c]
+    windows += [w for b in brks for m in mids for w in ((b, m), (m, b))]
+    windows += [(m - 0.01, m + 0.01) for m in mids]
+    windows += [(-1 - t, 1 - t) for t in brks + mids]
+    for lo, hi in windows:
+        assert h.integral(lo, hi) == integral_all_pieces(h, lo, hi), (lo, hi)
     assert np.array_equal(h(us), np.array([h(float(u)) for u in us]))
     for u in [float(u) for u in us] + [float(b) for b in h.breakpoints()]:
         i = piece_index_linear_scan(h, u)
@@ -311,6 +324,18 @@ def test_residuals_equation_branch():
         assert report.rayleigh_gap <= 1e-7
         assert report.int_tail_gap <= 1e-9
         assert report.int_full_gap <= 1e-9
+
+
+@pytest.mark.parametrize("g,R", [(Symmetry.SOminus, 1.2), (Symmetry.O, 0.9)])
+def test_residuals_repeatable_and_keep_no_state_on_h(g, R):
+    h, _ = reconstruct(g, R)
+    h(0.0), h.integral(-R, R)  # fill the evaluation tables
+    attrs = set(vars(h))
+    first = residuals(h)
+    assert set(vars(h)) == attrs
+    assert residuals(h) == first
+    target = h.lam**2 / (4 * math.pi**2)
+    assert abs(quotient_quadrature(h) - target) / target == first.rayleigh_gap
 
 
 def test_residuals_small_support_branch():
