@@ -28,57 +28,10 @@ from .symmetry import Symmetry
 
 __all__ = [
     "QuadraticForms",
-    "cos_conv_integral",
-    "sin_conv_integral",
     "assemble_forms",
     "minimize",
     "sqrt_quotient",
 ]
-
-
-def cos_conv_integral(m: int, n: int, R: float) -> float:
-    """Integral over [-1, 1] of the self-convolution C_m * C_n.
-
-    Only used past half support (R > 1/2); below it the convolution integral
-    collapses to a rank-one term handled directly in ``assemble_forms``.
-    Symmetric in (m, n).
-    """
-    _check_mode_args(m, n, R)
-    if m == n:
-        return (
-            2 * R * (2 * R - 1) / (n * math.pi) * math.sin(math.pi * n / (2 * R))
-            - 8 * R * R / (math.pi * n) ** 2 * math.cos(math.pi * n / (2 * R))
-            + 8 * R * R / (math.pi * n) ** 2
-        )
-    sign = -1.0 if ((m + n) // 2) % 2 else 1.0
-    lead = 8 * R * R * sign / math.pi**2
-    bracket = (
-        math.cos(math.pi * n / (2 * R)) / n**2
-        - math.cos(math.pi * m / (2 * R)) / m**2
-    )
-    return lead * m * n / (m * m - n * n) * bracket - lead / (m * n)
-
-
-def sin_conv_integral(m: int, n: int, R: float) -> float:
-    """Integral over [-1, 1] of S_m * S_n with S_n(u) = sin(pi*n*u/(2R)).
-
-    Captures the derivative convolution; symmetric in (m, n).
-    """
-    _check_mode_args(m, n, R)
-    if m == n:
-        return -2 * R * (2 * R - 1) / (n * math.pi) * math.sin(math.pi * n / (2 * R))
-    sign = -1.0 if ((m + n) // 2) % 2 else 1.0
-    return (
-        8 * R * R * sign / (math.pi**2 * (m * m - n * n))
-        * (math.cos(math.pi * m / (2 * R)) - math.cos(math.pi * n / (2 * R)))
-    )
-
-
-def _check_mode_args(m: int, n: int, R: float) -> None:
-    if R <= 0.5:
-        raise ValueError("convolution coefficients only apply for R > 1/2")
-    if m < 1 or n < 1 or m % 2 == 0 or n % 2 == 0:
-        raise ValueError("mode indices must be odd positive integers")
 
 
 @dataclass(frozen=True)
@@ -92,51 +45,73 @@ class QuadraticForms:
 
 
 def assemble_forms(g: Symmetry, R: float, N: int) -> QuadraticForms:
-    """Build the N x N quadratic forms over the first N odd cosine modes."""
-    if R <= 0:
-        raise ValueError("R must be positive")
+    """Build the N x N quadratic forms over the first N odd cosine modes.
+
+    Past half support an entry depends on its modes m and n only through
+    per-mode vectors (cos(pi*m/(2R)), m^2, m*n and the sign
+    (-1)^((m+n)/2) = -p_m*p_n with parity p_m = (-1)^((m-1)/2)), so they are
+    broadcast rather than laid out on index grids.  Each entry still takes
+    the same floating-point operations in the same order as its closed form
+    with the sign on the leading factor; a sign flip commutes with rounding,
+    so moving it onto a per-mode factor changes no bit.
+    """
+    if not 0 < R < math.inf:
+        raise ValueError("R must be positive and finite")
     if N < 1:
         raise ValueError("N must be >= 1")
     delta = g.delta
     eps = float(g.epsilon)
     idx = 2 * np.arange(1, N + 1) - 1  # odd mode indices 1, 3, 5, ...
-    v = np.where((idx // 2) % 2 == 0, 1.0, -1.0) / idx
+    parity = np.where((idx // 2) % 2 == 0, 1.0, -1.0)
+    v = parity / idx
+    d = idx.astype(float)
+    sq = d**2
+    diag = slice(None, None, N + 1)  # the diagonal of a flattened N x N form
 
-    A = np.diag(idx.astype(float) ** 2)
-    B = np.eye(N)
     if R <= 0.5:
+        # Both forms are exactly symmetric: a diagonal plus outer(v, v).
+        B = np.eye(N)
         B += (delta + 2 * eps) * (8 * R / math.pi**2) * np.outer(v, v)
-    else:
-        mm, nn = np.meshgrid(idx, idx, indexing="ij")
-        lam = np.empty((N, N))
-        mu = np.empty((N, N))
-        off = mm != nn
-        sign = np.where(((mm + nn) // 2) % 2 == 0, 1.0, -1.0)
-        cos_m = np.cos(math.pi * mm / (2 * R))
-        cos_n = np.cos(math.pi * nn / (2 * R))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diff = (mm * mm - nn * nn).astype(float)
-            lead = 8 * R * R * sign / math.pi**2
-            lam_off = lead * mm * nn / diff * (cos_n / nn**2 - cos_m / mm**2)
-            lam_off -= lead / (mm * nn)
-            mu_off = lead / diff * (cos_m - cos_n)
-        d = idx.astype(float)
-        sin_d = np.sin(math.pi * idx / (2 * R))
-        cos_d = np.cos(math.pi * idx / (2 * R))
-        lam_diag = (
-            2 * R * (2 * R - 1) / (d * math.pi) * sin_d
-            - 8 * R * R / (math.pi * d) ** 2 * cos_d
-            + 8 * R * R / (math.pi * d) ** 2
-        )
-        mu_diag = -2 * R * (2 * R - 1) / (d * math.pi) * sin_d
-        lam = np.where(off, lam_off, 0.0) + np.diag(lam_diag)
-        mu = np.where(off, mu_off, 0.0) + np.diag(mu_diag)
+        return QuadraticForms(numerator=np.diag(sq), denominator=B, R=R, g=g)
 
-        A -= (delta / (2 * R)) * (mm * nn) * mu
-        B += (delta / (2 * R)) * lam + (16 * R * eps / math.pi**2) * np.outer(v, v)
+    lead = 8 * R * R / math.pi**2
+    scale = delta / (2 * R)
+    sin_d = np.sin(math.pi * idx / (2 * R))
+    cos_d = np.cos(math.pi * idx / (2 * R))
+    signed = parity * d  # p_m*m
+    diff = np.subtract.outer(sq, sq)  # m^2 - n^2, exact
+    diff.flat[diag] = 1.0  # diagonals come from their own formulas below
 
-    A = 0.5 * (A + A.T)
-    B = 0.5 * (B + B.T)
+    # lam = lead*sign*m*n/(m^2 - n^2)*(cos_n/n^2 - cos_m/m^2) - lead*sign/(m*n)
+    lam = np.multiply.outer(-parity * (lead * d), signed)
+    lam /= diff
+    q = cos_d / sq
+    lam *= q - q[:, None]
+    signed_mn = np.multiply.outer(-signed, signed)
+    lam -= np.divide(lead, signed_mn, out=signed_mn)
+    lam.flat[diag] = (
+        2 * R * (2 * R - 1) / (d * math.pi) * sin_d
+        - 8 * R * R / (math.pi * d) ** 2 * cos_d
+        + 8 * R * R / (math.pi * d) ** 2
+    )
+    lam *= scale
+    lam += (16 * R * eps / math.pi**2) * np.outer(v, v)
+    lam += 0.0  # eye(N) + lam is 0.0 + lam off the diagonal: no -0.0 survives
+    lam.flat[diag] += 1.0
+    B = lam + lam.T
+    B *= 0.5
+
+    # A = diag(m^2) - scale*m*n*mu, mu = lead*sign/(m^2 - n^2)*(cos_m - cos_n),
+    # with the sign moved onto m*n.  lead/(m^2 - n^2) and cos_m - cos_n are
+    # each exactly antisymmetric, so A is exactly symmetric as it stands.
+    mu = np.divide(lead, diff, out=diff)  # unsigned mu
+    mu *= np.subtract.outer(cos_d, cos_d)
+    A = np.multiply.outer(signed, signed)  # -sign*m*n
+    A *= scale
+    A *= mu
+    A += 0.0  # diag(m^2) - x is 0.0 - x off the diagonal: no -0.0 survives
+    mu_diag = -2 * R * (2 * R - 1) / (d * math.pi) * sin_d
+    A.flat[diag] = sq - (scale * sq) * mu_diag
     return QuadraticForms(numerator=A, denominator=B, R=R, g=g)
 
 
@@ -148,14 +123,21 @@ def minimize(g: Symmetry, R: float, N: int = 400) -> float:
     """
     forms = assemble_forms(g, R, N)
     try:
+        # Both forms are exactly symmetric, so each transpose, a Fortran-order
+        # view, is the same matrix: LAPACK works on the forms in place
+        # instead of on copies.
         vals = scipy.linalg.eigh(
-            forms.numerator,
-            forms.denominator,
+            forms.numerator.T,
+            forms.denominator.T,
             eigvals_only=True,
             subset_by_index=(0, 0),
+            overwrite_a=True,
+            overwrite_b=True,
+            check_finite=False,
         )
     except scipy.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(forms.denominator)
+        # The failed eigensolve may have overwritten the denominator.
+        cond = np.linalg.cond(assemble_forms(g, R, N).denominator)
         raise RuntimeError(
             f"generalized eigensolve failed for {g} at R={R}, N={N} "
             f"(denominator condition estimate {cond:.3e})"

@@ -1,20 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowzero.rayleigh import (
-    assemble_forms,
-    cos_conv_integral,
-    minimize,
-    sin_conv_integral,
-    sqrt_quotient,
-)
+from lowzero.rayleigh import assemble_forms, minimize, sqrt_quotient
 from lowzero.solver import small_support_minimum
 from lowzero.symmetry import Symmetry
+from lowzero.verification import oracle_grid
+from rayleigh_oracles import (
+    assemble_forms_meshgrid,
+    cos_conv_integral,
+    sin_conv_integral,
+)
 
 NON_UNITARY = (Symmetry.O, Symmetry.Sp, Symmetry.SOplus, Symmetry.SOminus)
 
@@ -118,8 +120,8 @@ def test_forms_symmetric_and_positive_definite():
     for g in NON_UNITARY:
         for R in (0.3, 0.8, 1.2):
             forms = assemble_forms(g, R, 40)
-            assert np.allclose(forms.numerator, forms.numerator.T, atol=1e-12)
-            assert np.allclose(forms.denominator, forms.denominator.T, atol=1e-12)
+            assert np.array_equal(forms.numerator, forms.numerator.T)
+            assert np.array_equal(forms.denominator, forms.denominator.T)
             np.linalg.cholesky(forms.denominator)  # raises if not pos. def.
 
 
@@ -137,6 +139,54 @@ def test_forms_match_quadrature_entries_past_half_support():
     assert forms.numerator[i, j] == pytest.approx(
         -delta / (2 * R) * m * n * mu_ij, rel=1e-12
     )
+
+
+def _same_bits(x, y):
+    # np.array_equal, and the same sign on every zero as well
+    return np.array_equal(x, y) and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("g", list(Symmetry), ids=lambda g: g.value)
+def test_forms_match_meshgrid_reference_bit_for_bit(g):
+    # both sides of half support, half support itself and just above it, and
+    # supports at or near an integer 2R, where cosines of two modes can tie
+    supports = (0.17, 0.4999, 0.5, 0.5 + 1e-9, 0.75, 1.2, 1.5, 2.0, 1.49995, 2.9999, 7.3)
+    for R in supports:
+        for N in (1, 2, 7, 64, 400):
+            forms = assemble_forms(g, R, N)
+            reference = assemble_forms_meshgrid(g, R, N)
+            assert _same_bits(forms.numerator, reference.numerator), (R, N)
+            assert _same_bits(forms.denominator, reference.denominator), (R, N)
+            # exactly symmetric, so the transposes handed to LAPACK are the same
+            for form in (forms.numerator, forms.denominator):
+                assert _same_bits(form, np.ascontiguousarray(form.T)), (R, N)
+
+
+def test_minimize_matches_reference_eigensolve_on_oracle_grid():
+    for g in NON_UNITARY:
+        for R in oracle_grid(12):
+            reference = assemble_forms_meshgrid(g, R, 400)
+            expected = scipy.linalg.eigh(
+                reference.numerator,
+                reference.denominator,
+                eigvals_only=True,
+                subset_by_index=(0, 0),
+            )[0]
+            assert minimize(g, R, 400) == expected, (g, R)
+
+
+def test_failed_eigensolve_reports_condition_of_intact_denominator(monkeypatch):
+    g, R, N = Symmetry.SOminus, 0.8, 30
+
+    def failing_eigh(a, b, **kwargs):
+        a[...] = 0.0  # a failed LAPACK call may leave its inputs overwritten
+        b[...] = 1.0
+        raise scipy.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    cond = np.linalg.cond(assemble_forms(g, R, N).denominator)
+    with pytest.raises(RuntimeError, match=re.escape(f"estimate {cond:.3e})")):
+        minimize(g, R, N)
 
 
 def test_minimize_unitary_is_one():
@@ -211,3 +261,6 @@ def test_bad_arguments():
         assemble_forms(Symmetry.O, -0.1, 5)
     with pytest.raises(ValueError):
         assemble_forms(Symmetry.O, 0.4, 0)
+    for R in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            minimize(Symmetry.SOminus, R, 5)
