@@ -35,7 +35,6 @@ from . import chebyshev as cheb
 from .symmetry import Symmetry
 
 __all__ = [
-    "DegenerateRadiusError",
     "RootScanError",
     "BoundResult",
     "EquationContext",
@@ -45,7 +44,6 @@ __all__ = [
     "small_support_minimum",
     "build_context",
     "forcing_amplitude",
-    "spectral_equation",
     "spectral_equation_two_piece",
     "first_root",
     "smallest_root",
@@ -98,50 +96,71 @@ def tan_ratio(x: float) -> float:
     return math.tan(t) / t
 
 
-def _bisect(f, lo: float, hi: float, xtol: float, levels: int = 1) -> float:
-    """Plain bisection; sign logic only, so invariant under f -> -f.
+def _map(fn, x: np.ndarray) -> np.ndarray:
+    """The float function fn (such as ``math.sin``) at every entry of x."""
+    return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
 
-    With ``levels`` > 1, ``f`` takes an ndarray: the two ends go in one call,
-    then each call holds the 2**levels - 1 midpoints the next ``levels``
-    halvings can reach, in heap order (node i halves into 2i+1 and 2i+2).
-    The walk down that tree takes exactly the steps of one-at-a-time
-    bisection, so the root does not depend on ``levels`` as long as ``f``
-    gives an array element the bits it gives the same float.
+
+def _bisect(f, lo: float, hi: float, xtol: float, ends: Optional[tuple] = None) -> float:
+    """One-at-a-time bisection of [lo, hi]; sign logic only, so invariant
+    under f -> -f.
+
+    ``f`` maps an ndarray of points to their values.  ``ends`` holds the
+    values at lo and hi when the caller already has them; otherwise they
+    are one call.  Each further call holds the whole midpoint path that
+    bisection takes if the root is where the secant of the current bracket
+    crosses zero.  The walk takes the one-at-a-time steps through the
+    values it gets back, and predicts again from the current bracket once
+    its midpoint leaves the predicted path.  Every step reads f at the
+    midpoint plain bisection visits, so the root is plain bisection's bit
+    for bit, as long as ``f`` gives an array element the bits it gives the
+    same point alone.
     """
-
-    def evaluate(xs):
-        return f(np.array(xs)).tolist() if levels > 1 else [f(x) for x in xs]
-
-    flo, fhi = evaluate([lo, hi])
+    flo, fhi = np.asarray(f(np.array([lo, hi])) if ends is None else ends).tolist()
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if (flo < 0) == (fhi < 0):
         raise ValueError("bisection bracket does not straddle a sign change")
+    path, values, i = [], [], 0
     while hi - lo > xtol:
-        mids, cells = [], [(lo, hi)]
-        while len(mids) < 2**levels - 1:
-            a, b = cells[len(mids)]
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            cells += [(a, mid), (mid, b)]
-        values = evaluate(mids)
-        node = 0
-        for _ in range(levels):
-            if hi - lo <= xtol:
-                break
-            mid = mids[node]  # equals 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                return mid
-            fm = values[node]
-            if fm == 0.0:
-                return mid
-            if (fm < 0) == (flo < 0):
-                lo, flo, node = mid, fm, 2 * node + 2
-            else:
-                hi, node = mid, 2 * node + 1
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if i == len(path) or path[i] != mid:
+            guess = lo - flo * (hi - lo) / (fhi - flo)
+            path, i, a, b = [], 0, lo, hi
+            while b - a > xtol and a < 0.5 * (a + b) < b:
+                m = 0.5 * (a + b)
+                path.append(m)
+                a, b = (a, m) if guess < m else (m, b)
+            values = np.asarray(f(np.array(path))).tolist()
+        fm = values[i]
+        i += 1
+        if fm == 0.0:
+            return mid
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
     return 0.5 * (lo + hi)
+
+
+def _pole_free(gap):
+    """x -> gap(t, tan t) * cos t on an ndarray x, with t = 2 pi x.
+
+    On a bracket that keeps off the poles of tan, cos t is finite, nonzero
+    and of one sign, so the product changes sign exactly where the gap
+    does; unlike the gap it stays finite next to a pole, where the secant
+    guesses of ``_bisect`` would otherwise stall.
+    """
+
+    def f(x):
+        t = 2 * math.pi * x
+        return gap(t, _map(math.tan, t)) * _map(math.cos, t)
+
+    return f
 
 
 _X1_CACHE: Optional[float] = None
@@ -151,7 +170,7 @@ def tan_ratio_fixed_point() -> float:
     """Smallest x > 1/4 with tan(2*pi*x) = 2*pi*x (approximately 0.715)."""
     global _X1_CACHE
     if _X1_CACHE is None:
-        f = lambda x: math.tan(2 * math.pi * x) - 2 * math.pi * x
+        f = _pole_free(lambda t, tan: tan - t)
         _X1_CACHE = _bisect(f, 0.25 + 1e-12, 0.75 - 1e-12, 1e-14)
     return _X1_CACHE
 
@@ -167,7 +186,8 @@ def tan_ratio_inverse(y: float) -> float:
         lo, hi = 1e-15, _BRANCH_POINT - 1e-14
     else:
         lo, hi = _BRANCH_POINT + 1e-14, tan_ratio_fixed_point() - 1e-15
-    return _bisect(lambda x: tan_ratio(x) - y, lo, hi, 1e-13)
+    # tan_ratio(x) - y, on a bracket that keeps off 0, 1/4 and x1
+    return _bisect(_pole_free(lambda t, tan: tan / t - y), lo, hi, 1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +289,14 @@ class EquationContext:
         return np.concatenate([-pos[::-1], pos])
 
     @cached_property
+    def _equation_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per order k: real and imaginary parts of (-i delta)^k, and the
+        coefficient of the sine sum in ``spectral_equation``."""
+        powers = [_ipow(-self.delta, k) for k in range(self.n)]
+        coef = self.delta * self.alpha / 2.0 - 1.0 + self.eps * self.beta_arr
+        return np.array([p.real for p in powers]), np.array([p.imag for p in powers]), coef
+
+    @cached_property
     def root(self) -> float:
         """``smallest_root`` of this context, computed on first use."""
         return smallest_root(self)
@@ -281,9 +309,34 @@ def _ipow(delta: int, p: int) -> complex:
     return table[q]
 
 
-def _sin_over_theta(c: float, theta: float) -> float:
-    """sin(c*theta)/theta with its limit c at theta = 0."""
-    return c * float(np.sinc(c * theta / math.pi))
+@lru_cache(maxsize=128)
+def _order_tables(n: int, delta: int) -> tuple:
+    """The support-independent tables of the two blocks of a context with n
+    cells, orders n-1 and n.
+
+    Each block holds its Chebyshev frequencies theta_j, the U_k(theta_j)
+    table, the phases pi/2 * (j + delta * (n - 2k - p) / 2) of the
+    continuity entries (p = 2, 1 for the two blocks), the sines of the
+    phases at k = 0 (the first integral weight) and, per j, the sum over
+    the block's orders k of U_k times the sine of the phase (the second);
+    the tables are indexed [k, j].  Shared between contexts, so read-only.
+    """
+    blocks = []
+    for order, parity in ((n - 1, 2), (n, 1)):
+        j = np.arange(1, (order + 1) // 2 + 1)
+        theta = _map(math.cos, j * math.pi / (order + 1))
+        u = np.array(cheb.u_stack(n - 1, theta))
+        k = np.arange(n)[:, None]
+        phase = 0.5 * math.pi * (j + delta * (n - 2 * k - parity) / 2.0)
+        sines = _map(math.sin, phase[:order])
+        beta_sum = np.zeros(j.size)
+        for term in u[:order] * sines:
+            beta_sum += term
+        blocks.append((theta, u, phase, sines[0], beta_sum))
+    for block in blocks:
+        for arr in block:
+            arr.setflags(write=False)
+    return tuple(blocks)
 
 
 def build_context(g: Symmetry, R: float) -> EquationContext:
@@ -310,36 +363,27 @@ def _build_context(g: Symmetry, R: float) -> EquationContext:
         raise ValueError("equation branch requires R > 1/2")
     if abs(2 * R - round(2 * R)) < 1e-9:
         raise ValueError("2R must not be (numerically) an integer")
-    delta = g.delta
     n = int(math.floor(2 * R)) + 1
 
     a = np.zeros(n + 1)
-    for i in range((n - 1) // 2 + 1):
-        a[n - 2 * i] = R - i
-    for i in range((n - 2) // 2 + 1):
-        a[n - 2 * i - 1] = math.floor(2 * R) - R - i
+    a[n:0:-2] = R - np.arange((n + 1) // 2)
+    a[n - 1 : 0 : -2] = math.floor(2 * R) - R - np.arange(n // 2)
 
-    theta_lo = np.array([math.cos(j * math.pi / n) for j in range(1, n // 2 + 1)])
-    theta_hi = np.array(
-        [math.cos(j * math.pi / (n + 1)) for j in range(1, (n + 1) // 2 + 1)]
-    )
-
-    shift_lo = a[n - 1] - (n - 2) / 2.0
-    shift_hi = a[n - 1] - (n - 1) / 2.0
-    u_lo = np.array(cheb.u_stack(n - 1, theta_lo))
-    u_hi = np.array(cheb.u_stack(n - 1, theta_hi))
-    M = np.zeros((n, n))
-    for k in range(n):
-        for j0, th in enumerate(theta_lo):
-            j = j0 + 1
-            M[k, j0] = u_lo[k, j0] * math.sin(
-                shift_lo * th - 0.5 * math.pi * (j + delta * (n - 2 * k - 2) / 2.0)
-            )
-        for j0, th in enumerate(theta_hi):
-            j = j0 + 1
-            M[k, n // 2 + j0] = u_hi[k, j0] * math.sin(
-                shift_hi * th - 0.5 * math.pi * (j + delta * (n - 2 * k - 1) / 2.0)
-            )
+    # Block lo holds the order-(n-1) modes in columns :n//2, block hi the
+    # order-n modes in the rest; the integral weight vectors contract the
+    # inverse matrix, each block integrating its modes over its home interval.
+    lo, hi = _order_tables(n, g.delta)
+    M = np.empty((n, n))
+    v_alpha = np.empty(n)
+    v_beta = np.empty(n)
+    for (theta, u, phase, alpha_sine, beta_sum), shift, c, cols in (
+        (lo, a[n - 1] - (n - 2) / 2.0, R - n / 2.0, slice(None, n // 2)),
+        (hi, a[n - 1] - (n - 1) / 2.0, R - (n - 1) / 2.0, slice(n // 2, None)),
+    ):
+        M[:, cols] = u * _map(math.sin, shift * theta - phase)
+        ratio = c * np.sinc(c * theta / math.pi)  # sin(c theta) / theta
+        v_alpha[cols] = 2 * ratio * alpha_sine
+        v_beta[cols] = 2 * ratio * beta_sum
 
     cond = float(np.linalg.cond(M, 1))
     if cond > 1e10:
@@ -348,49 +392,20 @@ def _build_context(g: Symmetry, R: float) -> EquationContext:
             "perturb R by about 1e-6 and retry"
         )
 
-    # Weight vectors contracting the inverse matrix into the two integral
-    # coefficient arrays; the first block integrates the order-(n-1) modes
-    # over their home interval, the second the order-n modes.
-    c_lo = R - n / 2.0
-    c_hi = R - (n - 1) / 2.0
-    v_alpha = np.zeros(n)
-    v_beta = np.zeros(n)
-    for j0, th in enumerate(theta_lo):
-        j = j0 + 1
-        ratio = _sin_over_theta(c_lo, th)
-        v_alpha[j0] = 2 * ratio * math.sin(0.5 * math.pi * (j + delta * (n - 2) / 2.0))
-        acc = 0.0
-        for l in range(n - 1):
-            acc += u_lo[l, j0] * math.sin(
-                0.5 * math.pi * (j + delta * (n - 2 * l - 2) / 2.0)
-            )
-        v_beta[j0] = 2 * ratio * acc
-    for j0, th in enumerate(theta_hi):
-        j = j0 + 1
-        ratio = _sin_over_theta(c_hi, th)
-        col = n // 2 + j0
-        v_alpha[col] = 2 * ratio * math.sin(0.5 * math.pi * (j + delta * (n - 1) / 2.0))
-        acc = 0.0
-        for l in range(n):
-            acc += u_hi[l, j0] * math.sin(
-                0.5 * math.pi * (j + delta * (n - 2 * l - 1) / 2.0)
-            )
-        v_beta[col] = 2 * ratio * acc
-
     alpha = np.linalg.solve(M.T, v_alpha)
     beta_arr = np.linalg.solve(M.T, v_beta)
 
-    for arr in (a, theta_lo, theta_hi, u_lo, u_hi, M, alpha, beta_arr):
+    for arr in (a, M, alpha, beta_arr):
         arr.setflags(write=False)
     return EquationContext(
         g=g,
         R=R,
         n=n,
         a=a,
-        theta_lo=theta_lo,
-        theta_hi=theta_hi,
-        u_lo=u_lo,
-        u_hi=u_hi,
+        theta_lo=lo[0],
+        theta_hi=hi[0],
+        u_lo=lo[1],
+        u_hi=hi[1],
         m_matrix=M,
         alpha=alpha,
         beta_arr=beta_arr,
@@ -401,27 +416,35 @@ def _build_context(g: Symmetry, R: float) -> EquationContext:
 # The transcendental equation
 # ---------------------------------------------------------------------------
 
-def _scaled_amplitude(ctx: EquationContext, lam: np.ndarray, u) -> np.ndarray:
+def _scaled_amplitude(ctx: EquationContext, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Complex forcing amplitude times U_n * U_{n-1}; entire in the frequency.
 
     Equals ``-2i exp(-i lam a_{n-1}) sum_k (i delta e^{i lam})^k U_k(lam)``
     (scale 1), the pole-free numerator of ``forcing_amplitude``, given the
     stack ``u`` of U_0(lam)..U_{n-1}(lam) (or more orders) at the ndarray
-    ``lam``.
+    ``lam``, indexed [k, ...].
     """
-    delta = ctx.delta
-    zfac = 1j * delta * np.exp(1j * lam)
+    n = ctx.n
+    zfac = 1j * ctx.delta * np.exp(1j * lam)
     fr, fi = zfac.real, zfac.imag
     # General complex products are spelled out in real parts, as a scalar
     # complex multiply computes them: numpy's array multiply may fuse the
     # multiply-adds, and array and scalar calls must agree bit for bit.
-    zr, zi = 1.0, 0.0
-    acc_r, acc_i = u[0], 0.0
-    for k in range(1, ctx.n):
-        zr, zi = zr * fr - zi * fi, zr * fi + zi * fr
-        acc_r = acc_r + zr * u[k]
-        acc_i = acc_i + zi * u[k]
-    lead = -2j * np.exp(-1j * lam * ctx.a[ctx.n - 1])
+    # z[k] holds the real and imaginary parts of zfac**k, one product at a
+    # time: (zr fr + zi (-fi), zr fi + zi fr), and x + (-y) is x - y exactly.
+    rot = np.array([[fr, -fi], [fi, fr]])
+    z = np.empty((n, 2) + lam.shape)
+    z[0, 0], z[0, 1] = 1.0, 0.0
+    for k in range(1, n):
+        prod = z[k - 1] * rot
+        np.add(prod[:, 0], prod[:, 1], out=z[k])
+    terms = z[1:] * u[1:n, None]
+    acc = np.empty((2,) + lam.shape)
+    acc[0], acc[1] = u[0], 0.0
+    for term in terms:
+        acc += term
+    acc_r, acc_i = acc
+    lead = -2j * np.exp(-1j * lam * ctx.a[n - 1])
     lr, li = lead.real, lead.imag
     out = np.empty(lam.shape, dtype=complex)
     out.real = lr * acc_r - li * acc_i
@@ -441,7 +464,7 @@ def forcing_amplitude(ctx: EquationContext, lam: float) -> complex:
         if abs(lam - root) < 1e-9:
             raise ValueError(f"frequency {lam} is excluded (Chebyshev root)")
     lam = np.asarray(lam, dtype=float)
-    u = cheb.u_stack(ctx.n, lam)
+    u = np.array(cheb.u_stack(ctx.n, lam))
     return complex(_scaled_amplitude(ctx, lam, u)) / float(u[ctx.n] * u[ctx.n - 1])
 
 
@@ -470,15 +493,22 @@ def spectral_equation(ctx: EquationContext, lam):
     lam = np.asarray(lam, dtype=float)
     delta = ctx.delta
     eps = ctx.eps
-    u = cheb.u_stack(ctx.n - 1, lam)
+    u = np.array(cheb.u_stack(ctx.n - 1, lam))
     ztil = _scaled_amplitude(ctx, lam, u)
-    out = (delta / lam) * ztil.real
+    re, im = ztil.real, ztil.imag
+    # Row k holds term k of each sum, with zk = ztil * (-i delta)^k written
+    # out in real parts as a complex multiply computes it; the power's parts
+    # c and d are 0 or +-1.
+    column = (-1,) + (1,) * lam.ndim
+    c, d, coef = (v.reshape(column) for v in ctx._equation_weights)
+    sin_terms = u * (re * d + im * c) * coef
+    if eps:
+        cos_terms = (2 * eps / lam) * u * (re * c - im * d)
+    out = (delta / lam) * re
     for k in range(ctx.n):
-        zk = ztil * _ipow(-delta, k)
-        coef = delta * ctx.alpha[k] / 2.0 - 1.0 + eps * ctx.beta_arr[k]
-        out = out - u[k] * zk.imag * coef
+        out -= sin_terms[k]
         if eps:
-            out = out + (2 * eps / lam) * u[k] * zk.real
+            out += cos_terms[k]
     return out if out.shape else float(out)
 
 
@@ -522,7 +552,6 @@ GRID_STEP = 1e-3
 EXCLUSION_RADIUS = 1e-6
 EXCLUSION_CORE = 1e-9
 ROOT_XTOL = 1e-12
-_BISECT_LEVELS = 6  # halvings per call of the equation: 63 points per call
 
 
 def first_root(f, lam_max: float, excluded) -> float:
@@ -536,8 +565,18 @@ def first_root(f, lam_max: float, excluded) -> float:
     whose ends differ in sign holds no root, and one whose ends agree holds
     a second zero besides e: that root is bisected in whichever of
     [e - radius, e - core] and [e + core, e + radius] changes sign, with
-    core ``EXCLUSION_CORE``, and a root inside the core raises.  The first
-    bracket holding a root is bisected to ``ROOT_XTOL``.
+    core ``EXCLUSION_CORE``, and a root inside the core raises.
+
+    The grid is evaluated up to lam_max / 4 first (``_upper_frequency``
+    pads its bound by 4), and the rest only when that prefix holds no
+    bracket; the first bracket is the same either way, and a
+    ``RootScanError`` carries the whole grid and all its values.  The first
+    bracket holding a root is bisected to ``ROOT_XTOL``, starting from the
+    end values already known (see ``_bisect``).  The bisection reads f
+    divided by lam - e for the excluded frequency e nearest the bracket:
+    no bracket holds an excluded frequency, so the division flips no sign
+    within it, and it takes out the zero at e that would bend the secant
+    guesses of a bracket next to e.
     """
     grid = np.arange(GRID_STEP, lam_max + GRID_STEP, GRID_STEP)
     ex = np.asarray(excluded, dtype=float)
@@ -546,27 +585,38 @@ def first_root(f, lam_max: float, excluded) -> float:
     pieces = np.split(grid, np.searchsorted(grid, windows.ravel()))
     pieces[1::2] = windows  # odd pieces held the grid points inside a window
     pts = np.concatenate(pieces)
-    vals = np.asarray(f(pts))
-    sign = np.signbit(vals)
     below = np.searchsorted(ex, pts)  # excluded frequencies below each point
     window = below[:-1] != below[1:]
-    hits = np.flatnonzero((sign[:-1] != sign[1:]) != window)
-    if hits.size == 0:
+    cut = max(1, int(np.searchsorted(pts, lam_max / 4, side="right")))
+    vals = np.empty(0)
+    for part in (pts[:cut], pts[cut:]):
+        if part.size:
+            vals = np.concatenate([vals, f(part)])
+        sign = np.signbit(vals)
+        hits = np.flatnonzero((sign[:-1] != sign[1:]) != window[: vals.size - 1])
+        if hits.size:
+            break
+    else:
         raise RootScanError(f"no admissible root in (0, {lam_max:.3f}]", pts, vals)
     i = int(hits[0])
     lo, hi = float(pts[i]), float(pts[i + 1])
+    ends = (vals[i], vals[i + 1])
     if window[i]:
         e = float(ex[below[i]])
-        core = np.signbit(f(np.array([e - EXCLUSION_CORE, e + EXCLUSION_CORE])))
-        if core[0] != sign[i]:
-            hi = e - EXCLUSION_CORE
-        elif core[1] != sign[i + 1]:
-            lo = e + EXCLUSION_CORE
+        core = np.asarray(f(np.array([e - EXCLUSION_CORE, e + EXCLUSION_CORE])))
+        if np.signbit(core[0]) != sign[i]:
+            hi, ends = e - EXCLUSION_CORE, (vals[i], core[0])
+        elif np.signbit(core[1]) != sign[i + 1]:
+            lo, ends = e + EXCLUSION_CORE, (core[1], vals[i + 1])
         else:
             raise RootScanError(
                 f"root within {EXCLUSION_CORE:g} of excluded frequency {e!r}", pts, vals
             )
-    return _bisect(f, lo, hi, ROOT_XTOL, _BISECT_LEVELS)
+    if ex.size:
+        e = float(ex[np.argmin(np.abs(ex - 0.5 * (lo + hi)))])
+        deflated = lambda lam: np.asarray(f(lam)) / (lam - e)
+        return _bisect(deflated, lo, hi, ROOT_XTOL, (ends[0] / (lo - e), ends[1] / (hi - e)))
+    return _bisect(f, lo, hi, ROOT_XTOL, ends)
 
 
 def smallest_root(ctx: EquationContext) -> float:

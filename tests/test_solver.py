@@ -7,10 +7,15 @@ import scipy.optimize
 from lowzero import rayleigh, solver
 from lowzero.chebyshev import u_stack
 from lowzero.solver import (
+    EXCLUSION_CORE,
+    EXCLUSION_RADIUS,
+    GRID_STEP,
     ROOT_XTOL,
     DegenerateRadiusError,
+    RootScanError,
     _bisect,
     build_context,
+    first_root,
     forcing_amplitude,
     minimal_quotient,
     small_support_minimum,
@@ -23,6 +28,7 @@ from lowzero.solver import (
     u_product_roots,
 )
 from lowzero.symmetry import Symmetry
+from solver_oracles import bisect_one_at_a_time, context_arrays_loop, spectral_equation_loop
 
 EQUATION_KERNELS = (Symmetry.Sp, Symmetry.SOplus, Symmetry.SOminus)
 
@@ -260,43 +266,176 @@ def test_equation_array_matches_scalar_bitwise(g, R):
     assert np.array_equal(vec, scal)
 
 
+ORACLE_CONTEXTS = BIT_EQUALITY_CONTEXTS + [(g, R) for g in EQUATION_KERNELS for R in (15.3, 19.6)]
+
+
+@pytest.mark.parametrize("g,R", ORACLE_CONTEXTS)
+def test_equation_matches_per_order_loop_bitwise(g, R):
+    ctx = build_context(g, R)
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 63, 5000):
+        lam = rng.uniform(1e-3, 6.0, size)
+        assert np.array_equal(spectral_equation(ctx, lam), spectral_equation_loop(ctx, lam))
+    for x in rng.uniform(1e-3, 6.0, 5).tolist():
+        expected = spectral_equation_loop(ctx, x)
+        for point in (x, np.array(x)):
+            got = spectral_equation(ctx, point)
+            assert type(got) is float and got == expected
+
+
+def test_context_arrays_match_per_entry_assembly_bitwise():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for g in EQUATION_KERNELS:
+        for R in rng.uniform(0.51, 20.0, 67).tolist():
+            if abs(2 * R - round(2 * R)) < 1e-6:
+                continue
+            try:
+                ctx = build_context(g, R)
+            except DegenerateRadiusError:
+                continue
+            for name, expected in context_arrays_loop(g, R).items():
+                assert np.array_equal(getattr(ctx, name), expected), (g, R, name)
+            checked += 1
+    assert checked >= 190
+
+
 @pytest.mark.parametrize("g,R", BIT_EQUALITY_CONTEXTS)
 def test_batched_bisection_matches_one_at_a_time(g, R, monkeypatch):
     brackets = []
 
-    def recording_bisect(f, lo, hi, xtol, levels=1):
-        brackets.append((lo, hi))
-        return _bisect(f, lo, hi, xtol, levels)
+    def recording_bisect(f, lo, hi, xtol, ends=None):
+        brackets.append((f, lo, hi, ends))
+        return _bisect(f, lo, hi, xtol, ends)
 
     monkeypatch.setattr(solver, "_bisect", recording_bisect)
     ctx = build_context(g, R)
     root = smallest_root(ctx)
-    (lo, hi), = brackets
+    (guide, lo, hi, ends), = brackets
     calls = []
 
     def f(lam):
         calls.append(np.size(lam))
-        return spectral_equation(ctx, lam)
+        return guide(lam)
 
-    batched = _bisect(f, lo, hi, ROOT_XTOL, levels=6)
-    batched_calls = len(calls)
-    single = _bisect(f, lo, hi, ROOT_XTOL, levels=1)
-    assert batched == single == root
-    assert batched_calls < (len(calls) - batched_calls) / 4
+    guided = _bisect(f, lo, hi, ROOT_XTOL, ends)
+    single = bisect_one_at_a_time(lambda lam: spectral_equation(ctx, lam), lo, hi, ROOT_XTOL)
+    assert guided == single == root
+    assert list(ends) == guide(np.array([lo, hi])).tolist()
+    assert len(calls) <= 4
+
+
+def steep_step(x):
+    return math.tanh(1e6 * (x - 0.3)) + 0.5  # the secant of a wide bracket misses by far
+
+
+def pole_at_right_end(x):
+    return math.tan(x) - 3.0  # bracketed up to just below the pole at pi/2
+
+
+@pytest.mark.parametrize(
+    "f,lo,hi", [(steep_step, 0.0, 1.0), (pole_at_right_end, 0.0, math.pi / 2 - 1e-12)]
+)
+def test_guided_bisection_with_a_poor_secant(f, lo, hi):
+    calls = []
+
+    def on_array(x):
+        calls.append(x.size)
+        return np.array([f(v) for v in x.tolist()])
+
+    reference = bisect_one_at_a_time(f, lo, hi, 1e-12)
+    assert _bisect(on_array, lo, hi, 1e-12) == reference
+    assert len(calls) > 4  # the predicted paths were left early, and predicted again
+    assert _bisect(on_array, lo, hi, 1e-12, (f(lo), f(hi))) == reference
+    assert abs(f(reference)) < 1e-3
 
 
 @pytest.mark.parametrize("root", [0.5, 0.375, 0.5 + 2.0**-9, 0.5 - 2.0**-14])
 def test_batched_bisection_stops_on_exact_zero(root):
     f = lambda x: x - root  # vanishes exactly at a dyadic midpoint of (0, 1)
-    for levels in (1, 3, 6):
-        assert _bisect(f, 0.0, 1.0, 1e-12, levels=levels) == root
+    assert _bisect(f, 0.0, 1.0, 1e-12) == root
+    assert bisect_one_at_a_time(f, 0.0, 1.0, 1e-12) == root
+    bent = lambda x: (x - root) * (1.0 + 1e3 * (x - root) ** 2)  # same zero, poor secant
+    assert _bisect(bent, 0.0, 1.0, 1e-12) == root
 
 
 def test_batched_bisection_bracket_narrower_than_xtol():
     f = lambda x: x - 0.3
     lo, hi = 0.3 - 1e-14, 0.3 + 2e-14
-    results = {_bisect(f, lo, hi, 1e-12, levels=levels) for levels in (1, 6)}
-    assert results == {0.5 * (lo + hi)}
+    assert _bisect(f, lo, hi, 1e-12) == bisect_one_at_a_time(f, lo, hi, 1e-12) == 0.5 * (lo + hi)
+
+
+def test_tan_ratio_bisections_keep_their_bits():
+    assert tan_ratio_fixed_point().hex() == "0x1.6e27ebe4bf298p-1"
+    # the shifted-cosine minimum on both branches of the tangent map
+    assert small_support_minimum(Symmetry.O, 1.0).bound.hex() == "0x1.7be9f40623afep-3"
+    assert small_support_minimum(Symmetry.Sp, 0.25).bound.hex() == "0x1.1e89451c7f0fap+0"
+    assert small_support_minimum(Symmetry.SOplus, 0.5).bound.hex() == "0x1.af9ecafeba2d6p-2"
+    # each equals plain bisection of tan_ratio(x) - y on the same bracket
+    for y in (-12.0, 0.0, 0.7, 1.6, 120.0):
+        lo, hi = (1e-15, 0.25 - 1e-14) if y > 1 else (0.25 + 1e-14, tan_ratio_fixed_point() - 1e-15)
+        expected = bisect_one_at_a_time(lambda x: tan_ratio(x) - y, lo, hi, 1e-13)
+        assert tan_ratio_inverse(y) == expected
+
+
+# ---------------------------------------------------------------------------
+# The root scan
+# ---------------------------------------------------------------------------
+
+def scan_grid(lam_max, excluded):
+    """The scan points of ``first_root``: the grid, split at each window."""
+    grid = np.arange(GRID_STEP, lam_max + GRID_STEP, GRID_STEP)
+    points = [p for p in grid if all(abs(p - e) >= EXCLUSION_RADIUS for e in excluded)]
+    points += [e + s * EXCLUSION_RADIUS for e in excluded for s in (-1, 1)]
+    return np.array(sorted(points))
+
+
+def test_first_root_past_the_prefix():
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return x - 3.3004  # the only sign change lies above lam_max / 4 = 1
+
+    root = first_root(f, 4.0, [])
+    grid = scan_grid(4.0, [])
+    i = int(np.searchsorted(grid, 3.3004))
+    assert root == bisect_one_at_a_time(f, float(grid[i - 1]), float(grid[i]), ROOT_XTOL)
+    assert abs(root - 3.3004) < 1e-12
+    assert calls[:2] == [int(np.sum(grid <= 1.0)), int(np.sum(grid > 1.0))]
+
+
+def test_first_root_below_the_prefix_scans_only_the_prefix():
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return x - 0.2504
+
+    assert abs(first_root(f, 4.0, []) - 0.2504) < 1e-12
+    assert calls[0] == int(np.sum(scan_grid(4.0, []) <= 1.0))
+    assert sum(calls[1:]) < calls[0]
+
+
+def test_first_root_error_carries_the_whole_scan():
+    excluded = [0.5, 2.5]  # one window in the prefix, one past it
+    f = lambda x: (x - 0.5) * (x - 2.5)  # changes sign only at excluded frequencies
+    with pytest.raises(RootScanError) as info:
+        first_root(f, 4.0, excluded)
+    grid = scan_grid(4.0, excluded)
+    assert np.array_equal(info.value.grid, grid)
+    assert np.array_equal(info.value.values, f(grid))
+
+
+def test_first_root_window_straddling_the_prefix_cut():
+    e = 1.0 + 5e-7  # its window [e -+ 1e-6] holds the prefix cut lam_max / 4 = 1
+    root = e + 5e-7
+    f = lambda x: (x - e) * (x - root)  # both window ends positive: a root inside
+    grid = scan_grid(4.0, [e])
+    assert grid[grid <= 1.0][-1] == e - EXCLUSION_RADIUS
+    found = first_root(f, 4.0, [e])
+    assert found == bisect_one_at_a_time(f, e + EXCLUSION_CORE, e + EXCLUSION_RADIUS, ROOT_XTOL)
+    assert abs(found - root) < 1e-12
 
 
 def test_two_piece_vanishes_at_excluded_half():
