@@ -11,7 +11,23 @@ Given the effective symmetry type of a family and its admissible support
 with c = delta + 2*epsilon.  The limit is approximated at R = nu/2 - 1e-5; a
 second sample at nu/2 - 2e-5 guards against landing near a degenerate
 support (the scaled frequency is smooth in R with slope of order one, so the
-two samples legitimately differ by about 1e-5 * |dlam/dR|).
+two samples legitimately differ by about 1e-5 * |dlam/dR|), with a warning
+when their bounds differ by more than 1e-4.
+
+The second sample builds its own context (nudged off a degenerate support
+with a warning, as any solve is) and scans for its own root bracket, but
+bisects only until the guard's verdict is settled.  The bound
+sqrt((lam/2 pi)^2) does not decrease as the root lam grows, and
+abs(b1 - b2) > 1e-4 is monotone in b2 on each side of b1 in floats too, so
+once both ends of a bracket pass the guard, every root inside it does.
+Otherwise the bisection runs on to the root, and the warning prints the
+bound a full solve gives.  Both samples end their scans at the one-mode
+frequency in closed form (``solver._one_mode_quotient``), which has the
+bits of the oracle's one-mode forms without assembling them.
+
+Only the CLI's oracle checks (``bound --oracle-check``, ``verify``) use the
+eigensolve, whose last digits depend on the BLAS thread count: output that
+must be byte-identical needs ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
@@ -19,7 +35,13 @@ from __future__ import annotations
 import math
 import warnings
 
-from .solver import BoundResult, equation_branch, minimal_quotient, tan_ratio_inverse
+from .solver import (
+    BoundResult,
+    _bound_beyond,
+    equation_branch,
+    minimal_quotient,
+    tan_ratio_inverse,
+)
 from .symmetry import FamilySpec, Symmetry, family_params
 
 __all__ = [
@@ -41,11 +63,11 @@ def height_bound_result(w_star: Symmetry, nu_max: float) -> BoundResult:
     if not equation_branch(w_star, nu):
         return minimal_quotient(w_star, nu)
     first = minimal_quotient(w_star, nu - _LIMIT_OFFSET)
-    second = minimal_quotient(w_star, nu - 2 * _LIMIT_OFFSET)
-    if abs(first.bound - second.bound) > _SMOOTHNESS_GUARD:
+    second = _bound_beyond(w_star, nu - 2 * _LIMIT_OFFSET, first.bound, _SMOOTHNESS_GUARD)
+    if second is not None:
         warnings.warn(
             f"limit approximation for {w_star} at nu_max={nu_max} looks rough: "
-            f"{first.bound} vs {second.bound}",
+            f"{first.bound} vs {second}",
             stacklevel=2,
         )
     return first

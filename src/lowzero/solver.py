@@ -101,20 +101,33 @@ def _map(fn, x: np.ndarray) -> np.ndarray:
     return np.array(list(map(fn, x.ravel().tolist()))).reshape(x.shape)
 
 
-def _bisect(f, lo: float, hi: float, xtol: float, ends: Optional[tuple] = None) -> float:
+def _bisect(
+    f,
+    lo: float,
+    hi: float,
+    xtol: float,
+    ends: Optional[tuple] = None,
+    guess: Optional[float] = None,
+    stop=None,
+) -> float:
     """One-at-a-time bisection of [lo, hi]; sign logic only, so invariant
     under f -> -f.
 
     ``f`` maps an ndarray of points to their values.  ``ends`` holds the
     values at lo and hi when the caller already has them; otherwise they
     are one call.  Each further call holds the whole midpoint path that
-    bisection takes if the root is where the secant of the current bracket
-    crosses zero.  The walk takes the one-at-a-time steps through the
-    values it gets back, and predicts again from the current bracket once
-    its midpoint leaves the predicted path.  Every step reads f at the
-    midpoint plain bisection visits, so the root is plain bisection's bit
-    for bit, as long as ``f`` gives an array element the bits it gives the
-    same point alone.
+    bisection takes if the root is at a predicted point: ``guess`` for the
+    first call when the caller has one, else where the secant of the
+    current bracket crosses zero.  The walk takes the one-at-a-time steps
+    through the values it gets back, and predicts again from the current
+    bracket once its midpoint leaves the predicted path.  Every step reads
+    f at the midpoint plain bisection visits, so the root is plain
+    bisection's bit for bit, as long as ``f`` gives an array element the
+    bits it gives the same point alone.
+
+    ``stop(lo, hi)``, when given, is asked before each halving; once it
+    holds, the walk returns the midpoint of the current bracket instead of
+    the root, for a caller to whom every point of that bracket serves alike.
     """
     flo, fhi = np.asarray(f(np.array([lo, hi])) if ends is None else ends).tolist()
     if flo == 0.0:
@@ -126,16 +139,18 @@ def _bisect(f, lo: float, hi: float, xtol: float, ends: Optional[tuple] = None) 
     path, values, i = [], [], 0
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        if mid <= lo or mid >= hi or (stop is not None and stop(lo, hi)):
             return mid
         if i == len(path) or path[i] != mid:
-            guess = lo - flo * (hi - lo) / (fhi - flo)
+            if guess is None:
+                guess = lo - flo * (hi - lo) / (fhi - flo)
             path, i, a, b = [], 0, lo, hi
             while b - a > xtol and a < 0.5 * (a + b) < b:
                 m = 0.5 * (a + b)
                 path.append(m)
                 a, b = (a, m) if guess < m else (m, b)
             values = np.asarray(f(np.array(path))).tolist()
+            guess = None
         fm = values[i]
         i += 1
         if fm == 0.0:
@@ -541,11 +556,31 @@ def _upper_frequency(ctx: EquationContext) -> float:
     minimum; the corresponding frequency, padded by a factor 4, must contain
     the smallest root.
     """
-    from . import rayleigh
-
-    forms = rayleigh.assemble_forms(ctx.g, ctx.R, 1)
-    m_up = forms.numerator[0, 0] / forms.denominator[0, 0]
+    m_up = _one_mode_quotient(ctx.g, ctx.R)
     return 4 * math.pi * math.sqrt(m_up) / (2 * ctx.R)
+
+
+def _one_mode_quotient(g: Symmetry, R: float) -> float:
+    """A[0, 0] / B[0, 0] of ``rayleigh.assemble_forms(g, R, 1)`` for R > 1/2.
+
+    The two entries are written out for the single mode m = 1 with the
+    operations of ``assemble_forms`` in the same order (its diagonal
+    formulas, the zero-sign and symmetrizing steps of B included), so the
+    ratio has the same bits without assembling the forms.
+    """
+    arg = np.array([math.pi]) / (2 * R)
+    sin_d, cos_d = float(np.sin(arg)[0]), float(np.cos(arg)[0])
+    scale = g.delta / (2 * R)
+    pi_sq = math.pi * math.pi  # (math.pi * d) ** 2 at d = 1
+    b = 2 * R * (2 * R - 1) / math.pi * sin_d - 8 * R * R / pi_sq * cos_d + 8 * R * R / pi_sq
+    b *= scale
+    b += (16 * R * float(g.epsilon) / math.pi**2) * 1.0
+    b += 0.0
+    b += 1.0
+    b = (b + b) * 0.5
+    mu_diag = -2 * R * (2 * R - 1) / math.pi * sin_d
+    a = 1.0 - (scale * 1.0) * mu_diag
+    return a / b
 
 
 GRID_STEP = 1e-3
@@ -571,12 +606,27 @@ def first_root(f, lam_max: float, excluded) -> float:
     pads its bound by 4), and the rest only when that prefix holds no
     bracket; the first bracket is the same either way, and a
     ``RootScanError`` carries the whole grid and all its values.  The first
-    bracket holding a root is bisected to ``ROOT_XTOL``, starting from the
-    end values already known (see ``_bisect``).  The bisection reads f
-    divided by lam - e for the excluded frequency e nearest the bracket:
-    no bracket holds an excluded frequency, so the division flips no sign
-    within it, and it takes out the zero at e that would bend the secant
-    guesses of a bracket next to e.
+    bracket holding a root is bisected to ``ROOT_XTOL`` (see
+    ``_first_bracket`` for what the bisection reads and starts from).
+    """
+    f, lo, hi, ends, guess = _first_bracket(f, lam_max, excluded)
+    return _bisect(f, lo, hi, ROOT_XTOL, ends, guess)
+
+
+def _first_bracket(f, lam_max: float, excluded) -> tuple:
+    """The scan of ``first_root``: (function, lo, hi, end values, guess) to
+    hand ``_bisect``.
+
+    The function is f divided by lam - e for the excluded frequency e
+    nearest the bracket: no bracket holds an excluded frequency, so the
+    division flips no sign within it, and it takes out the zero at e that
+    would bend the secant guesses of a bracket next to e.  The end values
+    are the scan's (or the exclusion core's), divided the same way.  The
+    guess is the zero of the cubic through the divided values at the two
+    ends and the grid point beyond each, as a function of the value
+    (inverse cubic interpolation), when the four points hold no window,
+    their values are strictly monotone and the zero falls inside the
+    bracket; otherwise None, and the bisection starts from the secant.
     """
     grid = np.arange(GRID_STEP, lam_max + GRID_STEP, GRID_STEP)
     ex = np.asarray(excluded, dtype=float)
@@ -614,19 +664,48 @@ def first_root(f, lam_max: float, excluded) -> float:
             )
     if ex.size:
         e = float(ex[np.argmin(np.abs(ex - 0.5 * (lo + hi)))])
-        deflated = lambda lam: np.asarray(f(lam)) / (lam - e)
-        return _bisect(deflated, lo, hi, ROOT_XTOL, (ends[0] / (lo - e), ends[1] / (hi - e)))
-    return _bisect(f, lo, hi, ROOT_XTOL, ends)
+        f = lambda lam, f=f: np.asarray(f(lam)) / (lam - e)
+        ends = (ends[0] / (lo - e), ends[1] / (hi - e))
+    guess = None
+    if i > 0 and i + 2 < vals.size and not window[i - 1 : i + 2].any():
+        x, y = pts[i - 1 : i + 3], vals[i - 1 : i + 3]
+        if ex.size:
+            y = y / (x - e)
+        steps = np.diff(y)
+        if (steps > 0).all() or (steps < 0).all():
+            guess = _inverse_cubic_zero(x.tolist(), y.tolist(), lo)
+            if not lo < guess < hi:
+                guess = None
+    return f, lo, hi, ends, guess
+
+
+def _inverse_cubic_zero(x: list, y: list, origin: float) -> float:
+    """Zero of the cubic through the points (y_k, x_k), x as a function of
+    y, in Lagrange form about ``origin``; the y_k must be distinct."""
+    total = 0.0
+    for k, (xk, yk) in enumerate(zip(x, y)):
+        weight = xk - origin
+        for j, yj in enumerate(y):
+            if j != k:
+                weight *= yj / (yj - yk)
+        total += weight
+    return origin + total
 
 
 def smallest_root(ctx: EquationContext) -> float:
     """Smallest positive root of the equation away from the excluded set."""
+    return _equation_root(ctx)
+
+
+def _equation_root(ctx: EquationContext, stop=None) -> float:
+    """``smallest_root``, with the bisection's ``stop`` (see ``_bisect``)."""
     f = lambda lam: spectral_equation(ctx, lam)
     try:
-        return first_root(f, _upper_frequency(ctx), u_product_roots(ctx.n))
+        f, lo, hi, ends, guess = _first_bracket(f, _upper_frequency(ctx), u_product_roots(ctx.n))
     except RootScanError as exc:
         message = f"{exc} for {ctx.g} at R={ctx.R}"
         raise RootScanError(message, exc.grid, exc.values) from None
+    return _bisect(f, lo, hi, ROOT_XTOL, ends, guess, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +717,33 @@ def equation_branch(g: Symmetry, R: float) -> bool:
     kernels past half support.  The U kernel has its exact value and the O
     kernel, like every kernel up to half support, the shifted cosine."""
     return g not in (Symmetry.U, Symmetry.O) and R > 0.5
+
+
+def _scaled_minimum(lam: float) -> float:
+    """The normalized minimum (lam / 2 pi)^2 at the scaled frequency lam."""
+    return (lam / (2 * math.pi)) ** 2
+
+
+def _equation_context(g: Symmetry, R: float, stacklevel: int) -> EquationContext:
+    """``build_context(g, R)``, or at R -+ 1e-6 where the continuity matrix
+    degenerates at R, with a warning issued at frame ``stacklevel`` as
+    counted from here."""
+    try:
+        return build_context(g, R)
+    except DegenerateRadiusError:
+        n = int(math.floor(2 * R)) + 1
+        for nudged in (R - 1e-6, R + 1e-6):
+            if (n - 1) / 2.0 < nudged < n / 2.0:
+                try:
+                    ctx = build_context(g, nudged)
+                except DegenerateRadiusError:
+                    continue
+                warnings.warn(
+                    f"support {R} is numerically degenerate; using {nudged}",
+                    stacklevel=stacklevel,
+                )
+                return ctx
+        raise
 
 
 def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]]:
@@ -663,25 +769,9 @@ def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]
     if not equation_branch(g, R):
         return small_support_minimum(g, R), None
 
-    try:
-        ctx = build_context(g, R)
-    except DegenerateRadiusError:
-        n = int(math.floor(2 * R)) + 1
-        for nudged in (R - 1e-6, R + 1e-6):
-            if (n - 1) / 2.0 < nudged < n / 2.0:
-                try:
-                    ctx = build_context(g, nudged)
-                except DegenerateRadiusError:
-                    continue
-                warnings.warn(
-                    f"support {R} is numerically degenerate; using {nudged}",
-                    stacklevel=3,
-                )
-                break
-        else:
-            raise
+    ctx = _equation_context(g, R, stacklevel=4)
     lam = ctx.root
-    m_tilde = (lam / (2 * math.pi)) ** 2
+    m_tilde = _scaled_minimum(lam)
     result = BoundResult(
         m_tilde=m_tilde,
         bound=math.sqrt(m_tilde),
@@ -698,6 +788,30 @@ def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]
             compat = assemble(ctx, lam).integral(ctx.R - 1, ctx.R)
             result = replace(result, sp_flag=True, sp_compat_integral=compat)
     return result, ctx
+
+
+def _bound_beyond(g: Symmetry, R: float, target: float, tol: float) -> Optional[float]:
+    """The bound ``solve`` finds for (g, R) if it differs from ``target`` by
+    more than ``tol``, else None.
+
+    Off the equation branch this is ``solve``'s bound.  On it the context
+    is ``solve``'s, nudged the same way, with the warning issued at the line
+    that called this function.  The bound sqrt((lam / 2 pi)^2) does not
+    decrease as the root lam grows, and abs(target - b) > tol, in floats as
+    well, is monotone in b on each side of target, so once both ends of the
+    root's bracket lie within tol every point between them does: the
+    bisection stops there.  Otherwise it runs to the root, whose bound is
+    returned if it lies beyond tol.  The Sp near-odd diagnostic of ``solve``
+    is not computed.
+    """
+    if not equation_branch(g, R):
+        found = solve(g, R)[0].bound
+        return found if abs(target - found) > tol else None
+    ctx = _equation_context(g, R, stacklevel=3)
+    bound = lambda lam: math.sqrt(_scaled_minimum(lam))
+    near = lambda lam: not abs(target - bound(lam)) > tol
+    lam = _equation_root(ctx, stop=lambda lo, hi: near(lo) and near(hi))
+    return None if near(lam) else bound(lam)
 
 
 def minimal_quotient(g: Symmetry, R: float) -> BoundResult:

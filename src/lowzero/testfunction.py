@@ -107,17 +107,27 @@ class PiecewiseTestFunction:
             return -1
         return min(bisect_right(self._his, u), len(self.pieces) - 1)
 
+    # The terms are added left to right in explicit loops: from Python 3.12
+    # on the builtin sum compensates float additions, and would give other
+    # bits there than on 3.10 and 3.11 and than the loops of ``integral``.
+
     def _value(self, u) -> float:
         i = self._piece_index(float(u))
         if i < 0:
             return 0.0
-        return sum(a * math.sin(f * u + p) for a, f, p in self.pieces[i].terms)
+        total = 0.0
+        for a, f, p in self.pieces[i].terms:
+            total += a * math.sin(f * u + p)
+        return total
 
     def _slope(self, u) -> float:
         i = self._piece_index(float(u))
         if i < 0:
             return 0.0
-        return sum(a * f * math.cos(f * u + p) for a, f, p in self.pieces[i].terms)
+        total = 0.0
+        for a, f, p in self.pieces[i].terms:
+            total += a * f * math.cos(f * u + p)
+        return total
 
     def __call__(self, u):
         if isinstance(u, np.ndarray):

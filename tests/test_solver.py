@@ -14,6 +14,9 @@ from lowzero.solver import (
     DegenerateRadiusError,
     RootScanError,
     _bisect,
+    _first_bracket,
+    _one_mode_quotient,
+    _upper_frequency,
     build_context,
     first_root,
     forcing_amplitude,
@@ -304,25 +307,27 @@ def test_context_arrays_match_per_entry_assembly_bitwise():
 def test_batched_bisection_matches_one_at_a_time(g, R, monkeypatch):
     brackets = []
 
-    def recording_bisect(f, lo, hi, xtol, ends=None):
-        brackets.append((f, lo, hi, ends))
-        return _bisect(f, lo, hi, xtol, ends)
+    def recording_bisect(f, lo, hi, xtol, ends=None, guess=None, stop=None):
+        brackets.append((f, lo, hi, ends, guess))
+        return _bisect(f, lo, hi, xtol, ends, guess, stop)
 
     monkeypatch.setattr(solver, "_bisect", recording_bisect)
     ctx = build_context(g, R)
     root = smallest_root(ctx)
-    (guide, lo, hi, ends), = brackets
-    calls = []
-
-    def f(lam):
-        calls.append(np.size(lam))
-        return guide(lam)
-
-    guided = _bisect(f, lo, hi, ROOT_XTOL, ends)
+    (guide, lo, hi, ends, guess), = brackets
+    assert guess is None or lo < guess < hi
     single = bisect_one_at_a_time(lambda lam: spectral_equation(ctx, lam), lo, hi, ROOT_XTOL)
-    assert guided == single == root
     assert list(ends) == guide(np.array([lo, hi])).tolist()
-    assert len(calls) <= 4
+    # with the scan's first guess, and from the secant alone
+    for first_guess, most_calls in ((guess, 3), (None, 4)):
+        calls = []
+
+        def f(lam):
+            calls.append(np.size(lam))
+            return guide(lam)
+
+        assert _bisect(f, lo, hi, ROOT_XTOL, ends, first_guess) == single == root
+        assert len(calls) <= most_calls
 
 
 def steep_step(x):
@@ -436,6 +441,106 @@ def test_first_root_window_straddling_the_prefix_cut():
     found = first_root(f, 4.0, [e])
     assert found == bisect_one_at_a_time(f, e + EXCLUSION_CORE, e + EXCLUSION_RADIUS, ROOT_XTOL)
     assert abs(found - root) < 1e-12
+
+
+def test_first_guess_is_the_inverse_cubic_zero():
+    f = lambda x: x - 0.2504  # a straight line: the cubic through it is the line
+    f_div, lo, hi, ends, guess = _first_bracket(f, 4.0, [])
+    assert (lo, hi) == (0.25, 0.251) and f_div is f
+    assert abs(guess - 0.2504) < 1e-15
+
+
+PIECEWISE_GRID = [0.248, 0.249, 0.25, 0.251, 0.252, 0.253]
+
+
+@pytest.mark.parametrize(
+    "values,expected",
+    [
+        ([-2.0, -1.9, -1.0, 1e-3, 1.5, 3.0], 0.2509991012041522),  # monotone, zero inside
+        ([-3.0, -2.0, -1e-3, 1.0, 1.001, 1.002], None),  # the cubic's zero lies below lo
+        ([-1.0, -0.999, -0.998, 1e-3, 5.0, 9.0], None),  # the cubic's zero lies above hi
+        ([-1.0, -1e-9, -1e-3, 1.0, 2.0, 3.0], None),  # not monotone
+        ([-2.0, -1.0, -1e-3, 1.0, 1.0, 3.0], None),  # not strictly monotone
+    ],
+)
+def test_first_guess_only_where_it_is_sound(values, expected):
+    f = lambda x: np.interp(x, PIECEWISE_GRID, values, left=-5.0, right=5.0)
+    _, lo, hi, _, guess = _first_bracket(f, 1.04, [])
+    assert (lo, hi) == (0.25, 0.251)
+    assert guess == expected
+    assert first_root(f, 1.04, []) == bisect_one_at_a_time(f, lo, hi, ROOT_XTOL)
+
+
+def test_first_guess_needs_a_window_free_run():
+    for e in (0.2510005, 0.2525):  # the first window replaces the grid point 0.251
+        f = lambda x: (x - 0.2504) * (x - e)  # vanishes at e, as the equation does
+        f_div, lo, hi, _, guess = _first_bracket(f, 4.0, [e])
+        assert f_div(np.array([0.2])) == f(np.array([0.2])) / (0.2 - e)
+        if e < 0.252:
+            assert (lo, hi) == (0.25, e - EXCLUSION_RADIUS)
+            assert guess is None  # the point beyond hi lies across the window
+        else:
+            assert (lo, hi) == (0.25, 0.251)
+            assert abs(guess - 0.2504) < 1e-15  # the window lies past the four points
+
+
+def test_first_guess_changes_no_root():
+    rng = np.random.default_rng(5)
+    for g in EQUATION_KERNELS:
+        for R in rng.uniform(0.51, 20.0, 20).tolist():
+            if abs(2 * R - round(2 * R)) < 1e-6:
+                continue
+            ctx = build_context(g, R)
+            f = lambda lam: spectral_equation(ctx, lam)
+            excluded = u_product_roots(ctx.n)
+            f_div, lo, hi, ends, guess = _first_bracket(f, _upper_frequency(ctx), excluded)
+            assert smallest_root(ctx) == _bisect(f_div, lo, hi, ROOT_XTOL, ends, guess)
+            assert smallest_root(ctx) == _bisect(f_div, lo, hi, ROOT_XTOL, ends)
+
+
+def test_bisection_stop_returns_the_midpoint_of_the_first_stopped_bracket():
+    f = lambda x: x - 0.3
+    asked = []
+
+    def stop(lo, hi):
+        asked.append((lo, hi))
+        return hi - lo < 1e-3
+
+    lo, hi = 0.0, 1.0
+    while not hi - lo < 1e-3:  # plain bisection's brackets
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid < 0.3 else (lo, mid)
+    assert _bisect(f, 0.0, 1.0, 1e-12, stop=stop) == 0.5 * (lo + hi)
+    assert asked[-1] == (lo, hi) and len(asked) == 11
+    assert _bisect(f, 0.0, 1.0, 1e-12, stop=lambda lo, hi: False) == _bisect(f, 0.0, 1.0, 1e-12)
+    assert _bisect(f, 0.0, 1.0, 1e-12, stop=lambda lo, hi: True) == 0.5
+
+
+def _one_mode_supports():
+    """R just above 1/2, on both sides of each half-integer up to 60, and a
+    dense grid of (0.5, 60)."""
+    near_half = [0.5 + 10.0**-k for k in range(1, 13)]
+    near_cells = [k / 2 + s for k in range(2, 121) for s in (-1e-3, -1e-9, 1e-9, 1e-3)]
+    return near_half + near_cells + np.linspace(0.5001, 60.0, 2001).tolist()
+
+
+@pytest.mark.parametrize("g", EQUATION_KERNELS)
+def test_one_mode_quotient_matches_one_mode_forms_bitwise(g):
+    for R in _one_mode_supports():
+        forms = rayleigh.assemble_forms(g, R, 1)
+        expected = forms.numerator[0, 0] / forms.denominator[0, 0]
+        assert _one_mode_quotient(g, R) == expected, R
+
+
+def test_scan_end_assembles_no_forms(monkeypatch):
+    def no_forms(*args):
+        raise AssertionError("the scan end assembled the oracle's forms")
+
+    monkeypatch.setattr(rayleigh, "assemble_forms", no_forms)
+    ctx = build_context(Symmetry.SOminus, 3.3)
+    m_up = _one_mode_quotient(Symmetry.SOminus, 3.3)
+    assert _upper_frequency(ctx) == 4 * math.pi * math.sqrt(m_up) / (2 * 3.3)
+    assert solver.solve(Symmetry.SOminus, 3.3)[0].lam == smallest_root(ctx)
 
 
 def test_two_piece_vanishes_at_excluded_half():
