@@ -23,14 +23,20 @@ def u_roots(n: int) -> list[float]:
     return [math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1)]
 
 
-def u_stack(n_max: int, x):
+def u_stack(n_max: int, x) -> np.ndarray:
     """All of U_0(x)..U_{n_max}(x) at once, sharing the recurrence.
 
-    Returns a list indexed by order; entries are scalars or arrays matching x.
+    Returns one float ndarray of shape (n_max + 1, *np.shape(x)), indexed
+    by order; for a float x, ``.tolist()`` gives the values as Python floats.
+    Each order is 2 x U_{k-1}(x) - U_{k-2}(x), so every entry has the bits
+    of the same recurrence run on that point alone.
     """
-    out = [np.ones_like(x) if isinstance(x, np.ndarray) else 1.0]
+    x = np.asarray(x, dtype=float)
+    out = np.empty((n_max + 1,) + x.shape)
+    out[0] = 1.0
     if n_max >= 1:
-        out.append(2 * x)
-    for _ in range(n_max - 1):
-        out.append(2 * x * out[-1] - out[-2])
+        two_x = 2 * x
+        out[1] = two_x
+        for k in range(2, n_max + 1):
+            out[k] = two_x * out[k - 1] - out[k - 2]
     return out

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -306,10 +307,10 @@ class EquationContext:
     @cached_property
     def _equation_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per order k: real and imaginary parts of (-i delta)^k, and the
-        coefficient of the sine sum in ``spectral_equation``."""
+        negated coefficient of the sine sum in ``spectral_equation``."""
         powers = [_ipow(-self.delta, k) for k in range(self.n)]
         coef = self.delta * self.alpha / 2.0 - 1.0 + self.eps * self.beta_arr
-        return np.array([p.real for p in powers]), np.array([p.imag for p in powers]), coef
+        return np.array([p.real for p in powers]), np.array([p.imag for p in powers]), -coef
 
     @cached_property
     def root(self) -> float:
@@ -340,13 +341,13 @@ def _order_tables(n: int, delta: int) -> tuple:
     for order, parity in ((n - 1, 2), (n, 1)):
         j = np.arange(1, (order + 1) // 2 + 1)
         theta = _map(math.cos, j * math.pi / (order + 1))
-        u = np.array(cheb.u_stack(n - 1, theta))
+        u = cheb.u_stack(n - 1, theta)
         k = np.arange(n)[:, None]
         phase = 0.5 * math.pi * (j + delta * (n - 2 * k - parity) / 2.0)
         sines = _map(math.sin, phase[:order])
-        beta_sum = np.zeros(j.size)
-        for term in u[:order] * sines:
-            beta_sum += term
+        terms = np.zeros((order + 1, j.size))  # 0.0, then the order rows
+        np.multiply(u[:order], sines, out=terms[1:])
+        beta_sum = _add_rows(terms)
         blocks.append((theta, u, phase, sines[0], beta_sum))
     for block in blocks:
         for arr in block:
@@ -431,16 +432,22 @@ def _build_context(g: Symmetry, R: float) -> EquationContext:
 # The transcendental equation
 # ---------------------------------------------------------------------------
 
-def _scaled_amplitude(ctx: EquationContext, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Complex forcing amplitude times U_n * U_{n-1}; entire in the frequency.
+def _add_rows(rows: np.ndarray) -> np.ndarray:
+    """rows[0] + rows[1] + ... added in that order, as a new array.
 
-    Equals ``-2i exp(-i lam a_{n-1}) sum_k (i delta e^{i lam})^k U_k(lam)``
-    (scale 1), the pole-free numerator of ``forcing_amplitude``, given the
-    stack ``u`` of U_0(lam)..U_{n-1}(lam) (or more orders) at the ndarray
-    ``lam``, indexed [k, ...].
+    ``np.add.accumulate`` is sequential by definition, where ``np.add.reduce``
+    may add pairwise along a contiguous axis; only the last partial sum is
+    kept, copied, so no view holds the others alive.
     """
-    n = ctx.n
-    zfac = 1j * ctx.delta * np.exp(1j * lam)
+    return np.add.accumulate(rows, axis=0)[-1].copy()
+
+
+def _amplitude_sum(delta: int, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``sum_k (i delta e^{i lam})^k U_k(lam)`` over the orders k of the
+    stack ``u`` (indexed [k, ...]) at the ndarray ``lam``: its real and
+    imaginary parts, indexed [0 or 1, ...].  Depends on no support.
+    """
+    zfac = 1j * delta * np.exp(1j * lam)
     fr, fi = zfac.real, zfac.imag
     # General complex products are spelled out in real parts, as a scalar
     # complex multiply computes them: numpy's array multiply may fuse the
@@ -448,23 +455,27 @@ def _scaled_amplitude(ctx: EquationContext, lam: np.ndarray, u: np.ndarray) -> n
     # z[k] holds the real and imaginary parts of zfac**k, one product at a
     # time: (zr fr + zi (-fi), zr fi + zi fr), and x + (-y) is x - y exactly.
     rot = np.array([[fr, -fi], [fi, fr]])
-    z = np.empty((n, 2) + lam.shape)
+    z = np.empty(u.shape[:1] + (2,) + lam.shape)
     z[0, 0], z[0, 1] = 1.0, 0.0
-    for k in range(1, n):
+    for k in range(1, len(u)):
         prod = z[k - 1] * rot
         np.add(prod[:, 0], prod[:, 1], out=z[k])
-    terms = z[1:] * u[1:n, None]
-    acc = np.empty((2,) + lam.shape)
-    acc[0], acc[1] = u[0], 0.0
-    for term in terms:
-        acc += term
-    acc_r, acc_i = acc
-    lead = -2j * np.exp(-1j * lam * ctx.a[n - 1])
+    z *= u[:, None]  # row 0 becomes (U_0, 0.0) = (1.0, 0.0) exactly
+    return _add_rows(z)
+
+
+def _scaled_amplitude(ctx: EquationContext, lam: np.ndarray, amp: np.ndarray) -> tuple:
+    """Real and imaginary parts of the complex forcing amplitude times
+    U_n * U_{n-1}; entire in the frequency.
+
+    Equals ``-2i exp(-i lam a_{n-1})`` times the amplitude sum ``amp`` of
+    ``_amplitude_sum`` over the orders 0..n-1 (scale 1), the pole-free
+    numerator of ``forcing_amplitude``.
+    """
+    acc_r, acc_i = amp
+    lead = -2j * np.exp(-1j * lam * ctx.a[ctx.n - 1])
     lr, li = lead.real, lead.imag
-    out = np.empty(lam.shape, dtype=complex)
-    out.real = lr * acc_r - li * acc_i
-    out.imag = lr * acc_i + li * acc_r
-    return out
+    return lr * acc_r - li * acc_i, lr * acc_i + li * acc_r
 
 
 def forcing_amplitude(ctx: EquationContext, lam: float) -> complex:
@@ -479,8 +490,9 @@ def forcing_amplitude(ctx: EquationContext, lam: float) -> complex:
         if abs(lam - root) < 1e-9:
             raise ValueError(f"frequency {lam} is excluded (Chebyshev root)")
     lam = np.asarray(lam, dtype=float)
-    u = np.array(cheb.u_stack(ctx.n, lam))
-    return complex(_scaled_amplitude(ctx, lam, u)) / float(u[ctx.n] * u[ctx.n - 1])
+    u = cheb.u_stack(ctx.n, lam)
+    re, im = _scaled_amplitude(ctx, lam, _amplitude_sum(ctx.delta, lam, u[: ctx.n]))
+    return complex(float(re), float(im)) / float(u[ctx.n] * u[ctx.n - 1])
 
 
 def u_product_roots(n: int) -> list[float]:
@@ -488,6 +500,64 @@ def u_product_roots(n: int) -> list[float]:
     roots = [r for r in cheb.u_roots(n) if r > 0]
     roots += [r for r in cheb.u_roots(n - 1) if r > 0]
     return sorted(roots)
+
+
+class _Tables:
+    """Read-only arrays kept per key; once they hold more than ``budget``
+    bytes in all, the least recently used go."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries: OrderedDict = OrderedDict()
+
+    def get(self, key) -> Optional[tuple]:
+        arrays = self.entries.get(key)
+        if arrays is not None:
+            self.entries.move_to_end(key)
+        return arrays
+
+    def put(self, key, arrays: tuple) -> None:
+        for arr in arrays:
+            arr.setflags(write=False)
+        self.entries[key] = arrays
+        self.entries.move_to_end(key)
+        while sum(a.nbytes for v in self.entries.values() for a in v) > self.budget:
+            self.entries.popitem(last=False)
+
+
+#: Per (n, delta): scan points and the amplitude sum there.
+_AMPLITUDE_TABLES = _Tables(768 * 1024)
+
+
+def _tabulated_amplitude_sum(delta: int, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_amplitude_sum(delta, lam, u)``, tabulated per (n, delta).
+
+    The sum depends on no support, so a root scan at any support with n
+    cells and sign delta can use the values of an earlier one: a 1-D lam
+    that is a bitwise prefix of the points tabulated for (n, delta) reads
+    the table, and one that extends them computes the new points only and
+    tabulates the lot.  A 1-D lam that starts below the tabulated points
+    (a scan starts at the grid's first point) replaces them.  Every value
+    is a point's own, so the table changes no bit.
+    """
+    if lam.ndim != 1:
+        return _amplitude_sum(delta, lam, u)
+    key = (len(u), delta)
+    table = _AMPLITUDE_TABLES.get(key)
+    if table is not None:
+        pts, amp = table
+        size = min(lam.size, pts.size)
+        if np.array_equal(lam[:size], pts[:size]):
+            if lam.size == size:
+                return amp[:, :size]
+            rest = _amplitude_sum(delta, lam[size:], u[:, size:])
+            amp = np.concatenate([amp, rest], axis=1)
+            _AMPLITUDE_TABLES.put(key, (lam.copy(), amp))
+            return amp
+    amp = _amplitude_sum(delta, lam, u)
+    if lam.size and (table is None or lam[0] < table[0][0]):
+        _AMPLITUDE_TABLES.put(key, (lam.copy(), amp))
+    return amp
 
 
 def spectral_equation(ctx: EquationContext, lam):
@@ -503,27 +573,27 @@ def spectral_equation(ctx: EquationContext, lam):
     factor by a real/imaginary part of the scaled amplitude, removing both
     the argument's branch jumps and the Chebyshev-root poles.  Zeros away
     from roots of U_n * U_{n-1} are exactly the equation's roots.  Accepts a
-    scalar or ndarray of frequencies.
+    scalar or ndarray of frequencies.  The amplitude sum, which depends on
+    no support, is tabulated per (n, delta) (see ``_tabulated_amplitude_sum``).
     """
     lam = np.asarray(lam, dtype=float)
     delta = ctx.delta
     eps = ctx.eps
-    u = np.array(cheb.u_stack(ctx.n - 1, lam))
-    ztil = _scaled_amplitude(ctx, lam, u)
-    re, im = ztil.real, ztil.imag
-    # Row k holds term k of each sum, with zk = ztil * (-i delta)^k written
-    # out in real parts as a complex multiply computes it; the power's parts
-    # c and d are 0 or +-1.
+    u = cheb.u_stack(ctx.n - 1, lam)
+    re, im = _scaled_amplitude(ctx, lam, _tabulated_amplitude_sum(delta, lam, u))
+    # Row 1 + k holds term k of the sine sum, negated, and with eps the
+    # rows interleave it with term k of the cosine sum; zk = ztil * (-i
+    # delta)^k is written out in real parts as a complex multiply computes
+    # it, the power's parts c and d being 0 or +-1.  Adding the negated term
+    # is subtracting it, bit for bit.
     column = (-1,) + (1,) * lam.ndim
-    c, d, coef = (v.reshape(column) for v in ctx._equation_weights)
-    sin_terms = u * (re * d + im * c) * coef
+    c, d, neg_coef = (v.reshape(column) for v in ctx._equation_weights)
+    rows = np.empty((1 + ctx.n * (2 if eps else 1),) + lam.shape)
+    rows[0] = (delta / lam) * re
+    np.multiply(u * (re * d + im * c), neg_coef, out=rows[1::2] if eps else rows[1:])
     if eps:
-        cos_terms = (2 * eps / lam) * u * (re * c - im * d)
-    out = (delta / lam) * re
-    for k in range(ctx.n):
-        out -= sin_terms[k]
-        if eps:
-            out += cos_terms[k]
+        np.multiply((2 * eps / lam) * u, re * c - im * d, out=rows[2::2])
+    out = _add_rows(rows)
     return out if out.shape else float(out)
 
 
@@ -602,57 +672,106 @@ def first_root(f, lam_max: float, excluded) -> float:
     [e - radius, e - core] and [e + core, e + radius] changes sign, with
     core ``EXCLUSION_CORE``, and a root inside the core raises.
 
-    The grid is evaluated up to lam_max / 4 first (``_upper_frequency``
-    pads its bound by 4), and the rest only when that prefix holds no
-    bracket; the first bracket is the same either way, and a
-    ``RootScanError`` carries the whole grid and all its values.  The first
-    bracket holding a root is bisected to ``ROOT_XTOL`` (see
-    ``_first_bracket`` for what the bisection reads and starts from).
+    The grid is evaluated up to its first point past lam_max / 4 first
+    (``_upper_frequency`` pads its bound by 4, so that point lies past the
+    root), and the rest only when that prefix holds no bracket; the first
+    bracket is the same either way, and a ``RootScanError`` carries the
+    whole grid and all its values.  The first bracket holding a root is
+    bisected to ``ROOT_XTOL`` (see ``_first_bracket`` for what the bisection
+    reads and starts from).
     """
     f, lo, hi, ends, guess = _first_bracket(f, lam_max, excluded)
     return _bisect(f, lo, hi, ROOT_XTOL, ends, guess)
+
+
+#: Per excluded set: a prefix of its scan points on the unbounded grid and
+#: the window flags of their neighbour pairs.
+_SCAN_POINTS = _Tables(256 * 1024)
+
+
+def _scan_points(lam_max: float, ex: np.ndarray) -> tuple:
+    """The scan points of ``first_root`` up to lam_max, given the excluded
+    frequencies ex inside the grid, and per pair of neighbours whether it
+    spans a window."""
+    grid = np.arange(GRID_STEP, lam_max + GRID_STEP, GRID_STEP)
+    windows = np.column_stack([ex - EXCLUSION_RADIUS, ex + EXCLUSION_RADIUS])
+    pieces = np.split(grid, np.searchsorted(grid, windows.ravel()))
+    pieces[1::2] = windows  # odd pieces held the grid points inside a window
+    pts = np.concatenate(pieces)
+    below = np.searchsorted(ex, pts)  # excluded frequencies below each point
+    return pts, below[:-1] != below[1:]
+
+
+def _scan_prefix(lam_max: float, excluded) -> tuple:
+    """The scan points of ``first_root`` up to the first past lam_max / 4,
+    the window flags of their neighbour pairs, and the excluded frequencies
+    inside the grid.
+
+    A grid is a bitwise prefix of any longer one (``np.arange`` writes
+    start + i * step), so away from the windows at its end the scan points
+    of every lam_max are a prefix of one unbounded sequence per excluded
+    set.  The longest prefix built so far is kept and sliced; a grid that
+    ends within 2 ``EXCLUSION_RADIUS`` of an excluded frequency, or a
+    prefix longer than the kept one, is built afresh.
+    """
+    ex = np.asarray(excluded, dtype=float)
+    count = math.ceil((lam_max + GRID_STEP - GRID_STEP) / GRID_STEP)  # len(grid)
+    end = GRID_STEP + (count - 1) * GRID_STEP  # grid[-1]
+    inside = ex[(ex > GRID_STEP) & (ex < end)]
+    quarter = lam_max / 4
+    key = tuple(ex.tolist())
+    kept = _SCAN_POINTS.get(key)
+    clear_end = not (np.abs(ex - end) <= 2 * EXCLUSION_RADIUS).any()
+    if clear_end and kept is not None and kept[0][-1] > quarter:
+        pts, window = kept
+    else:
+        pts, window = _scan_points(lam_max, inside)
+    cut = min(pts.size, int(np.searchsorted(pts, quarter, side="right")) + 1)
+    if clear_end and (kept is None or cut > kept[0].size):
+        _SCAN_POINTS.put(key, (pts[:cut].copy(), window[: cut - 1].copy()))
+    return pts[:cut], window[: cut - 1], inside
+
+
+def _sign_changes(vals: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Indices i where vals[i], vals[i + 1] bracket a root: their signs
+    differ across a plain pair, or agree across a window."""
+    sign = np.signbit(vals)
+    return np.flatnonzero((sign[:-1] != sign[1:]) != window[: vals.size - 1])
 
 
 def _first_bracket(f, lam_max: float, excluded) -> tuple:
     """The scan of ``first_root``: (function, lo, hi, end values, guess) to
     hand ``_bisect``.
 
-    The function is f divided by lam - e for the excluded frequency e
-    nearest the bracket: no bracket holds an excluded frequency, so the
-    division flips no sign within it, and it takes out the zero at e that
-    would bend the secant guesses of a bracket next to e.  The end values
-    are the scan's (or the exclusion core's), divided the same way.  The
-    guess is the zero of the cubic through the divided values at the two
-    ends and the grid point beyond each, as a function of the value
-    (inverse cubic interpolation), when the four points hold no window,
-    their values are strictly monotone and the zero falls inside the
-    bracket; otherwise None, and the bisection starts from the secant.
+    The scan points come from ``_scan_prefix``, kept per excluded set, and
+    the whole grid is built only when the prefix holds no bracket.  The
+    function is f divided by lam - e for the excluded frequency e nearest
+    the bracket: no bracket holds an excluded frequency, so the division
+    flips no sign within it, and it takes out the zero at e that would bend
+    the secant guesses of a bracket next to e.  The end values are the
+    scan's (or the exclusion core's), divided the same way.  The guess is
+    the zero of the cubic through the divided values at the two ends and
+    the grid point beyond each, as a function of the value (inverse cubic
+    interpolation), when the four points hold no window, their values are
+    strictly monotone and the zero falls inside the bracket; otherwise
+    None, and the bisection starts from the secant.
     """
-    grid = np.arange(GRID_STEP, lam_max + GRID_STEP, GRID_STEP)
-    ex = np.asarray(excluded, dtype=float)
-    ex = ex[(ex > grid[0]) & (ex < grid[-1])]
-    windows = np.column_stack([ex - EXCLUSION_RADIUS, ex + EXCLUSION_RADIUS])
-    pieces = np.split(grid, np.searchsorted(grid, windows.ravel()))
-    pieces[1::2] = windows  # odd pieces held the grid points inside a window
-    pts = np.concatenate(pieces)
-    below = np.searchsorted(ex, pts)  # excluded frequencies below each point
-    window = below[:-1] != below[1:]
-    cut = max(1, int(np.searchsorted(pts, lam_max / 4, side="right")))
-    vals = np.empty(0)
-    for part in (pts[:cut], pts[cut:]):
-        if part.size:
-            vals = np.concatenate([vals, f(part)])
-        sign = np.signbit(vals)
-        hits = np.flatnonzero((sign[:-1] != sign[1:]) != window[: vals.size - 1])
-        if hits.size:
-            break
-    else:
-        raise RootScanError(f"no admissible root in (0, {lam_max:.3f}]", pts, vals)
+    pts, window, ex = _scan_prefix(lam_max, excluded)
+    vals = np.asarray(f(pts), dtype=float)
+    hits = _sign_changes(vals, window)
+    if not hits.size:
+        pts, window = _scan_points(lam_max, ex)
+        if vals.size < pts.size:
+            vals = np.concatenate([vals, f(pts[vals.size :])])
+        hits = _sign_changes(vals, window)
+        if not hits.size:
+            raise RootScanError(f"no admissible root in (0, {lam_max!r}]", pts, vals)
+    sign = np.signbit(vals)
     i = int(hits[0])
     lo, hi = float(pts[i]), float(pts[i + 1])
     ends = (vals[i], vals[i + 1])
     if window[i]:
-        e = float(ex[below[i]])
+        e = float(ex[np.searchsorted(ex, pts[i])])
         core = np.asarray(f(np.array([e - EXCLUSION_CORE, e + EXCLUSION_CORE])))
         if np.signbit(core[0]) != sign[i]:
             hi, ends = e - EXCLUSION_CORE, (vals[i], core[0])
@@ -660,7 +779,9 @@ def _first_bracket(f, lam_max: float, excluded) -> tuple:
             lo, ends = e + EXCLUSION_CORE, (core[1], vals[i + 1])
         else:
             raise RootScanError(
-                f"root within {EXCLUSION_CORE:g} of excluded frequency {e!r}", pts, vals
+                f"root within {EXCLUSION_CORE:g} of excluded frequency {e!r}",
+                _scan_points(lam_max, ex)[0],
+                vals,
             )
     if ex.size:
         e = float(ex[np.argmin(np.abs(ex - 0.5 * (lo + hi)))])

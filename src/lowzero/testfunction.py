@@ -194,7 +194,7 @@ def mode_coefficient(ctx: EquationContext, lam: float, k: int, order: int) -> co
     denom = lam + delta * math.sin(lam)
     if abs(denom) < 1e-12:
         raise ValueError("frequency cancels the mode normalization")
-    u = cheb.u_stack(m, lam)
+    u = cheb.u_stack(m, lam).tolist()
     um = u[m]
     if abs(um) < 1e-12:
         raise ValueError("frequency is a root of the homogeneous order")
@@ -214,7 +214,7 @@ def solve_continuity(ctx: EquationContext, lam: float) -> np.ndarray:
     *negatives* of the outer (order n) family amplitudes.
     """
     z = forcing_amplitude(ctx, lam)
-    u = cheb.u_stack(ctx.n - 1, lam)
+    u = cheb.u_stack(ctx.n - 1, lam).tolist()
     rhs = np.empty(ctx.n)
     for k in range(ctx.n):
         rhs[k] = u[k] * (z * _ipow(-ctx.delta, k)).imag
@@ -399,7 +399,7 @@ def _quotient_quadrature(h: PiecewiseTestFunction, value, slope) -> float:
 def tail_integral_closed(ctx: EquationContext, lam: float) -> float:
     """Closed form of the integral of the optimizer over [R-1, R]."""
     z = forcing_amplitude(ctx, lam)
-    u = cheb.u_stack(ctx.n - 1, lam)
+    u = cheb.u_stack(ctx.n - 1, lam).tolist()
     delta = ctx.delta
     acc_sin = 0.0
     for k in range(ctx.n):
@@ -418,7 +418,7 @@ def tail_integral_closed(ctx: EquationContext, lam: float) -> float:
 def full_integral_closed(ctx: EquationContext, lam: float) -> float:
     """Closed form of the integral of the optimizer over [-R, R]."""
     z = forcing_amplitude(ctx, lam)
-    u = cheb.u_stack(ctx.n - 1, lam)
+    u = cheb.u_stack(ctx.n - 1, lam).tolist()
     delta = ctx.delta
     acc = 0.0
     for k in range(ctx.n):

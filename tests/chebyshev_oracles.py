@@ -33,3 +33,14 @@ def truncated_geometric(n: int, x: float, z: complex) -> complex:
         u_prev, u_cur = u_cur, 2 * x * u_cur - u_prev
         zpow *= z
     return total
+
+
+def u_stack_list(n_max: int, x):
+    """U_0(x)..U_{n_max}(x) as a list, each order 2 x U_{k-1} - U_{k-2} in
+    turn; the list recurrence ``chebyshev.u_stack`` replaced."""
+    out = [np.ones_like(x) if isinstance(x, np.ndarray) else 1.0]
+    if n_max >= 1:
+        out.append(2 * x)
+    for _ in range(n_max - 1):
+        out.append(2 * x * out[-1] - out[-2])
+    return out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebyshev_oracles import t_eval, truncated_geometric
+from chebyshev_oracles import t_eval, truncated_geometric, u_stack_list
 from lowzero.chebyshev import u_roots, u_stack
 
 
@@ -51,6 +51,22 @@ def test_array_evaluation_matches_scalar():
     stack = u_stack(8, xs)
     for n in range(9):
         assert np.array_equal(stack[n], u_stack(n, xs)[n])
+
+
+def test_u_stack_array_matches_list_recurrence():
+    rng = np.random.default_rng(4)
+    for n_max in range(26):
+        for x in rng.uniform(-2.5, 2.5, 5).tolist() + [0.0, -1.0, 1.0]:
+            got = u_stack(n_max, x)
+            assert got.shape == (n_max + 1,)
+            values = got.tolist()
+            assert all(type(v) is float for v in values)
+            assert np.array(values).tobytes() == np.array(u_stack_list(n_max, x)).tobytes()
+        for shape in ((), (9,), (3, 7)):
+            xs = rng.uniform(-2.5, 2.5, shape)
+            got = u_stack(n_max, xs)
+            assert got.shape == (n_max + 1,) + shape
+            assert got.tobytes() == np.array(u_stack_list(n_max, xs)).tobytes()
 
 
 def test_u_roots_order_and_vanishing():

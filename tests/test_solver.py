@@ -5,6 +5,7 @@ import pytest
 import scipy.optimize
 
 from lowzero import rayleigh, solver
+from lowzero.bounds import height_bound
 from lowzero.chebyshev import u_stack
 from lowzero.solver import (
     EXCLUSION_CORE,
@@ -168,7 +169,7 @@ def test_context_endpoint_identities():
             # the U_k tables hold the scalar recurrence's bits at each frequency
             for table, thetas in ((ctx.u_lo, ctx.theta_lo), (ctx.u_hi, ctx.theta_hi)):
                 for j, th in enumerate(thetas):
-                    assert table[:, j].tolist() == u_stack(ctx.n - 1, float(th))
+                    assert table[:, j].tolist() == u_stack(ctx.n - 1, float(th)).tolist()
 
 
 def test_context_guards():
@@ -407,7 +408,9 @@ def test_first_root_past_the_prefix():
     i = int(np.searchsorted(grid, 3.3004))
     assert root == bisect_one_at_a_time(f, float(grid[i - 1]), float(grid[i]), ROOT_XTOL)
     assert abs(root - 3.3004) < 1e-12
-    assert calls[:2] == [int(np.sum(grid <= 1.0)), int(np.sum(grid > 1.0))]
+    # the prefix ends at the first point past lam_max / 4
+    prefix = int(np.sum(grid <= 1.0)) + 1
+    assert calls[:2] == [prefix, grid.size - prefix]
 
 
 def test_first_root_below_the_prefix_scans_only_the_prefix():
@@ -418,8 +421,48 @@ def test_first_root_below_the_prefix_scans_only_the_prefix():
         return x - 0.2504
 
     assert abs(first_root(f, 4.0, []) - 0.2504) < 1e-12
-    assert calls[0] == int(np.sum(scan_grid(4.0, []) <= 1.0))
+    assert calls[0] == int(np.sum(scan_grid(4.0, []) <= 1.0)) + 1
     assert sum(calls[1:]) < calls[0]
+
+
+def test_prefix_holds_a_root_just_past_lam_max_over_4():
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return x - 1.0004  # past lam_max / 4 = 1, below the prefix's last point
+
+    grid = scan_grid(4.0, [])
+    assert first_root(f, 4.0, []) == bisect_one_at_a_time(f, 1.0, 1.001, ROOT_XTOL)
+    assert calls[0] == int(np.sum(grid <= 1.0)) + 1
+    assert sum(calls[1:]) < calls[0]  # the tail past the prefix is never scanned
+
+
+@pytest.mark.parametrize("g", EQUATION_KERNELS)
+def test_equation_roots_lie_in_the_scan_prefix(g, monkeypatch):
+    scanned = []
+    real_prefix = solver._scan_prefix
+
+    def prefix(lam_max, excluded):
+        pts, window, inside = real_prefix(lam_max, excluded)
+        scanned.append(pts[-1])
+        return pts, window, inside
+
+    monkeypatch.setattr(solver, "_scan_prefix", prefix)
+    for R in np.random.default_rng(3).uniform(0.51, 20.0, 40).tolist():
+        if abs(2 * R - round(2 * R)) < 1e-6:
+            continue
+        root = solver._equation_root(build_context(g, R))
+        assert root < scanned[-1]
+
+
+def test_root_scan_error_prints_the_scan_end():
+    g, R = Symmetry.SOminus, 100.0 - 1e-5  # height_bound(SO-, 200)'s first sample
+    lam_max = _upper_frequency(build_context(g, R))
+    assert lam_max < 5e-4  # printed with 3 decimals, it read "(0, 0.000]"
+    with pytest.raises(RootScanError) as info:
+        height_bound(g, 200.0)
+    assert str(info.value).startswith(f"no admissible root in (0, {lam_max!r}] for {g}")
 
 
 def test_first_root_error_carries_the_whole_scan():
@@ -441,6 +484,116 @@ def test_first_root_window_straddling_the_prefix_cut():
     found = first_root(f, 4.0, [e])
     assert found == bisect_one_at_a_time(f, e + EXCLUSION_CORE, e + EXCLUSION_RADIUS, ROOT_XTOL)
     assert abs(found - root) < 1e-12
+
+
+def scan_prefix_reference(lam_max, excluded):
+    """``solver._scan_prefix`` built from ``scan_grid``: the points up to the
+    first past lam_max / 4, the window flags of their pairs, and the
+    excluded frequencies inside the grid."""
+    grid = np.arange(GRID_STEP, lam_max + GRID_STEP, GRID_STEP)
+    inside = [e for e in excluded if grid[0] < e < grid[-1]]
+    pts = scan_grid(lam_max, inside)
+    cut = min(pts.size, int(np.searchsorted(pts, lam_max / 4, side="right")) + 1)
+    below = np.searchsorted(inside, pts)
+    return pts[:cut], (below[:-1] != below[1:])[: cut - 1], inside
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty per-(n, delta) amplitude tables and kept scan points."""
+    for name in ("_AMPLITUDE_TABLES", "_SCAN_POINTS"):
+        monkeypatch.setattr(solver, name, solver._Tables(getattr(solver, name).budget))
+
+
+@pytest.mark.parametrize("n", (2, 7, 20))
+def test_kept_scan_points_match_a_fresh_build(n, fresh_tables):
+    excluded = u_product_roots(n)
+    rng = np.random.default_rng(n)
+    ends = rng.uniform(0.01, 16.0, 40).tolist()
+    # the grids of 0.5 - 1e-7 and 0.401 - 1e-7 end at 0.5 and 0.401, within
+    # EXCLUSION_RADIUS of an excluded frequency of the second set
+    ends += [0.5 - 1e-7, 0.5 + 1e-7, 0.401 - 1e-7, 0.401 + 1e-7]
+    excluded_sets = (excluded, [0.401 - 5e-7, 0.5 - 4e-7, 2.0])
+    for ex in excluded_sets:
+        for lam_max in ends:
+            got = solver._scan_prefix(lam_max, ex)
+            pts, window, inside = scan_prefix_reference(lam_max, ex)
+            assert np.array_equal(got[0], pts) and np.array_equal(got[1], window)
+            assert got[2].tolist() == inside
+
+
+def test_kept_scan_points_give_way_at_a_grid_end_next_to_a_window(fresh_tables):
+    e = GRID_STEP + 5e-7  # inside the window of the unbounded grid, past a grid ending at e
+    solver._scan_prefix(4.0, [e])  # keeps a prefix whose window replaced GRID_STEP
+    for lam_max, first in (
+        (0.5 * GRID_STEP, GRID_STEP),
+        (GRID_STEP, GRID_STEP),
+        (1.2 * GRID_STEP, e - EXCLUSION_RADIUS),  # this grid holds e and its window
+    ):
+        got = solver._scan_prefix(lam_max, [e])
+        expected = scan_prefix_reference(lam_max, [e])
+        assert got[0].tolist() == expected[0].tolist() == [first]
+
+
+def _counting_amplitude_sums(monkeypatch):
+    points = []
+    real = solver._amplitude_sum
+
+    def counted(delta, lam, u):
+        points.append(lam.size)
+        return real(delta, lam, u)
+
+    monkeypatch.setattr(solver, "_amplitude_sum", counted)
+    return points
+
+
+TABLE_SUPPORTS = {2: 0.8, 7: 3.3, 20: 9.7}
+
+
+@pytest.mark.parametrize("g", EQUATION_KERNELS)
+@pytest.mark.parametrize("n", sorted(TABLE_SUPPORTS))
+@pytest.mark.parametrize("longer_first", (False, True))
+def test_tabulated_prefix_matches_per_order_loop(g, n, longer_first, fresh_tables, monkeypatch):
+    ctx = build_context(g, TABLE_SUPPORTS[n])
+    other = build_context(g, TABLE_SUPPORTS[n] + 0.1)  # another support with n cells
+    assert ctx.n == other.n == n
+    excluded = u_product_roots(n)
+    short = solver._scan_prefix(_upper_frequency(ctx), excluded)[0]
+    long = solver._scan_prefix(4 * _upper_frequency(ctx), excluded)[0]
+    assert short.size < long.size and np.array_equal(long[: short.size], short)
+    points = _counting_amplitude_sums(monkeypatch)
+    first, second = (long, short) if longer_first else (short, long)
+    for c, lam in ((ctx, first), (ctx, second), (other, short), (other, long)):
+        assert np.array_equal(spectral_equation(c, lam), spectral_equation_loop(c, lam))
+    # the first scan tabulates; the rest read the table, a longer one adding its new points
+    assert points == ([long.size] if longer_first else [short.size, long.size - short.size])
+    assert np.array_equal(solver._AMPLITUDE_TABLES.get((n, g.delta))[0], long)
+
+
+def test_tabulated_equation_on_every_input_shape(fresh_tables):
+    for g in EQUATION_KERNELS:
+        ctx = build_context(g, 3.3)
+        pts = solver._scan_prefix(_upper_frequency(ctx), u_product_roots(ctx.n))[0]
+        spectral_equation(ctx, pts)  # tabulates (n, delta)
+        inputs = (pts[:1], pts[:24], pts[5:40], pts[:24].reshape(4, 6), pts[:24].reshape(24, 1))
+        for lam in inputs + (float(pts[7]), np.array(pts[7])):
+            got = spectral_equation(ctx, lam)
+            expected = spectral_equation_loop(ctx, lam)
+            assert type(got) is type(expected) and np.shape(got) == np.shape(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+def test_tables_stay_within_budget_and_hold_copies(fresh_tables):
+    for g in EQUATION_KERNELS:
+        for R in np.linspace(0.51, 19.9, 50).tolist():
+            if abs(2 * R - round(2 * R)) > 1e-6:
+                solver._equation_root(build_context(g, R))
+    assert solver._AMPLITUDE_TABLES.budget + solver._SCAN_POINTS.budget <= 1 << 20
+    for tables in (solver._AMPLITUDE_TABLES, solver._SCAN_POINTS):
+        arrays = [a for entry in tables.entries.values() for a in entry]
+        assert len(tables.entries) > 1
+        assert sum(a.nbytes for a in arrays) <= tables.budget
+        assert all(a.base is None and not a.flags.writeable for a in arrays)
 
 
 def test_first_guess_is_the_inverse_cubic_zero():
