@@ -56,9 +56,6 @@ def cmd_bound(args) -> int:
         "lambda": _fmt(result.lam) if result.lam is not None else "",
         "m_tilde": _fmt(result.m_tilde),
     }
-    if result.sp_flag:
-        lines["sp_near_integer"] = "true"
-        lines["sp_compat_integral"] = _fmt(result.sp_compat_integral)
     if args.oracle_check:
         oracle = rayleigh.sqrt_quotient(args.symmetry, result.support, args.trunc)
         lines["oracle"] = _fmt(oracle)

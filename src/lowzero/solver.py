@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
@@ -218,8 +218,6 @@ class BoundResult:
     (the quantity bounding the lowest zero), ``support`` the support R it was
     solved at (after any nudge off a degenerate support), ``lam`` the scaled
     frequency 2*pi*sqrt(m_tilde) when the transcendental branch produced it.
-    The Sp diagnostic fields record the near-integer flag described in
-    ``solve``.
     """
 
     m_tilde: float
@@ -227,8 +225,6 @@ class BoundResult:
     branch: str
     support: float
     lam: Optional[float] = None
-    sp_flag: bool = False
-    sp_compat_integral: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +294,6 @@ class EquationContext:
     @property
     def eps(self) -> float:
         return float(self.g.epsilon)
-
-    def breakpoints(self) -> np.ndarray:
-        """All 2n partition points of [-R, R], sorted ascending."""
-        pos = self.a[1:]
-        return np.concatenate([-pos[::-1], pos])
 
     @cached_property
     def _equation_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -481,13 +472,13 @@ def _scaled_amplitude(ctx: EquationContext, lam: np.ndarray, amp: np.ndarray) ->
 def forcing_amplitude(ctx: EquationContext, lam: float) -> complex:
     """Complex amplitude whose modulus/argument feed the continuity system.
 
-    Undefined within 1e-9 of a root of U_n * U_{n-1}; those frequencies are
-    excluded from the root search as well.
+    Undefined within ``EXCLUSION_CORE`` of a root of U_n * U_{n-1}; those
+    frequencies are excluded from the root search as well.
     """
     if lam <= 0:
         raise ValueError("frequency must be positive")
     for root in u_product_roots(ctx.n):
-        if abs(lam - root) < 1e-9:
+        if abs(lam - root) < EXCLUSION_CORE:
             raise ValueError(f"frequency {lam} is excluded (Chebyshev root)")
     lam = np.asarray(lam, dtype=float)
     u = cheb.u_stack(ctx.n, lam)
@@ -876,11 +867,6 @@ def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]
     nudged by 1e-6 with a warning, and the result and the context record the
     support used.  A support solved a moment ago reuses its context and the
     root found on it (see ``build_context``).
-    In the symplectic equation branch, a square-rooted scaled minimum within
-    1e-4 of an odd integer is flagged (the piecewise construction is then
-    only conditionally optimal) and the compatibility integral of the
-    reconstructed optimizer over [R-1, R] is attached as a diagnostic; it
-    should vanish.
     """
     if R <= 0:
         raise ValueError("R must be positive")
@@ -900,14 +886,6 @@ def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]
         support=ctx.R,
         lam=lam,
     )
-    if g is Symmetry.Sp:
-        sqrt_scaled = 2 * ctx.R * lam / math.pi  # sqrt of the 16R^2-scaled minimum
-        nearest_odd = 2 * round((sqrt_scaled - 1) / 2) + 1
-        if nearest_odd >= 1 and abs(sqrt_scaled - nearest_odd) < 1e-4:
-            from .testfunction import assemble
-
-            compat = assemble(ctx, lam).integral(ctx.R - 1, ctx.R)
-            result = replace(result, sp_flag=True, sp_compat_integral=compat)
     return result, ctx
 
 
@@ -922,8 +900,7 @@ def _bound_beyond(g: Symmetry, R: float, target: float, tol: float) -> Optional[
     well, is monotone in b on each side of target, so once both ends of the
     root's bracket lie within tol every point between them does: the
     bisection stops there.  Otherwise it runs to the root, whose bound is
-    returned if it lies beyond tol.  The Sp near-odd diagnostic of ``solve``
-    is not computed.
+    returned if it lies beyond tol.
     """
     if not equation_branch(g, R):
         found = solve(g, R)[0].bound

@@ -4,12 +4,12 @@ Five classical compact matrix groups drive every computation in this package.
 Each is encoded by a pair (delta, epsilon) through the Fourier transform of
 its one-level density:
 
-    FT[W](y) = delta_0(y) + (delta/2) * unit_window(y) + epsilon
+    FT[W](y) = delta_0(y) + (delta/2) * 1_{|y|<1} + epsilon
 
-where delta_0 is a unit Dirac atom at the origin.  The atom is *not* part of
-``density_fourier``; callers account for it separately (it always has weight
-one).  epsilon is kept as an exact rational so that identities such as
-delta + 2*epsilon being an exact integer survive symbolic comparison.
+where delta_0 is a unit Dirac atom at the origin; ``_KERNEL_TABLE`` holds
+the pair of each type.  epsilon is kept as an exact rational so that
+identities such as delta + 2*epsilon being an exact integer survive symbolic
+comparison.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ __all__ = [
     "Symmetry",
     "FamilySpec",
     "FamilyParams",
-    "unit_window",
-    "density_fourier",
     "family_params",
 ]
 
@@ -81,25 +79,6 @@ _KERNEL_TABLE = {
 }
 
 
-def unit_window(y: float) -> float:
-    """Closed unit window: 1 inside (-1, 1), 1/2 on the boundary, 0 outside."""
-    ay = abs(y)
-    if ay < 1.0:
-        return 1.0
-    if ay == 1.0:
-        return 0.5
-    return 0.0
-
-
-def density_fourier(g: Symmetry, y: float) -> float:
-    """Non-atomic part of the Fourier-transformed one-level density.
-
-    The full transform adds a unit Dirac atom at y = 0 on top of this value.
-    """
-    delta, eps = _KERNEL_TABLE[g]
-    return 0.5 * delta * unit_window(y) + float(eps)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Descriptor of a symmetric-power family of cusp-form L-functions.
@@ -112,7 +91,6 @@ class FamilySpec:
     r: int
     restriction: str = "none"
     weight_k: int = 2
-    theta0: Fraction = THETA0
 
     def __post_init__(self) -> None:
         if self.r < 1:
@@ -127,8 +105,6 @@ class FamilySpec:
             # Conservative guard: keeps the admissible support positive and
             # k - 2*theta0 comfortably away from 0 for higher powers.
             raise ValueError("weight_k must be >= 4 for r >= 2")
-        if self.theta0 != THETA0:
-            raise ValueError("theta0 is fixed to 7/64")
 
 
 @dataclass(frozen=True)

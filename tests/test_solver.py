@@ -786,6 +786,18 @@ def test_minimum_strictly_decreasing_in_support():
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def test_sp_scaled_frequency_stays_between_one_and_two():
+    # s = 2 R lam / pi is the square root of the 16 R^2-scaled Sp minimum;
+    # it never comes near an odd integer, where the piecewise optimizer
+    # would only be conditionally optimal.  The grid drops R = 20, where
+    # 2R is an integer and no context exists.
+    scaled = []
+    for R in np.linspace(0.51, 20.0, 2002)[1:-1]:
+        result, _ = solver.solve(Symmetry.Sp, float(R))
+        scaled.append(2 * result.support * result.lam / math.pi)
+    assert 1.0 < min(scaled) and max(scaled) < 2.0
+
+
 def test_degenerate_radius_error_carries_advice():
     err = DegenerateRadiusError("degenerate")
     assert isinstance(err, ValueError)

@@ -3,13 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from lowzero.symmetry import (
-    FamilySpec,
-    Symmetry,
-    density_fourier,
-    family_params,
-    unit_window,
-)
+from lowzero.symmetry import FamilySpec, Symmetry, family_params
+from symmetry_oracles import density_fourier, unit_window
 
 KERNEL_TABLE = {
     Symmetry.U: (0, Fraction(0)),
