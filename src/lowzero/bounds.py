@@ -21,9 +21,11 @@ sqrt((lam/2 pi)^2) does not decrease as the root lam grows, and
 abs(b1 - b2) > 1e-4 is monotone in b2 on each side of b1 in floats too, so
 once both ends of a bracket pass the guard, every root inside it does.
 Otherwise the bisection runs on to the root, and the warning prints the
-bound a full solve gives.  Both samples end their scans at the one-mode
-frequency in closed form (``solver._one_mode_quotient``), which has the
-bits of the oracle's one-mode forms without assembling them.
+bound a full solve gives.  Each sample scans once, up to the one-mode
+frequency: the one-mode test function is admissible, so its quotient bounds
+the minimum and its frequency the root.  That quotient is computed in closed
+form (``solver._one_mode_quotient``), with the bits of the oracle's one-mode
+forms, and a scan that holds no root raises ``RootScanError`` naming it.
 
 Only the CLI's oracle checks (``bound --oracle-check``, ``verify``) use the
 eigensolve, whose last digits depend on the BLAS thread count: output that

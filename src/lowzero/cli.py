@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -29,14 +30,20 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _open_out(path: Optional[str]):
+@contextlib.contextmanager
+def _output(path: Optional[str]):
+    """The stream ``--out`` names: stdout for none or "-", else the file,
+    closed on leaving; a file that cannot be opened exits 2."""
     if path is None or path == "-":
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", newline=""), True
+        stream = open(path, "w", newline="")
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
+    with stream:
+        yield stream
 
 
 def _symmetry(value: str) -> Symmetry:
@@ -76,16 +83,12 @@ def cmd_curve(args) -> int:
         print("error: --steps must be at least 2", file=sys.stderr)
         return 2
     grid = np.linspace(args.nu_from, args.nu_to, args.steps)
-    stream, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["nu_max", "bound", "branch"])
         for nu in grid:
             result = bounds.height_bound_result(args.symmetry, float(nu))
             writer.writerow([_fmt(float(nu)), _fmt(result.bound), result.branch])
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -137,15 +140,11 @@ def cmd_testfn(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     us = np.linspace(-args.R - 0.1, args.R + 0.1, args.samples)
-    stream, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["u", "h"])
         for u in us:
             writer.writerow([_fmt(float(u)), _fmt(float(h(float(u))))])
-    finally:
-        if owned:
-            stream.close()
     report = testfunction.residuals(h)
     print(
         "residuals:"
@@ -161,14 +160,13 @@ def cmd_testfn(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.grid_size < 1:
+        print("error: --grid-size must be at least 1", file=sys.stderr)
+        return 2
     summary = verification.run_all(grid_size=args.grid_size, trunc=args.trunc)
-    stream, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         json.dump(summary, stream, indent=2, sort_keys=True)
         stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
     if not summary["passed"]:
         failures = [c["name"] for c in summary["cases"] if not c["pass"]]
         print(f"verification failed: {len(failures)} case(s)", file=sys.stderr)

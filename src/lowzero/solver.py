@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -316,34 +315,65 @@ def _ipow(delta: int, p: int) -> complex:
     return table[q]
 
 
-@lru_cache(maxsize=128)
-def _order_tables(n: int, delta: int) -> tuple:
-    """The support-independent tables of the two blocks of a context with n
-    cells, orders n-1 and n.
+class _OrderTables:
+    """The support-independent tables of the contexts with n cells and
+    kernel sign delta; shared between contexts, so every array is read-only.
 
-    Each block holds its Chebyshev frequencies theta_j, the U_k(theta_j)
-    table, the phases pi/2 * (j + delta * (n - 2k - p) / 2) of the
-    continuity entries (p = 2, 1 for the two blocks), the sines of the
+    ``blocks`` holds the two blocks of the continuity matrix, orders n-1
+    and n.  Each block holds its Chebyshev frequencies theta_j, the
+    U_k(theta_j) table, the phases pi/2 * (j + delta * (n - 2k - p) / 2) of
+    the continuity entries (p = 2, 1 for the two blocks), the sines of the
     phases at k = 0 (the first integral weight) and, per j, the sum over
     the block's orders k of U_k times the sine of the phase (the second);
-    the tables are indexed [k, j].  Shared between contexts, so read-only.
+    the tables are indexed [k, j].
+
+    ``excluded`` holds the roots of U_n * U_{n-1} where the root scan puts
+    its windows, and ``scan`` the scan points of ``first_root`` with the
+    amplitude sums there, which depend on no support.
     """
-    blocks = []
-    for order, parity in ((n - 1, 2), (n, 1)):
-        j = np.arange(1, (order + 1) // 2 + 1)
-        theta = _map(math.cos, j * math.pi / (order + 1))
-        u = cheb.u_stack(n - 1, theta)
-        k = np.arange(n)[:, None]
-        phase = 0.5 * math.pi * (j + delta * (n - 2 * k - parity) / 2.0)
-        sines = _map(math.sin, phase[:order])
-        terms = np.zeros((order + 1, j.size))  # 0.0, then the order rows
-        np.multiply(u[:order], sines, out=terms[1:])
-        beta_sum = _add_rows(terms)
-        blocks.append((theta, u, phase, sines[0], beta_sum))
-    for block in blocks:
-        for arr in block:
+
+    def __init__(self, n: int, delta: int):
+        blocks = []
+        for order, parity in ((n - 1, 2), (n, 1)):
+            j = np.arange(1, (order + 1) // 2 + 1)
+            theta = _map(math.cos, j * math.pi / (order + 1))
+            u = cheb.u_stack(n - 1, theta)
+            k = np.arange(n)[:, None]
+            phase = 0.5 * math.pi * (j + delta * (n - 2 * k - parity) / 2.0)
+            sines = _map(math.sin, phase[:order])
+            terms = np.zeros((order + 1, j.size))  # 0.0, then the order rows
+            np.multiply(u[:order], sines, out=terms[1:])
+            beta_sum = _add_rows(terms)
+            blocks.append((theta, u, phase, sines[0], beta_sum))
+        self.blocks = tuple(blocks)
+        self.n, self.delta = n, delta
+        self.excluded = _windowed(u_product_roots(n))
+        self.points, self.window, self.sums = np.empty(0), np.empty(0, bool), np.empty((2, 0))
+        for arr in (self.excluded, *(arr for block in blocks for arr in block)):
             arr.setflags(write=False)
-    return tuple(blocks)
+
+    def scan(self, lam_max: float) -> tuple:
+        """The scan points of ``first_root`` up to the first past lam_max,
+        the window flags of their neighbour pairs, and the amplitude sums
+        (``_amplitude_sum``) at the points.
+
+        The scans of every lam_max are prefixes of one sequence (see
+        ``_scan_points``): the longest so far is kept and sliced, and a
+        longer one sums its new points only, so no bit changes.
+        """
+        if not self.points.size or self.points[-1] <= lam_max:
+            points, self.window = _scan_points(lam_max, self.excluded)
+            new = points[self.points.size :]
+            sums = _amplitude_sum(self.delta, new, cheb.u_stack(self.n - 1, new))
+            self.points, self.sums = points, np.concatenate([self.sums, sums], axis=1)
+            for arr in (self.points, self.window, self.sums):
+                arr.setflags(write=False)
+        cut = int(np.searchsorted(self.points, lam_max, side="right")) + 1
+        return self.points[:cut], self.window[: cut - 1], self.sums[:, :cut]
+
+
+#: The tables of the last 128 (n, delta) pairs used.
+_order_tables = lru_cache(maxsize=128)(_OrderTables)
 
 
 def build_context(g: Symmetry, R: float) -> EquationContext:
@@ -379,7 +409,7 @@ def _build_context(g: Symmetry, R: float) -> EquationContext:
     # Block lo holds the order-(n-1) modes in columns :n//2, block hi the
     # order-n modes in the rest; the integral weight vectors contract the
     # inverse matrix, each block integrating its modes over its home interval.
-    lo, hi = _order_tables(n, g.delta)
+    lo, hi = _order_tables(n, g.delta).blocks
     M = np.empty((n, n))
     v_alpha = np.empty(n)
     v_beta = np.empty(n)
@@ -493,65 +523,7 @@ def u_product_roots(n: int) -> list[float]:
     return sorted(roots)
 
 
-class _Tables:
-    """Read-only arrays kept per key; once they hold more than ``budget``
-    bytes in all, the least recently used go."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.entries: OrderedDict = OrderedDict()
-
-    def get(self, key) -> Optional[tuple]:
-        arrays = self.entries.get(key)
-        if arrays is not None:
-            self.entries.move_to_end(key)
-        return arrays
-
-    def put(self, key, arrays: tuple) -> None:
-        for arr in arrays:
-            arr.setflags(write=False)
-        self.entries[key] = arrays
-        self.entries.move_to_end(key)
-        while sum(a.nbytes for v in self.entries.values() for a in v) > self.budget:
-            self.entries.popitem(last=False)
-
-
-#: Per (n, delta): scan points and the amplitude sum there.
-_AMPLITUDE_TABLES = _Tables(768 * 1024)
-
-
-def _tabulated_amplitude_sum(delta: int, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``_amplitude_sum(delta, lam, u)``, tabulated per (n, delta).
-
-    The sum depends on no support, so a root scan at any support with n
-    cells and sign delta can use the values of an earlier one: a 1-D lam
-    that is a bitwise prefix of the points tabulated for (n, delta) reads
-    the table, and one that extends them computes the new points only and
-    tabulates the lot.  A 1-D lam that starts below the tabulated points
-    (a scan starts at the grid's first point) replaces them.  Every value
-    is a point's own, so the table changes no bit.
-    """
-    if lam.ndim != 1:
-        return _amplitude_sum(delta, lam, u)
-    key = (len(u), delta)
-    table = _AMPLITUDE_TABLES.get(key)
-    if table is not None:
-        pts, amp = table
-        size = min(lam.size, pts.size)
-        if np.array_equal(lam[:size], pts[:size]):
-            if lam.size == size:
-                return amp[:, :size]
-            rest = _amplitude_sum(delta, lam[size:], u[:, size:])
-            amp = np.concatenate([amp, rest], axis=1)
-            _AMPLITUDE_TABLES.put(key, (lam.copy(), amp))
-            return amp
-    amp = _amplitude_sum(delta, lam, u)
-    if lam.size and (table is None or lam[0] < table[0][0]):
-        _AMPLITUDE_TABLES.put(key, (lam.copy(), amp))
-    return amp
-
-
-def spectral_equation(ctx: EquationContext, lam):
+def spectral_equation(ctx: EquationContext, lam, _sums=None):
     """Regularized left side of the minimum-pinning equation.
 
     The raw equation reads, with Z the forcing amplitude r*e^{i theta},
@@ -564,14 +536,14 @@ def spectral_equation(ctx: EquationContext, lam):
     factor by a real/imaginary part of the scaled amplitude, removing both
     the argument's branch jumps and the Chebyshev-root poles.  Zeros away
     from roots of U_n * U_{n-1} are exactly the equation's roots.  Accepts a
-    scalar or ndarray of frequencies.  The amplitude sum, which depends on
-    no support, is tabulated per (n, delta) (see ``_tabulated_amplitude_sum``).
+    scalar or ndarray of frequencies.  ``_sums`` is internal: the root scan
+    hands over the amplitude sums at lam that it keeps per (n, delta).
     """
     lam = np.asarray(lam, dtype=float)
     delta = ctx.delta
     eps = ctx.eps
     u = cheb.u_stack(ctx.n - 1, lam)
-    re, im = _scaled_amplitude(ctx, lam, _tabulated_amplitude_sum(delta, lam, u))
+    re, im = _scaled_amplitude(ctx, lam, _amplitude_sum(delta, lam, u) if _sums is None else _sums)
     # Row 1 + k holds term k of the sine sum, negated, and with eps the
     # rows interleave it with term k of the cosine sum; zk = ztil * (-i
     # delta)^k is written out in real parts as a complex multiply computes
@@ -611,14 +583,14 @@ def spectral_equation_two_piece(g: Symmetry, R: float, lam):
 
 
 def _upper_frequency(ctx: EquationContext) -> float:
-    """Safe upper end for the root scan.
+    """The one-mode frequency, where the root scan ends.
 
-    The first basis mode gives a closed-form upper bound on the scaled
-    minimum; the corresponding frequency, padded by a factor 4, must contain
-    the smallest root.
+    Past half support the first basis mode cos(pi u / 2R) is admissible, so
+    its quotient (``_one_mode_quotient``) bounds the minimum from above and
+    its frequency bounds the smallest root.
     """
     m_up = _one_mode_quotient(ctx.g, ctx.R)
-    return 4 * math.pi * math.sqrt(m_up) / (2 * ctx.R)
+    return math.pi * math.sqrt(m_up) / (2 * ctx.R)
 
 
 def _one_mode_quotient(g: Symmetry, R: float) -> float:
@@ -655,109 +627,69 @@ def first_root(f, lam_max: float, excluded) -> float:
 
     ``f`` takes a scalar or an ndarray of frequencies; ``excluded`` is
     ascending.  The scan grid steps by ``GRID_STEP`` and is split at every
-    excluded frequency e: the grid points within ``EXCLUSION_RADIUS`` of e
-    give way to e -+ ``EXCLUSION_RADIUS``.  The regularized equations
-    genuinely vanish at the excluded frequencies, so a window [e -+ radius]
-    whose ends differ in sign holds no root, and one whose ends agree holds
-    a second zero besides e: that root is bisected in whichever of
-    [e - radius, e - core] and [e + core, e + radius] changes sign, with
-    core ``EXCLUSION_CORE``, and a root inside the core raises.
-
-    The grid is evaluated up to its first point past lam_max / 4 first
-    (``_upper_frequency`` pads its bound by 4, so that point lies past the
-    root), and the rest only when that prefix holds no bracket; the first
-    bracket is the same either way, and a ``RootScanError`` carries the
-    whole grid and all its values.  The first bracket holding a root is
-    bisected to ``ROOT_XTOL`` (see ``_first_bracket`` for what the bisection
-    reads and starts from).
+    excluded frequency e above its first point: the grid points within
+    ``EXCLUSION_RADIUS`` of e give way to e -+ ``EXCLUSION_RADIUS``.  The
+    regularized equations genuinely vanish at the excluded frequencies, so
+    a window [e -+ radius] whose ends differ in sign holds no root, and one
+    whose ends agree holds a second zero besides e: that root is bisected
+    in whichever of [e - radius, e - core] and [e + core, e + radius]
+    changes sign, with core ``EXCLUSION_CORE``, and a root inside the core
+    raises.  f is evaluated once at every scan point up to the first past
+    lam_max; a ``RootScanError`` carries those points and values.  The
+    first bracket is bisected to ``ROOT_XTOL`` (see ``_first_bracket``).
     """
-    f, lo, hi, ends, guess = _first_bracket(f, lam_max, excluded)
+    ex = _windowed(excluded)
+    pts, window = _scan_points(lam_max, ex)
+    vals = np.asarray(f(pts), dtype=float)
+    f, lo, hi, ends, guess = _first_bracket(f, pts, window, vals, ex, repr(lam_max))
     return _bisect(f, lo, hi, ROOT_XTOL, ends, guess)
 
 
-#: Per excluded set: a prefix of its scan points on the unbounded grid and
-#: the window flags of their neighbour pairs.
-_SCAN_POINTS = _Tables(256 * 1024)
+def _windowed(excluded) -> np.ndarray:
+    """The excluded frequencies above the first grid point, which get windows."""
+    ex = np.asarray(excluded, dtype=float)
+    return ex[ex > GRID_STEP]
 
 
 def _scan_points(lam_max: float, ex: np.ndarray) -> tuple:
-    """The scan points of ``first_root`` up to lam_max, given the excluded
-    frequencies ex inside the grid, and per pair of neighbours whether it
-    spans a window."""
-    grid = np.arange(GRID_STEP, lam_max + GRID_STEP, GRID_STEP)
+    """The scan points of ``first_root`` up to the first past lam_max,
+    given the windowed frequencies ex, and per pair of neighbours whether
+    it spans a window.
+
+    A grid is a bitwise prefix of any longer one (``np.arange`` writes
+    start + i * step), and every e in ex gets its window wherever the grid
+    ends, so the scan points of every lam_max are prefixes of one sequence.
+    """
+    grid = np.arange(GRID_STEP, lam_max + 2 * GRID_STEP, GRID_STEP)
     windows = np.column_stack([ex - EXCLUSION_RADIUS, ex + EXCLUSION_RADIUS])
     pieces = np.split(grid, np.searchsorted(grid, windows.ravel()))
     pieces[1::2] = windows  # odd pieces held the grid points inside a window
     pts = np.concatenate(pieces)
+    pts = pts[: int(np.searchsorted(pts, lam_max, side="right")) + 1]
     below = np.searchsorted(ex, pts)  # excluded frequencies below each point
     return pts, below[:-1] != below[1:]
 
 
-def _scan_prefix(lam_max: float, excluded) -> tuple:
-    """The scan points of ``first_root`` up to the first past lam_max / 4,
-    the window flags of their neighbour pairs, and the excluded frequencies
-    inside the grid.
+def _first_bracket(f, pts, window, vals, ex, end: str) -> tuple:
+    """The first bracket of the scan of ``first_root`` (f's values ``vals``
+    at ``pts``; ``end`` names the scan end when there is no bracket):
+    (function, lo, hi, end values, guess) to hand ``_bisect``.
 
-    A grid is a bitwise prefix of any longer one (``np.arange`` writes
-    start + i * step), so away from the windows at its end the scan points
-    of every lam_max are a prefix of one unbounded sequence per excluded
-    set.  The longest prefix built so far is kept and sliced; a grid that
-    ends within 2 ``EXCLUSION_RADIUS`` of an excluded frequency, or a
-    prefix longer than the kept one, is built afresh.
+    The function is f divided by lam - e for the windowed frequency e
+    nearest the bracket: no bracket holds an excluded frequency, so the
+    division flips no sign within it, and it takes out the zero at e that
+    would bend the secant guesses of a bracket next to e.  The end values
+    are the scan's (or the exclusion core's), divided the same way.  The
+    guess is the zero of the cubic through the divided values at the two
+    ends and the scan point beyond each, as a function of the value
+    (inverse cubic interpolation), when the four points hold no window,
+    their values are strictly monotone and the zero falls inside the
+    bracket; otherwise None, and the bisection starts from the secant.
     """
-    ex = np.asarray(excluded, dtype=float)
-    count = math.ceil((lam_max + GRID_STEP - GRID_STEP) / GRID_STEP)  # len(grid)
-    end = GRID_STEP + (count - 1) * GRID_STEP  # grid[-1]
-    inside = ex[(ex > GRID_STEP) & (ex < end)]
-    quarter = lam_max / 4
-    key = tuple(ex.tolist())
-    kept = _SCAN_POINTS.get(key)
-    clear_end = not (np.abs(ex - end) <= 2 * EXCLUSION_RADIUS).any()
-    if clear_end and kept is not None and kept[0][-1] > quarter:
-        pts, window = kept
-    else:
-        pts, window = _scan_points(lam_max, inside)
-    cut = min(pts.size, int(np.searchsorted(pts, quarter, side="right")) + 1)
-    if clear_end and (kept is None or cut > kept[0].size):
-        _SCAN_POINTS.put(key, (pts[:cut].copy(), window[: cut - 1].copy()))
-    return pts[:cut], window[: cut - 1], inside
-
-
-def _sign_changes(vals: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Indices i where vals[i], vals[i + 1] bracket a root: their signs
-    differ across a plain pair, or agree across a window."""
     sign = np.signbit(vals)
-    return np.flatnonzero((sign[:-1] != sign[1:]) != window[: vals.size - 1])
-
-
-def _first_bracket(f, lam_max: float, excluded) -> tuple:
-    """The scan of ``first_root``: (function, lo, hi, end values, guess) to
-    hand ``_bisect``.
-
-    The scan points come from ``_scan_prefix``, kept per excluded set, and
-    the whole grid is built only when the prefix holds no bracket.  The
-    function is f divided by lam - e for the excluded frequency e nearest
-    the bracket: no bracket holds an excluded frequency, so the division
-    flips no sign within it, and it takes out the zero at e that would bend
-    the secant guesses of a bracket next to e.  The end values are the
-    scan's (or the exclusion core's), divided the same way.  The guess is
-    the zero of the cubic through the divided values at the two ends and
-    the grid point beyond each, as a function of the value (inverse cubic
-    interpolation), when the four points hold no window, their values are
-    strictly monotone and the zero falls inside the bracket; otherwise
-    None, and the bisection starts from the secant.
-    """
-    pts, window, ex = _scan_prefix(lam_max, excluded)
-    vals = np.asarray(f(pts), dtype=float)
-    hits = _sign_changes(vals, window)
+    hits = np.flatnonzero((sign[:-1] != sign[1:]) != window)
     if not hits.size:
-        pts, window = _scan_points(lam_max, ex)
-        if vals.size < pts.size:
-            vals = np.concatenate([vals, f(pts[vals.size :])])
-        hits = _sign_changes(vals, window)
-        if not hits.size:
-            raise RootScanError(f"no admissible root in (0, {lam_max!r}]", pts, vals)
-    sign = np.signbit(vals)
+        raise RootScanError(f"no admissible root up to {end}", pts, vals)
     i = int(hits[0])
     lo, hi = float(pts[i]), float(pts[i + 1])
     ends = (vals[i], vals[i + 1])
@@ -770,9 +702,7 @@ def _first_bracket(f, lam_max: float, excluded) -> tuple:
             lo, ends = e + EXCLUSION_CORE, (core[1], vals[i + 1])
         else:
             raise RootScanError(
-                f"root within {EXCLUSION_CORE:g} of excluded frequency {e!r}",
-                _scan_points(lam_max, ex)[0],
-                vals,
+                f"root within {EXCLUSION_CORE:g} of excluded frequency {e!r}", pts, vals
             )
     if ex.size:
         e = float(ex[np.argmin(np.abs(ex - 0.5 * (lo + hi)))])
@@ -810,12 +740,22 @@ def smallest_root(ctx: EquationContext) -> float:
 
 
 def _equation_root(ctx: EquationContext, stop=None) -> float:
-    """``smallest_root``, with the bisection's ``stop`` (see ``_bisect``)."""
+    """``smallest_root``, with the bisection's ``stop`` (see ``_bisect``).
+
+    The scan ends at the one-mode frequency (``_upper_frequency``), which
+    bounds the root, and reads the amplitude sums its points share with
+    every context of the same n and delta (``_OrderTables.scan``).
+    """
+    lam_up = _upper_frequency(ctx)
+    tables = _order_tables(ctx.n, ctx.delta)
+    pts, window, sums = tables.scan(lam_up)
     f = lambda lam: spectral_equation(ctx, lam)
+    vals = spectral_equation(ctx, pts, _sums=sums)
+    end = f"the one-mode frequency {lam_up!r}"
     try:
-        f, lo, hi, ends, guess = _first_bracket(f, _upper_frequency(ctx), u_product_roots(ctx.n))
+        f, lo, hi, ends, guess = _first_bracket(f, pts, window, vals, tables.excluded, end)
     except RootScanError as exc:
-        message = f"{exc} for {ctx.g} at R={ctx.R}"
+        message = f"{exc} for {ctx.g.value} at R={ctx.R}"
         raise RootScanError(message, exc.grid, exc.values) from None
     return _bisect(f, lo, hi, ROOT_XTOL, ends, guess, stop)
 

@@ -238,7 +238,7 @@ def test_limit_guard_fires_like_reference(g, nu_max, offset, monkeypatch, fresh_
     assert min(abs(c - e) for e in excluded) > 1e-4
     real_equation = solver.spectral_equation
 
-    def equation(ctx, lam):
+    def equation(ctx, lam, _sums=None):
         if ctx.R == second_support:
             return _root_at(c, excluded)(lam)
         return real_equation(ctx, lam)
@@ -267,7 +267,7 @@ def test_limit_guard_at_the_edge_of_its_tolerance(monkeypatch, fresh_contexts):
         monkeypatch.setattr(
             solver,
             "spectral_equation",
-            lambda ctx, lam: _root_at(c, excluded)(lam)
+            lambda ctx, lam, _sums=None: _root_at(c, excluded)(lam)
             if ctx.R == second_support
             else real_equation(ctx, lam),
         )
@@ -280,7 +280,7 @@ def test_equation_calls_per_bound(monkeypatch, fresh_contexts):
     calls = []
     real_equation = solver.spectral_equation
 
-    def counting(ctx, lam):
+    def counting(ctx, lam, _sums=None):
         calls.append(ctx.R)
         return real_equation(ctx, lam)
 

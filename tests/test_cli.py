@@ -310,6 +310,37 @@ def test_verify_small_grid(tmp_path):
     assert {"name", "expected", "got", "tol", "pass"} <= set(summary["cases"][0])
 
 
+@pytest.mark.parametrize("grid_size", ("0", "-1"))
+def test_verify_rejects_a_grid_size_below_one(grid_size, capsys):
+    code, out, err = run(capsys, "verify", "--grid-size", grid_size)
+    assert code == 2 and out == ""
+    assert err == "error: --grid-size must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "--symmetry", "SO+", "--nu-from", "1", "--nu-to", "3", "--steps", "3"],
+        ["testfn", "--symmetry", "Sp", "--R", "0.75", "--samples", "3"],
+        ["verify", "--grid-size", "1", "--trunc", "25"],
+    ],
+)
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(path)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+    assert not path.parent.exists()
+
+
+def test_bound_reports_a_failed_root_scan(capsys):
+    code, out, err = run(capsys, "bound", "--symmetry", "SO-", "--nu-max", "200")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no admissible root up to the one-mode frequency ")
+    assert err.endswith(" for SO- at R=99.99999\n")
+
+
 def test_verify_truncation_monotonicity(tmp_path):
     gaps = {}
     for trunc in (25, 400):

@@ -389,150 +389,121 @@ def test_tan_ratio_bisections_keep_their_bits():
 # ---------------------------------------------------------------------------
 
 def scan_grid(lam_max, excluded):
-    """The scan points of ``first_root``: the grid, split at each window."""
-    grid = np.arange(GRID_STEP, lam_max + GRID_STEP, GRID_STEP)
-    points = [p for p in grid if all(abs(p - e) >= EXCLUSION_RADIUS for e in excluded)]
-    points += [e + s * EXCLUSION_RADIUS for e in excluded for s in (-1, 1)]
-    return np.array(sorted(points))
+    """The scan of ``first_root``: the grid points i * GRID_STEP, split at
+    the window of each excluded frequency above the first of them, up to
+    the first point past lam_max; and per pair of neighbours whether an
+    excluded frequency lies between them."""
+    windowed = [e for e in excluded if e > GRID_STEP]
+    grid = [GRID_STEP + i * GRID_STEP for i in range(int(lam_max / GRID_STEP) + 3)]
+    points = [p for p in grid if all(abs(p - e) >= EXCLUSION_RADIUS for e in windowed)]
+    points += [e + s * EXCLUSION_RADIUS for e in windowed for s in (-1, 1)]
+    points = np.array(sorted(points))
+    points = points[: int(np.sum(points <= lam_max)) + 1]
+    window = [any(a < e < b for e in windowed) for a, b in zip(points[:-1], points[1:])]
+    return points, np.array(window, dtype=bool)
 
 
-def test_first_root_past_the_prefix():
-    calls = []
+def first_bracket(f, lam_max, excluded):
+    """``solver._first_bracket`` on the scan that ``first_root(f, lam_max,
+    excluded)`` makes."""
+    ex = solver._windowed(excluded)
+    pts, window = solver._scan_points(lam_max, ex)
+    return _first_bracket(f, pts, window, np.asarray(f(pts), dtype=float), ex, repr(lam_max))
 
-    def f(x):
-        calls.append(np.size(x))
-        return x - 3.3004  # the only sign change lies above lam_max / 4 = 1
 
+def test_scan_holds_a_root_just_past_lam_max():
+    f = lambda x: x - 4.0004  # past lam_max, below the scan's last point
+    pts, _ = scan_grid(4.0, [])
+    assert pts[-2] <= 4.0 < 4.0004 < pts[-1]
     root = first_root(f, 4.0, [])
-    grid = scan_grid(4.0, [])
-    i = int(np.searchsorted(grid, 3.3004))
-    assert root == bisect_one_at_a_time(f, float(grid[i - 1]), float(grid[i]), ROOT_XTOL)
-    assert abs(root - 3.3004) < 1e-12
-    # the prefix ends at the first point past lam_max / 4
-    prefix = int(np.sum(grid <= 1.0)) + 1
-    assert calls[:2] == [prefix, grid.size - prefix]
-
-
-def test_first_root_below_the_prefix_scans_only_the_prefix():
-    calls = []
-
-    def f(x):
-        calls.append(np.size(x))
-        return x - 0.2504
-
-    assert abs(first_root(f, 4.0, []) - 0.2504) < 1e-12
-    assert calls[0] == int(np.sum(scan_grid(4.0, []) <= 1.0)) + 1
-    assert sum(calls[1:]) < calls[0]
-
-
-def test_prefix_holds_a_root_just_past_lam_max_over_4():
-    calls = []
-
-    def f(x):
-        calls.append(np.size(x))
-        return x - 1.0004  # past lam_max / 4 = 1, below the prefix's last point
-
-    grid = scan_grid(4.0, [])
-    assert first_root(f, 4.0, []) == bisect_one_at_a_time(f, 1.0, 1.001, ROOT_XTOL)
-    assert calls[0] == int(np.sum(grid <= 1.0)) + 1
-    assert sum(calls[1:]) < calls[0]  # the tail past the prefix is never scanned
+    assert root == bisect_one_at_a_time(f, float(pts[-2]), float(pts[-1]), ROOT_XTOL)
+    assert abs(root - 4.0004) < 1e-12
 
 
 @pytest.mark.parametrize("g", EQUATION_KERNELS)
-def test_equation_roots_lie_in_the_scan_prefix(g, monkeypatch):
-    scanned = []
-    real_prefix = solver._scan_prefix
-
-    def prefix(lam_max, excluded):
-        pts, window, inside = real_prefix(lam_max, excluded)
-        scanned.append(pts[-1])
-        return pts, window, inside
-
-    monkeypatch.setattr(solver, "_scan_prefix", prefix)
-    for R in np.random.default_rng(3).uniform(0.51, 20.0, 40).tolist():
-        if abs(2 * R - round(2 * R)) < 1e-6:
+def test_equation_roots_lie_in_the_scan_prefix(g):
+    """Every root lies below the one-mode frequency, where the scan ends:
+    past half support the one-mode test function is admissible, so its
+    quotient bounds the minimum."""
+    checked = 0
+    for R in np.random.default_rng(3).uniform(0.51, 40.0, 600).tolist():
+        ctx = build_context(g, R)
+        try:
+            root = smallest_root(ctx)
+        except RootScanError:
+            assert g is Symmetry.SOminus and R > 20.3  # the scan's grid step is too coarse
             continue
-        root = solver._equation_root(build_context(g, R))
-        assert root < scanned[-1]
+        assert root <= _upper_frequency(ctx), R
+        checked += 1
+    assert checked >= (250 if g is Symmetry.SOminus else 600)
 
 
 def test_root_scan_error_prints_the_scan_end():
     g, R = Symmetry.SOminus, 100.0 - 1e-5  # height_bound(SO-, 200)'s first sample
-    lam_max = _upper_frequency(build_context(g, R))
-    assert lam_max < 5e-4  # printed with 3 decimals, it read "(0, 0.000]"
+    lam_up = _upper_frequency(build_context(g, R))
+    assert lam_up < 1e-4  # printed with 3 decimals, it would read "0.000"
     with pytest.raises(RootScanError) as info:
         height_bound(g, 200.0)
-    assert str(info.value).startswith(f"no admissible root in (0, {lam_max!r}] for {g}")
+    expected = f"no admissible root up to the one-mode frequency {lam_up!r} for SO- at R={R!r}"
+    assert str(info.value) == expected
 
 
 def test_first_root_error_carries_the_whole_scan():
-    excluded = [0.5, 2.5]  # one window in the prefix, one past it
-    f = lambda x: (x - 0.5) * (x - 2.5)  # changes sign only at excluded frequencies
+    calls = []
+    excluded = [0.5, 2.5]
+
+    def f(x):
+        calls.append(np.size(x))
+        # changes sign at the excluded frequencies and past the scan's last point
+        return (x - 0.5) * (x - 2.5) * (x - 4.0015)
+
     with pytest.raises(RootScanError) as info:
         first_root(f, 4.0, excluded)
-    grid = scan_grid(4.0, excluded)
-    assert np.array_equal(info.value.grid, grid)
-    assert np.array_equal(info.value.values, f(grid))
+    pts, _ = scan_grid(4.0, excluded)
+    assert pts[-1] < 4.0015
+    assert calls == [pts.size]  # one scan, and nothing past it
+    assert np.array_equal(info.value.grid, pts)
+    assert np.array_equal(info.value.values, f(pts))
 
 
 def test_first_root_window_straddling_the_prefix_cut():
-    e = 1.0 + 5e-7  # its window [e -+ 1e-6] holds the prefix cut lam_max / 4 = 1
+    e = 1.0 + 5e-7  # its window [e -+ 1e-6] holds the scan end lam_max = 1
     root = e + 5e-7
     f = lambda x: (x - e) * (x - root)  # both window ends positive: a root inside
-    grid = scan_grid(4.0, [e])
-    assert grid[grid <= 1.0][-1] == e - EXCLUSION_RADIUS
-    found = first_root(f, 4.0, [e])
+    pts, window = scan_grid(1.0, [e])
+    assert pts[-2:].tolist() == [e - EXCLUSION_RADIUS, e + EXCLUSION_RADIUS] and window[-1]
+    found = first_root(f, 1.0, [e])
     assert found == bisect_one_at_a_time(f, e + EXCLUSION_CORE, e + EXCLUSION_RADIUS, ROOT_XTOL)
     assert abs(found - root) < 1e-12
 
 
-def scan_prefix_reference(lam_max, excluded):
-    """``solver._scan_prefix`` built from ``scan_grid``: the points up to the
-    first past lam_max / 4, the window flags of their pairs, and the
-    excluded frequencies inside the grid."""
-    grid = np.arange(GRID_STEP, lam_max + GRID_STEP, GRID_STEP)
-    inside = [e for e in excluded if grid[0] < e < grid[-1]]
-    pts = scan_grid(lam_max, inside)
-    cut = min(pts.size, int(np.searchsorted(pts, lam_max / 4, side="right")) + 1)
-    below = np.searchsorted(inside, pts)
-    return pts[:cut], (below[:-1] != below[1:])[: cut - 1], inside
-
-
 @pytest.fixture
-def fresh_tables(monkeypatch):
-    """Empty per-(n, delta) amplitude tables and kept scan points."""
-    for name in ("_AMPLITUDE_TABLES", "_SCAN_POINTS"):
-        monkeypatch.setattr(solver, name, solver._Tables(getattr(solver, name).budget))
+def fresh_tables():
+    """Empty per-(n, delta) tables."""
+    solver._order_tables.cache_clear()
 
 
 @pytest.mark.parametrize("n", (2, 7, 20))
 def test_kept_scan_points_match_a_fresh_build(n, fresh_tables):
     excluded = u_product_roots(n)
+    tables = solver._order_tables(n, -1)
     rng = np.random.default_rng(n)
-    ends = rng.uniform(0.01, 16.0, 40).tolist()
-    # the grids of 0.5 - 1e-7 and 0.401 - 1e-7 end at 0.5 and 0.401, within
-    # EXCLUSION_RADIUS of an excluded frequency of the second set
-    ends += [0.5 - 1e-7, 0.5 + 1e-7, 0.401 - 1e-7, 0.401 + 1e-7]
-    excluded_sets = (excluded, [0.401 - 5e-7, 0.5 - 4e-7, 2.0])
-    for ex in excluded_sets:
-        for lam_max in ends:
-            got = solver._scan_prefix(lam_max, ex)
-            pts, window, inside = scan_prefix_reference(lam_max, ex)
-            assert np.array_equal(got[0], pts) and np.array_equal(got[1], window)
-            assert got[2].tolist() == inside
-
-
-def test_kept_scan_points_give_way_at_a_grid_end_next_to_a_window(fresh_tables):
-    e = GRID_STEP + 5e-7  # inside the window of the unbounded grid, past a grid ending at e
-    solver._scan_prefix(4.0, [e])  # keeps a prefix whose window replaced GRID_STEP
-    for lam_max, first in (
-        (0.5 * GRID_STEP, GRID_STEP),
-        (GRID_STEP, GRID_STEP),
-        (1.2 * GRID_STEP, e - EXCLUSION_RADIUS),  # this grid holds e and its window
-    ):
-        got = solver._scan_prefix(lam_max, [e])
-        expected = scan_prefix_reference(lam_max, [e])
-        assert got[0].tolist() == expected[0].tolist() == [first]
+    ends = rng.uniform(0.01, 6.0, 30).tolist()
+    # scans ending next to an excluded frequency, inside its window or not
+    ends += [e + s for e in excluded[:3] for s in (-2e-6, -5e-7, 0.0, 5e-7, 2e-6)]
+    for lam_max in ends:
+        pts, window, sums = tables.scan(lam_max)
+        expected = scan_grid(lam_max, excluded)
+        assert np.array_equal(pts, expected[0]) and np.array_equal(window, expected[1])
+        assert sums.shape == (2, pts.size)
+    kept = (tables.excluded, tables.points, tables.window, tables.sums)
+    assert not any(arr.flags.writeable for arr in kept)
+    # first_root's scans of other excluded sets, one next to the first grid point
+    for ex in ([0.401 - 5e-7, 0.5 - 4e-7, 2.0], [0.5 * GRID_STEP, GRID_STEP + 5e-7]):
+        for lam_max in ends + [0.5 * GRID_STEP, GRID_STEP, 1.2 * GRID_STEP]:
+            pts, window = solver._scan_points(lam_max, solver._windowed(ex))
+            expected = scan_grid(lam_max, ex)
+            assert np.array_equal(pts, expected[0]) and np.array_equal(window, expected[1])
 
 
 def _counting_amplitude_sums(monkeypatch):
@@ -557,48 +528,38 @@ def test_tabulated_prefix_matches_per_order_loop(g, n, longer_first, fresh_table
     ctx = build_context(g, TABLE_SUPPORTS[n])
     other = build_context(g, TABLE_SUPPORTS[n] + 0.1)  # another support with n cells
     assert ctx.n == other.n == n
-    excluded = u_product_roots(n)
-    short = solver._scan_prefix(_upper_frequency(ctx), excluded)[0]
-    long = solver._scan_prefix(4 * _upper_frequency(ctx), excluded)[0]
-    assert short.size < long.size and np.array_equal(long[: short.size], short)
     points = _counting_amplitude_sums(monkeypatch)
-    first, second = (long, short) if longer_first else (short, long)
-    for c, lam in ((ctx, first), (ctx, second), (other, short), (other, long)):
-        assert np.array_equal(spectral_equation(c, lam), spectral_equation_loop(c, lam))
-    # the first scan tabulates; the rest read the table, a longer one adding its new points
-    assert points == ([long.size] if longer_first else [short.size, long.size - short.size])
-    assert np.array_equal(solver._AMPLITUDE_TABLES.get((n, g.delta))[0], long)
+    tables = solver._order_tables(n, g.delta)
+    ends = [_upper_frequency(ctx), 4 * _upper_frequency(ctx)]
+    scans = [tables.scan(lam_max) for lam_max in (ends[::-1] if longer_first else ends)]
+    short, long = sorted(scans, key=lambda scan: scan[0].size)
+    assert short[0].size < long[0].size and np.array_equal(long[0][: short[0].size], short[0])
+    for c in (ctx, other):
+        for pts, _, sums in scans:
+            got = spectral_equation(c, pts, _sums=sums)
+            assert got.tobytes() == spectral_equation_loop(c, pts).tobytes()
+    # the first scan sums its points; a longer one sums its new points only
+    sizes = (short[0].size, long[0].size)
+    assert points == ([sizes[1]] if longer_first else [sizes[0], sizes[1] - sizes[0]])
 
 
 def test_tabulated_equation_on_every_input_shape(fresh_tables):
     for g in EQUATION_KERNELS:
         ctx = build_context(g, 3.3)
-        pts = solver._scan_prefix(_upper_frequency(ctx), u_product_roots(ctx.n))[0]
-        spectral_equation(ctx, pts)  # tabulates (n, delta)
-        inputs = (pts[:1], pts[:24], pts[5:40], pts[:24].reshape(4, 6), pts[:24].reshape(24, 1))
-        for lam in inputs + (float(pts[7]), np.array(pts[7])):
-            got = spectral_equation(ctx, lam)
+        pts, _, sums = solver._order_tables(ctx.n, ctx.delta).scan(_upper_frequency(ctx))
+        inputs = [(pts, sums), (pts[:24], sums[:, :24])]  # as the scan hands them over
+        lams = (pts[:1], pts[:24], pts[5:40], pts[:24].reshape(4, 6), pts[:24].reshape(24, 1))
+        inputs += [(lam, None) for lam in lams + (float(pts[7]), np.array(pts[7]))]
+        for lam, lam_sums in inputs:
+            got = spectral_equation(ctx, lam, _sums=lam_sums)
             expected = spectral_equation_loop(ctx, lam)
             assert type(got) is type(expected) and np.shape(got) == np.shape(expected)
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
-def test_tables_stay_within_budget_and_hold_copies(fresh_tables):
-    for g in EQUATION_KERNELS:
-        for R in np.linspace(0.51, 19.9, 50).tolist():
-            if abs(2 * R - round(2 * R)) > 1e-6:
-                solver._equation_root(build_context(g, R))
-    assert solver._AMPLITUDE_TABLES.budget + solver._SCAN_POINTS.budget <= 1 << 20
-    for tables in (solver._AMPLITUDE_TABLES, solver._SCAN_POINTS):
-        arrays = [a for entry in tables.entries.values() for a in entry]
-        assert len(tables.entries) > 1
-        assert sum(a.nbytes for a in arrays) <= tables.budget
-        assert all(a.base is None and not a.flags.writeable for a in arrays)
-
-
 def test_first_guess_is_the_inverse_cubic_zero():
     f = lambda x: x - 0.2504  # a straight line: the cubic through it is the line
-    f_div, lo, hi, ends, guess = _first_bracket(f, 4.0, [])
+    f_div, lo, hi, ends, guess = first_bracket(f, 4.0, [])
     assert (lo, hi) == (0.25, 0.251) and f_div is f
     assert abs(guess - 0.2504) < 1e-15
 
@@ -618,7 +579,7 @@ PIECEWISE_GRID = [0.248, 0.249, 0.25, 0.251, 0.252, 0.253]
 )
 def test_first_guess_only_where_it_is_sound(values, expected):
     f = lambda x: np.interp(x, PIECEWISE_GRID, values, left=-5.0, right=5.0)
-    _, lo, hi, _, guess = _first_bracket(f, 1.04, [])
+    _, lo, hi, _, guess = first_bracket(f, 1.04, [])
     assert (lo, hi) == (0.25, 0.251)
     assert guess == expected
     assert first_root(f, 1.04, []) == bisect_one_at_a_time(f, lo, hi, ROOT_XTOL)
@@ -627,7 +588,7 @@ def test_first_guess_only_where_it_is_sound(values, expected):
 def test_first_guess_needs_a_window_free_run():
     for e in (0.2510005, 0.2525):  # the first window replaces the grid point 0.251
         f = lambda x: (x - 0.2504) * (x - e)  # vanishes at e, as the equation does
-        f_div, lo, hi, _, guess = _first_bracket(f, 4.0, [e])
+        f_div, lo, hi, _, guess = first_bracket(f, 4.0, [e])
         assert f_div(np.array([0.2])) == f(np.array([0.2])) / (0.2 - e)
         if e < 0.252:
             assert (lo, hi) == (0.25, e - EXCLUSION_RADIUS)
@@ -646,7 +607,7 @@ def test_first_guess_changes_no_root():
             ctx = build_context(g, R)
             f = lambda lam: spectral_equation(ctx, lam)
             excluded = u_product_roots(ctx.n)
-            f_div, lo, hi, ends, guess = _first_bracket(f, _upper_frequency(ctx), excluded)
+            f_div, lo, hi, ends, guess = first_bracket(f, _upper_frequency(ctx), excluded)
             assert smallest_root(ctx) == _bisect(f_div, lo, hi, ROOT_XTOL, ends, guess)
             assert smallest_root(ctx) == _bisect(f_div, lo, hi, ROOT_XTOL, ends)
 
@@ -692,7 +653,7 @@ def test_scan_end_assembles_no_forms(monkeypatch):
     monkeypatch.setattr(rayleigh, "assemble_forms", no_forms)
     ctx = build_context(Symmetry.SOminus, 3.3)
     m_up = _one_mode_quotient(Symmetry.SOminus, 3.3)
-    assert _upper_frequency(ctx) == 4 * math.pi * math.sqrt(m_up) / (2 * 3.3)
+    assert _upper_frequency(ctx) == math.pi * math.sqrt(m_up) / (2 * 3.3)
     assert solver.solve(Symmetry.SOminus, 3.3)[0].lam == smallest_root(ctx)
 
 
