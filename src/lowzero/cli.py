@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 from typing import Optional
 
@@ -176,6 +177,17 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _finite(value: str) -> float:
+    """A float option's value; inf, -inf and nan are usage errors."""
+    try:
+        x = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {value!r}")
+    return x
+
+
 def _sign(value: str) -> int:
     table = {"+1": 1, "1": 1, "plus": 1, "+": 1, "-1": -1, "minus": -1, "-": -1}
     try:
@@ -194,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="height bound for one symmetry type")
     p.add_argument("--symmetry", type=_symmetry, required=True)
-    p.add_argument("--nu-max", type=float, required=True, dest="nu_max")
+    p.add_argument("--nu-max", type=_finite, required=True, dest="nu_max")
     p.add_argument("--oracle-check", action="store_true", dest="oracle_check")
     p.add_argument("--trunc", type=int, default=400)
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -202,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="CSV of the bound over a support range")
     p.add_argument("--symmetry", type=_symmetry, required=True)
-    p.add_argument("--nu-from", type=float, required=True, dest="nu_from")
-    p.add_argument("--nu-to", type=float, required=True, dest="nu_to")
+    p.add_argument("--nu-from", type=_finite, required=True, dest="nu_from")
+    p.add_argument("--nu-to", type=_finite, required=True, dest="nu_to")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_curve)
@@ -212,13 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("Hr", "Hrpm"), required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--sign", type=_sign, default=None)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_finite, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_proportion)
 
     p = sub.add_parser("testfn", help="sample the reconstructed optimizer to CSV")
     p.add_argument("--symmetry", type=_symmetry, required=True)
-    p.add_argument("--R", type=float, required=True)
+    p.add_argument("--R", type=_finite, required=True)
     p.add_argument("--samples", type=int, default=501)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_testfn)

@@ -19,7 +19,8 @@ import cmath
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -81,52 +82,74 @@ class PiecewiseTestFunction:
         return [p.hi for p in self.pieces]
 
     @cached_property
-    def _antiderivatives(self) -> list[tuple[tuple, ...]]:
-        """Per cell and term, (f, ph, c, cos_lo, cos_hi, whole): c = a/f, the
-        term integrates to c*(cos(f*x + ph) - cos(f*y + ph)) over [x, y],
-        cos_lo and cos_hi are those cosines at the cell's ends and whole is
-        the integral over the cell.  A term of frequency below ``_ZERO_FREQ``
-        is a constant and is stored as (None, ph, a*sin(ph), None, None, None).
+    def _cells(self) -> tuple[float, float, list[float], list[tuple], list[tuple[float, ...]]]:
+        """Lookup tables of ``_value`` and ``_slope``: the support's ends,
+        the upper ends of every cell but the last, and per cell its
+        (a, f, ph) terms and their slope amplitudes a*f.  bisect_right on
+        those upper ends gives the first cell whose upper end exceeds u,
+        else the last cell, which keeps its upper end; a*f is the product
+        that a * f * cos(f*u + ph) forms first.
         """
-        cells = []
+        his = self._his
+        terms = [p.terms for p in self.pieces]
+        amps = [tuple(a * f for a, f, _ in cell) for cell in terms]
+        return self._los[0], his[-1], his[:-1], terms, amps
+
+    @cached_property
+    def _antiderivatives(self) -> tuple[list[tuple[tuple, ...]], list[float], list[int]]:
+        """Integration tables.
+
+        Per cell and term, (f, ph, c, cos_lo, cos_hi): c = a/f, the term
+        integrates to c*(cos(f*x + ph) - cos(f*y + ph)) over [x, y], and
+        cos_lo and cos_hi are those cosines at the cell's ends.  A term of
+        frequency below ``_ZERO_FREQ`` is a constant c = a*sin(ph), stored as
+        (None, ph, c, None, None).  Then every term's integral over its whole
+        cell, in cell order, and per cell the offset of its first one there,
+        plus one offset ending the list; a cell of no width has none, as
+        ``integral`` skips it.
+        """
+        cells, wholes, starts = [], [], []
         for p in self.pieces:
-            terms = []
+            terms, cell_wholes = [], []
             for a, f, ph in p.terms:
                 if abs(f) < _ZERO_FREQ:
-                    terms.append((None, ph, a * math.sin(ph), None, None, None))
+                    c = a * math.sin(ph)
+                    terms.append((None, ph, c, None, None))
+                    cell_wholes.append(c * (p.hi - p.lo))
                     continue
                 c, cos_lo, cos_hi = a / f, math.cos(f * p.lo + ph), math.cos(f * p.hi + ph)
-                terms.append((f, ph, c, cos_lo, cos_hi, c * (cos_lo - cos_hi)))
+                terms.append((f, ph, c, cos_lo, cos_hi))
+                cell_wholes.append(c * (cos_lo - cos_hi))
             cells.append(tuple(terms))
-        return cells
+            starts.append(len(wholes))
+            if p.hi > p.lo:
+                wholes += cell_wholes
+        starts.append(len(wholes))
+        return cells, wholes, starts
 
-    def _piece_index(self, u: float) -> int:
-        """Cell holding u (the first whose upper end exceeds it, the last
-        cell keeping its upper end), or -1 off the support."""
-        if not self._los[0] <= u <= self._his[-1]:
-            return -1
-        return min(bisect_right(self._his, u), len(self.pieces) - 1)
-
-    # The terms are added left to right in explicit loops: from Python 3.12
-    # on the builtin sum compensates float additions, and would give other
-    # bits there than on 3.10 and 3.11 and than the loops of ``integral``.
+    # The terms are added left to right, in explicit loops or a left fold:
+    # from Python 3.12 on the builtin sum compensates float additions, and
+    # would give other bits there than on 3.10 and 3.11.
 
     def _value(self, u) -> float:
-        i = self._piece_index(float(u))
-        if i < 0:
+        u = float(u)
+        lo, hi, uppers, terms, _ = self._cells
+        if not lo <= u <= hi:
             return 0.0
         total = 0.0
-        for a, f, p in self.pieces[i].terms:
+        for a, f, p in terms[bisect_right(uppers, u)]:
             total += a * math.sin(f * u + p)
         return total
 
     def _slope(self, u) -> float:
-        i = self._piece_index(float(u))
-        if i < 0:
+        u = float(u)
+        lo, hi, uppers, terms, amps = self._cells
+        if not lo <= u <= hi:
             return 0.0
+        i = bisect_right(uppers, u)
         total = 0.0
-        for a, f, p in self.pieces[i].terms:
-            total += a * f * math.cos(f * u + p)
+        for (_, f, p), af in zip(terms[i], amps[i]):
+            total += af * math.cos(f * u + p)
         return total
 
     def __call__(self, u):
@@ -144,35 +167,50 @@ class PiecewiseTestFunction:
         """Exact integral over [lo, hi] via per-term antiderivatives.
 
         The range is clipped to the support, where the function vanishes.
-        A cell covered whole adds its stored per-term integrals, and a cell
-        edge inside the range reuses its stored cosines: the same operands
-        in the same order as evaluating every term afresh, so the same sum.
+        The cells are contiguous, so only the first and last covered cells
+        can be partial: those add their terms one by one, reusing the stored
+        cosines at their own edges, and the whole cells between add their
+        stored per-term integrals in one left fold.  These are the same
+        operands in the same order as evaluating every term afresh, so the
+        same sum.
         """
         if hi < lo:
             return -self.integral(hi, lo)
-        lo = max(lo, self.pieces[0].lo)
-        hi = min(hi, self.pieces[-1].hi)
+        # Clipping is spelled out as max() and min() evaluate it (the second
+        # operand only when strictly past the first), without their calls.
+        los, his = self._los, self._his
+        lo = los[0] if los[0] > lo else lo
+        hi = his[-1] if his[-1] < hi else hi
         if hi <= lo:
             return 0.0
-        total = 0.0
-        for i in range(bisect_right(self._his, lo), bisect_left(self._los, hi)):
-            p = self.pieces[i]
-            seg_lo = max(lo, p.lo)
-            seg_hi = min(hi, p.hi)
-            if seg_hi <= seg_lo:
+        first, stop = bisect_right(his, lo), bisect_left(los, hi)
+        total = self._cell_integral(first, lo, hi, 0.0)
+        if stop - first > 1:
+            _, wholes, starts = self._antiderivatives
+            total = reduce(add, wholes[starts[first + 1] : starts[stop - 1]], total)
+            total = self._cell_integral(stop - 1, lo, hi, total)
+        return total
+
+    def _cell_integral(self, i: int, lo: float, hi: float, total: float) -> float:
+        """``total`` plus the integral of cell i over its part of [lo, hi]."""
+        cell_lo, cell_hi = self._los[i], self._his[i]
+        seg_lo = cell_lo if cell_lo > lo else lo
+        seg_hi = cell_hi if cell_hi < hi else hi
+        if seg_hi <= seg_lo:
+            return total
+        at_lo, at_hi = seg_lo == cell_lo, seg_hi == cell_hi
+        cells, wholes, starts = self._antiderivatives
+        if at_lo and at_hi:
+            return reduce(add, wholes[starts[i] : starts[i + 1]], total)
+        for f, ph, c, cos_lo, cos_hi in cells[i]:
+            if f is None:
+                total += c * (seg_hi - seg_lo)
                 continue
-            at_lo, at_hi = seg_lo == p.lo, seg_hi == p.hi
-            for f, ph, c, cos_lo, cos_hi, whole in self._antiderivatives[i]:
-                if f is None:
-                    total += c * (seg_hi - seg_lo)
-                elif at_lo and at_hi:
-                    total += whole
-                else:
-                    if not at_lo:
-                        cos_lo = math.cos(f * seg_lo + ph)
-                    if not at_hi:
-                        cos_hi = math.cos(f * seg_hi + ph)
-                    total += c * (cos_lo - cos_hi)
+            if not at_lo:
+                cos_lo = math.cos(f * seg_lo + ph)
+            if not at_hi:
+                cos_hi = math.cos(f * seg_hi + ph)
+            total += c * (cos_lo - cos_hi)
         return total
 
 
@@ -187,14 +225,20 @@ def mode_coefficient(ctx: EquationContext, lam: float, k: int, order: int) -> co
     provide the cell's homogeneous frequencies): ``n`` for the outermost
     family, ``n - 1`` for the interleaved one.
     """
-    m = order
-    if not 0 <= k <= m - 1:
-        raise ValueError(f"cell index {k} out of range for order {m}")
+    if not 0 <= k <= order - 1:
+        raise ValueError(f"cell index {k} out of range for order {order}")
+    return _mode_coefficient(ctx, lam, k, order, cheb.u_stack(order, lam).tolist())
+
+
+def _mode_coefficient(
+    ctx: EquationContext, lam: float, k: int, m: int, u: list[float]
+) -> complex:
+    """``mode_coefficient`` of order m, given U_0(lam), U_1(lam), ... up to
+    at least U_m(lam) in ``u``."""
     delta = ctx.delta
     denom = lam + delta * math.sin(lam)
     if abs(denom) < 1e-12:
         raise ValueError("frequency cancels the mode normalization")
-    u = cheb.u_stack(m, lam).tolist()
     um = u[m]
     if abs(um) < 1e-12:
         raise ValueError("frequency is a root of the homogeneous order")
@@ -242,6 +286,9 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
     x = solve_continuity(ctx, lam)
     r_inner = x[: n // 2]
     r_outer = -x[n // 2 :]
+    # U_0..U_n at lam serve both families: the order n - 1 recurrence is a
+    # prefix of the order n one
+    u = cheb.u_stack(n, lam).tolist()
 
     pieces: list[Piece] = []
 
@@ -260,12 +307,12 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
         m = n - 1 - 2 * k
         mid = (n - 2 * k - 1) / 2.0
         amps = r_outer * ctx.u_hi[k]
-        add_piece(m, mid, amps, ctx.theta_hi, mode_coefficient(ctx, lam, k, order=n))
+        add_piece(m, mid, amps, ctx.theta_hi, _mode_coefficient(ctx, lam, k, n, u))
     for k in range(n - 1):  # inner family: cells n-2, n-4, ..., -(n-2)
         m = n - 2 - 2 * k
         mid = (n - 2 * k - 2) / 2.0
         amps = r_inner * ctx.u_lo[k]
-        add_piece(m, mid, amps, ctx.theta_lo, mode_coefficient(ctx, lam, k, order=n - 1))
+        add_piece(m, mid, amps, ctx.theta_lo, _mode_coefficient(ctx, lam, k, n - 1, u))
 
     pieces.sort(key=lambda p: p.lo)
     return PiecewiseTestFunction(pieces=tuple(pieces), R=ctx.R, lam=lam, g=ctx.g, ctx=ctx)
@@ -434,17 +481,21 @@ def residuals(
 
     ``ctx`` (default ``h.ctx``) enables the closed-form-vs-quadrature
     integral comparisons on the equation branch.  The pointwise defects are
-    sampled at ``_RESIDUAL_SAMPLES`` points, avoiding a 1e-6 neighbourhood of
-    the cell boundaries, where h is only one-sidedly differentiable.
+    sampled at ``_RESIDUAL_SAMPLES`` points at least 1e-4 inside the support,
+    avoiding a 1e-6 neighbourhood of the cell boundaries, where h is only
+    one-sidedly differentiable; the Volterra form is sampled on [0, R - 1e-6].
+    A support up to 1e-4 is a single cell narrower than those margins, and
+    there they shrink to R/2 and R/4.
     """
     ctx = h.ctx if ctx is None else ctx
     delta = h.g.delta
     eps = float(h.g.epsilon)
     R, lam = h.R, h.lam
 
+    edge, near = (1e-4, 1e-6) if R > 1e-4 else (R / 2, R / 4)
     brks = h.breakpoints()
-    us = np.linspace(-R + 1e-4, R - 1e-4, _RESIDUAL_SAMPLES)
-    us = us[np.min(np.abs(us[:, None] - brks[None, :]), axis=1) > 1e-6]
+    us = np.linspace(-R + edge, R - edge, _RESIDUAL_SAMPLES)
+    us = us[np.min(np.abs(us[:, None] - brks[None, :]), axis=1) > near]
 
     value, slope = cache(h._value), cache(h._slope)  # shared with the quotient
     h_scale = max(1e-300, max(abs(value(float(u))) for u in us))
@@ -462,7 +513,7 @@ def residuals(
     ode /= dh_scale
 
     volt = 0.0
-    for u in np.linspace(0.0, R - 1e-6, _RESIDUAL_SAMPLES // 2):
+    for u in np.linspace(0.0, R - near, _RESIDUAL_SAMPLES // 2):
         u = float(u)
         shift = h.integral(u + 1, R + 1) - h.integral(u - 1, R - 1)
         defect = value(u) - _phi(h, u) - 0.5 * delta * shift

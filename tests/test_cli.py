@@ -140,6 +140,35 @@ def test_bad_symmetry_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "Infinity", "-NaN"])
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["bound", "--symmetry", "SO+"], "--nu-max"),
+        (["bound", "--symmetry", "U"], "--nu-max"),
+        (["curve", "--symmetry", "Sp", "--nu-to", "3"], "--nu-from"),
+        (["curve", "--symmetry", "Sp", "--nu-from", "1"], "--nu-to"),
+        (["proportion", "--family", "Hr", "--r", "2"], "--beta"),
+        (["testfn", "--symmetry", "Sp"], "--R"),
+        (["testfn", "--symmetry", "O"], "--R"),
+    ],
+)
+def test_non_finite_float_is_usage_error(argv, option, value, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv + [f"{option}={value}"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {option}: not a finite number: {value!r}\n")
+
+
+def test_non_numeric_float_keeps_its_message(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["bound", "--symmetry", "O", "--nu-max", "two"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --nu-max: invalid float value: 'two'\n")
+
+
 def test_curve_csv(tmp_path, capsys):
     out_file = tmp_path / "curve.csv"
     code = main(

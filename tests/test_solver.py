@@ -543,6 +543,19 @@ def test_tabulated_prefix_matches_per_order_loop(g, n, longer_first, fresh_table
     assert points == ([sizes[1]] if longer_first else [sizes[0], sizes[1] - sizes[0]])
 
 
+@pytest.mark.parametrize("shape", [(3, 2910), (21, 600), (41, 20), (9,), (7, 2, 300)])
+@pytest.mark.parametrize("wide_row", [0, 10**9], ids=["per_row", "accumulate"])
+def test_add_rows_gives_accumulate_bits_on_both_branches(shape, wide_row, monkeypatch):
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    monkeypatch.setattr(solver, "_WIDE_ROW", wide_row)
+    got = solver._add_rows(rows)
+    assert got.tobytes() == np.add.accumulate(rows, axis=0)[-1].tobytes()
+    assert got.shape == shape[1:]
+    if got.shape:
+        assert not np.shares_memory(got, rows)
+
+
 def test_tabulated_equation_on_every_input_shape(fresh_tables):
     for g in EQUATION_KERNELS:
         ctx = build_context(g, 3.3)

@@ -280,7 +280,13 @@ def test_exact_integral_matches_quadrature():
         assert h.integral(lo, hi) == pytest.approx(quad, abs=1e-10)
 
 
-BITWISE_CASES = [(Symmetry.SOminus, 5.2), (Symmetry.Sp, 0.75), (Symmetry.SOplus, 3.7)]
+BITWISE_CASES = [
+    (Symmetry.SOminus, 5.2),
+    (Symmetry.Sp, 0.75),
+    (Symmetry.SOplus, 3.7),
+    (Symmetry.O, 0.9),  # one cell, with a constant term
+    (Symmetry.Sp, 8.7),  # 35 cells
+]
 
 
 @pytest.mark.parametrize("g,R", BITWISE_CASES)
@@ -347,6 +353,17 @@ def test_residuals_small_support_branch():
         h, _ = reconstruct(g, R)
         report = residuals(h, None)
         assert report.max_defect() <= 1e-7
+
+
+@pytest.mark.parametrize("R", [1e-4, 1e-5, 1e-7, 1e-12])
+@pytest.mark.parametrize("g", [Symmetry.O, Symmetry.Sp])
+def test_residuals_sample_inside_a_tiny_support(g, R):
+    # fixed margins of 1e-4 and 1e-6 would sample h off its support here
+    h, _ = reconstruct(g, R)
+    report = residuals(h)
+    assert report.delayed_ode <= 1e-12
+    assert report.volterra <= 1e-12
+    assert report.max_defect() <= 1e-7
 
 
 def test_quotient_matches_solved_minimum_and_oracle():
