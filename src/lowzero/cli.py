@@ -6,7 +6,9 @@ runs the cross-validation matrix and sets the exit code.  Every run is
 deterministic given its flags; CSV output uses LF line endings and
 round-trip float precision so repeated runs are byte-identical.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error.  ``curve``
+computes every row before it writes any, so a bound that fails leaves no
+partial CSV on stdout or at ``--out``.
 """
 
 from __future__ import annotations
@@ -83,13 +85,14 @@ def cmd_curve(args) -> int:
     if args.steps < 2:
         print("error: --steps must be at least 2", file=sys.stderr)
         return 2
-    grid = np.linspace(args.nu_from, args.nu_to, args.steps)
+    rows = []  # all of them before any output, so a failing bound writes none
+    for nu in np.linspace(args.nu_from, args.nu_to, args.steps).tolist():
+        result = bounds.height_bound_result(args.symmetry, nu)
+        rows.append([_fmt(nu), _fmt(result.bound), result.branch])
     with _output(args.out) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["nu_max", "bound", "branch"])
-        for nu in grid:
-            result = bounds.height_bound_result(args.symmetry, float(nu))
-            writer.writerow([_fmt(float(nu)), _fmt(result.bound), result.branch])
+        writer.writerows(rows)
     return 0
 
 
@@ -144,8 +147,7 @@ def cmd_testfn(args) -> int:
     with _output(args.out) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["u", "h"])
-        for u in us:
-            writer.writerow([_fmt(float(u)), _fmt(float(h(float(u))))])
+        writer.writerows([_fmt(u), _fmt(v)] for u, v in zip(us.tolist(), h(us).tolist()))
     report = testfunction.residuals(h)
     print(
         "residuals:"

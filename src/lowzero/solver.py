@@ -76,6 +76,9 @@ class RootScanError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 _BRANCH_POINT = 0.25
+#: The largest |y| that ``tan_ratio_inverse`` solves: its brackets stop
+#: 1e-14 short of the pole at 1/4, where |tan_ratio| is about 1.012e13.
+_TAN_RATIO_REACH = 1.01e13
 
 
 def tan_ratio(x: float) -> float:
@@ -194,7 +197,12 @@ def tan_ratio_inverse(y: float) -> float:
     """Unique preimage of y under ``tan_ratio`` on the appropriate branch.
 
     y > 1 inverts on (0, 1/4); y < 1 on (1/4, x1); y = 1 maps to 0.
+    |y| up to 1.01e13 is solved, larger |y| raises ``ValueError``.
     """
+    if abs(y) > _TAN_RATIO_REACH:
+        raise ValueError(
+            f"tan_ratio_inverse solves |y| up to {_TAN_RATIO_REACH:g}, not y = {y!r}"
+        )
     if y == 1.0:
         return 0.0
     if y > 1.0:
@@ -230,6 +238,26 @@ class BoundResult:
 # Small-support branch
 # ---------------------------------------------------------------------------
 
+# The smallest supports solved.  The unitary minimum 1/(16 R^2) keeps R^2 a
+# normal double down to 1.5e-154 (it overflows below R = 1.9e-155); the
+# shifted cosine inverts tan_ratio at 1 + w/R with |w| = 1, which
+# ``tan_ratio_inverse`` solves down to R = 1e-13.
+_SMALLEST_UNITARY_SUPPORT = 1.5e-154
+_SMALLEST_SUPPORT = 1e-13
+
+
+def _check_support(g: Symmetry, R: float) -> None:
+    """Raise ``ValueError`` for a support too small for g's minimum."""
+    if R <= 0:
+        raise ValueError("R must be positive")
+    smallest = _SMALLEST_UNITARY_SUPPORT if g is Symmetry.U else _SMALLEST_SUPPORT
+    if R < smallest:
+        raise ValueError(
+            f"support R = {R!r} is below {smallest!r}, the smallest support the "
+            f"{g.value} kernel is solved at (a height bound needs nu_max >= {2 * smallest!r})"
+        )
+
+
 def small_support_minimum(g: Symmetry, R: float) -> BoundResult:
     """Minimum via the shifted-cosine optimizer.
 
@@ -240,8 +268,7 @@ def small_support_minimum(g: Symmetry, R: float) -> BoundResult:
     """
     if g is Symmetry.U:
         raise ValueError("unitary kernel has its own exact branch")
-    if R <= 0:
-        raise ValueError("R must be positive")
+    _check_support(g, R)
     if g is not Symmetry.O and R > 0.5:
         raise ValueError("Sp/SO kernels need the transcendental branch past R = 1/2")
     weight = float(g.corrective_weight)
@@ -821,10 +848,10 @@ def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]
     equation branch.  A support where the continuity matrix degenerates is
     nudged by 1e-6 with a warning, and the result and the context record the
     support used.  A support solved a moment ago reuses its context and the
-    root found on it (see ``build_context``).
+    root found on it (see ``build_context``).  A support below the smallest
+    solved, 1e-13 (1.5e-154 for U), raises ``ValueError`` naming it.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
+    _check_support(g, R)
     if g is Symmetry.U:
         m_tilde = 1.0 / (16 * R * R)
         return BoundResult(m_tilde, math.sqrt(m_tilde), "unitary_exact", R), None

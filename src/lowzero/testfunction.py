@@ -19,7 +19,8 @@ import cmath
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
+from itertools import chain
 from operator import add
 from typing import Optional, Sequence
 
@@ -82,58 +83,66 @@ class PiecewiseTestFunction:
         return [p.hi for p in self.pieces]
 
     @cached_property
-    def _cells(self) -> tuple[float, float, list[float], list[tuple], list[tuple[float, ...]]]:
+    def _cells(self) -> tuple:
         """Lookup tables of ``_value`` and ``_slope``: the support's ends,
         the upper ends of every cell but the last, and per cell its
         (a, f, ph) terms and their slope amplitudes a*f.  bisect_right on
         those upper ends gives the first cell whose upper end exceeds u,
         else the last cell, which keeps its upper end; a*f is the product
         that a * f * cos(f*u + ph) forms first.
+
+        Last, the tables of ``_values`` and ``_slopes``: those upper ends as
+        an array, and a, f, ph and a*f as [term, cell] arrays, each cell
+        padded to the longest cell's number of terms with terms (0, 0, 0).
         """
         his = self._his
         terms = [p.terms for p in self.pieces]
         amps = [tuple(a * f for a, f, _ in cell) for cell in terms]
-        return self._los[0], his[-1], his[:-1], terms, amps
+        width = max(map(len, terms))
+        pad = ((0.0, 0.0, 0.0),)
+        flat = chain.from_iterable(chain.from_iterable(c + pad * (width - len(c)) for c in terms))
+        table = np.fromiter(flat, float, 3 * width * len(terms)).reshape(len(terms), width, 3)
+        a, f, ph = table.transpose(2, 1, 0).copy()
+        arrays = (np.array(his[:-1]), a, f, ph, a * f)
+        return self._los[0], his[-1], his[:-1], terms, amps, arrays
 
     @cached_property
-    def _antiderivatives(self) -> tuple[list[tuple[tuple, ...]], list[float], list[int]]:
-        """Integration tables.
+    def _antiderivatives(self) -> tuple:
+        """Integration tables over the padded terms of ``_cells``' arrays.
 
-        Per cell and term, (f, ph, c, cos_lo, cos_hi): c = a/f, the term
+        Per term (f, ph, c, cos_lo, cos_hi, const): c = a/f, the term
         integrates to c*(cos(f*x + ph) - cos(f*y + ph)) over [x, y], and
-        cos_lo and cos_hi are those cosines at the cell's ends.  A term of
-        frequency below ``_ZERO_FREQ`` is a constant c = a*sin(ph), stored as
-        (None, ph, c, None, None).  Then every term's integral over its whole
-        cell, in cell order, and per cell the offset of its first one there,
-        plus one offset ending the list; a cell of no width has none, as
-        ``integral`` skips it.
+        cos_lo and cos_hi are those cosines at the cell's ends; a term of
+        frequency below ``_ZERO_FREQ``, padding included, is a constant
+        (const true) c = a*sin(ph) and integrates to c*(y - x).  Returned:
+        those tuples per cell; every term's integral over its whole cell, in
+        cell order; the number of terms per cell; and for ``_integrals`` the
+        cells' ends, the whole-cell integrals with 0.0 appended and the six
+        per-term tables as [term, cell] arrays.  A padding term integrates
+        to 0 times a width, +0.0, and a term of a cell of no width to c*0.0:
+        adding either leaves a sum that starts at +0.0 as it is.
         """
-        cells, wholes, starts = [], [], []
-        for p in self.pieces:
-            terms, cell_wholes = [], []
-            for a, f, ph in p.terms:
-                if abs(f) < _ZERO_FREQ:
-                    c = a * math.sin(ph)
-                    terms.append((None, ph, c, None, None))
-                    cell_wholes.append(c * (p.hi - p.lo))
-                    continue
-                c, cos_lo, cos_hi = a / f, math.cos(f * p.lo + ph), math.cos(f * p.hi + ph)
-                terms.append((f, ph, c, cos_lo, cos_hi))
-                cell_wholes.append(c * (cos_lo - cos_hi))
-            cells.append(tuple(terms))
-            starts.append(len(wholes))
-            if p.hi > p.lo:
-                wholes += cell_wholes
-        starts.append(len(wholes))
-        return cells, wholes, starts
+        los, his = np.array(self._los), np.array(self._his)
+        _, _, _, _, _, (_, a, f, ph, _) = self._cells
+        const = np.abs(f) < _ZERO_FREQ
+        c = np.where(const, a * np.sin(ph), a / np.where(const, 1.0, f))
+        cos_lo, cos_hi = np.cos(f * los + ph), np.cos(f * his + ph)
+        whole = np.where(const, c * (his - los), c * (cos_lo - cos_hi)).T.ravel()
+        table = (f, ph, c, cos_lo, cos_hi, const)
+        cells = [list(zip(*cols)) for cols in zip(*(x.T.tolist() for x in table))]
+        arrays = (los, his, np.append(whole, 0.0), table)
+        return cells, whole.tolist(), f.shape[0], arrays
 
     # The terms are added left to right, in explicit loops or a left fold:
     # from Python 3.12 on the builtin sum compensates float additions, and
-    # would give other bits there than on 3.10 and 3.11.
+    # would give other bits there than on 3.10 and 3.11.  The array
+    # evaluators add them the same way, one [term] row after another, and
+    # take every other operation element by element in the scalar order;
+    # numpy's sin and cos give the bits of math.sin and math.cos.
 
     def _value(self, u) -> float:
         u = float(u)
-        lo, hi, uppers, terms, _ = self._cells
+        lo, hi, uppers, terms, _, _ = self._cells
         if not lo <= u <= hi:
             return 0.0
         total = 0.0
@@ -143,7 +152,7 @@ class PiecewiseTestFunction:
 
     def _slope(self, u) -> float:
         u = float(u)
-        lo, hi, uppers, terms, amps = self._cells
+        lo, hi, uppers, terms, amps, _ = self._cells
         if not lo <= u <= hi:
             return 0.0
         i = bisect_right(uppers, u)
@@ -152,15 +161,38 @@ class PiecewiseTestFunction:
             total += af * math.cos(f * u + p)
         return total
 
+    def _values(self, u: np.ndarray) -> np.ndarray:
+        """``_value`` at every entry of the 1-D array u."""
+        _, a, _, _, _ = self._cells[5]
+        return self._fold_terms(u, a, np.sin)
+
+    def _slopes(self, u: np.ndarray) -> np.ndarray:
+        """``_slope`` at every entry of the 1-D array u."""
+        _, _, _, _, af = self._cells[5]
+        return self._fold_terms(u, af, np.cos)
+
+    def _fold_terms(self, u: np.ndarray, amp: np.ndarray, wave) -> np.ndarray:
+        """Sum over u's cell of amp * wave(f*u + ph), amp being a [term,
+        cell] table; 0.0 off the support."""
+        lo, hi, _, _, _, (uppers, _, f, ph, _) = self._cells
+        u = np.asarray(u, dtype=float)
+        inside = (lo <= u) & (u <= hi)
+        u = np.where(inside, u, lo)  # keeps wave finite where the result is 0.0
+        cell = np.searchsorted(uppers, u, side="right")
+        total = np.zeros(u.shape)
+        for amp_j, f_j, ph_j in zip(amp, f, ph):
+            total += amp_j[cell] * wave(f_j[cell] * u + ph_j[cell])
+        return np.where(inside, total, 0.0)
+
     def __call__(self, u):
         if isinstance(u, np.ndarray):
-            return np.array([self._value(float(x)) for x in u.ravel()]).reshape(u.shape)
+            return self._values(u.ravel()).reshape(u.shape)
         return self._value(u)
 
     def derivative(self, u):
         """One-sided derivative (right-sided at interior breakpoints)."""
         if isinstance(u, np.ndarray):
-            return np.array([self._slope(float(x)) for x in u.ravel()]).reshape(u.shape)
+            return self._slopes(u.ravel()).reshape(u.shape)
         return self._slope(u)
 
     def integral(self, lo: float, hi: float) -> float:
@@ -186,8 +218,8 @@ class PiecewiseTestFunction:
         first, stop = bisect_right(his, lo), bisect_left(los, hi)
         total = self._cell_integral(first, lo, hi, 0.0)
         if stop - first > 1:
-            _, wholes, starts = self._antiderivatives
-            total = reduce(add, wholes[starts[first + 1] : starts[stop - 1]], total)
+            _, wholes, width, _ = self._antiderivatives
+            total = reduce(add, wholes[(first + 1) * width : (stop - 1) * width], total)
             total = self._cell_integral(stop - 1, lo, hi, total)
         return total
 
@@ -199,11 +231,11 @@ class PiecewiseTestFunction:
         if seg_hi <= seg_lo:
             return total
         at_lo, at_hi = seg_lo == cell_lo, seg_hi == cell_hi
-        cells, wholes, starts = self._antiderivatives
+        cells, wholes, width, _ = self._antiderivatives
         if at_lo and at_hi:
-            return reduce(add, wholes[starts[i] : starts[i + 1]], total)
-        for f, ph, c, cos_lo, cos_hi in cells[i]:
-            if f is None:
+            return reduce(add, wholes[i * width : (i + 1) * width], total)
+        for f, ph, c, cos_lo, cos_hi, const in cells[i]:
+            if const:
                 total += c * (seg_hi - seg_lo)
                 continue
             if not at_lo:
@@ -211,6 +243,53 @@ class PiecewiseTestFunction:
             if not at_hi:
                 cos_hi = math.cos(f * seg_hi + ph)
             total += c * (cos_lo - cos_hi)
+        return total
+
+    def _integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """``integral`` over every window [lo[k], hi[k]] of two 1-D arrays.
+
+        Each step of ``integral`` is taken for all windows at once: the
+        swap of a reversed window, the clipping, the first covered cell, the
+        whole cells between, whose stored integrals are gathered into rows
+        and added one row after another (a window with fewer adds the
+        appended 0.0), and the last covered cell.  A window's total starts
+        at +0.0 and so never is -0.0, and adding +0.0 leaves it as it is.
+        """
+        _, _, width, (los, his, wholes, _) = self._antiderivatives
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        flip = hi < lo
+        lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+        lo = np.where(los[0] > lo, los[0], lo)
+        hi = np.where(his[-1] < hi, his[-1], hi)
+        some = hi > lo
+        first = np.where(some, np.searchsorted(his, lo, side="right"), 0)
+        stop = np.where(some, np.searchsorted(los, hi, side="left"), 1)
+        total = self._cell_integrals(first, lo, hi, np.zeros(lo.shape), some)
+        inner = stop - first > 1
+        begin = (first + 1) * width
+        count = np.where(inner, (stop - first - 2) * width, 0)
+        if count.size and count.max() > 0:
+            step = np.arange(count.max())[:, None]
+            for row in wholes[np.where(step < count, begin + step, len(wholes) - 1)]:
+                total += row
+        total = self._cell_integrals(stop - 1, lo, hi, total, inner)
+        total = np.where(some, total, 0.0)
+        return np.where(flip, -total, total)
+
+    def _cell_integrals(self, i, lo, hi, total, use) -> np.ndarray:
+        """``_cell_integral`` for every window, of cell i[k] for window k,
+        adding to ``total`` in place where ``use`` holds."""
+        los, his, _, (f, ph, c, cos_lo, cos_hi, const) = self._antiderivatives[3]
+        cell_lo, cell_hi = los[i], his[i]
+        seg_lo = np.where(cell_lo > lo, cell_lo, lo)
+        seg_hi = np.where(cell_hi < hi, cell_hi, hi)
+        use = use & (seg_hi > seg_lo)
+        f, ph, c = f[:, i], ph[:, i], c[:, i]
+        cos_lo = np.where(seg_lo == cell_lo, cos_lo[:, i], np.cos(f * seg_lo + ph))
+        cos_hi = np.where(seg_hi == cell_hi, cos_hi[:, i], np.cos(f * seg_hi + ph))
+        terms = np.where(const[:, i], c * (seg_hi - seg_lo), c * (cos_lo - cos_hi))
+        for row in np.where(use, terms, 0.0):
+            total += row
         return total
 
 
@@ -378,10 +457,9 @@ class ResidualReport:
         )
 
 
-def _phi(h: PiecewiseTestFunction, u: float) -> float:
-    if abs(u) > h.R:
-        return 0.0
-    return -(1 / h.lam) * (math.cos(h.lam * u) - math.cos(h.lam * h.R))
+def _phi(h: PiecewiseTestFunction, u: np.ndarray) -> np.ndarray:
+    inside = -(1 / h.lam) * (np.cos(h.lam * u) - math.cos(h.lam * h.R))
+    return np.where(np.abs(u) > h.R, 0.0, inside)
 
 
 def _quad_points(h: PiecewiseTestFunction, lo: float, hi: float, extra=()) -> list[float]:
@@ -392,11 +470,92 @@ def _quad_points(h: PiecewiseTestFunction, lo: float, hi: float, extra=()) -> li
     return sorted(pts)
 
 
+def _shifted_points(h: PiecewiseTestFunction) -> list:
+    """The breakpoints shifted by 1 - b and -1 - b, where the convolution
+    integrands have kinks."""
+    brks = list(h.breakpoints())
+    return [1 - b for b in brks] + [-1 - b for b in brks]
+
+
 def _quad(f, lo: float, hi: float, points: Sequence[float]) -> float:
     val, _ = scipy.integrate.quad(
         f, lo, hi, points=list(points) or None, limit=200, epsabs=1e-11, epsrel=1e-11
     )
     return val
+
+
+# QUADPACK's 21-point Gauss-Kronrod abscissae (dqk21), as its source spells them.
+_KRONROD_X = np.array([
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+])
+
+
+def _kronrod_nodes(lo: float, hi: float, points: Sequence[float]) -> np.ndarray:
+    """Every node of QUADPACK's first pass of ``_quad(f, lo, hi, points)``.
+
+    That pass applies dqk21 to each interval between consecutive points of
+    lo, ``points`` (sorted, strictly inside) and hi, which samples [a, b] at
+    centr = 0.5*(a + b) and at centr -+ hlgth*x for its ten abscissae x,
+    with hlgth = 0.5*(b - a): the same operations here give the same bits.
+    """
+    edges = np.array([lo, *points, hi])
+    a, b = edges[:-1], edges[1:]
+    centr = (0.5 * (a + b))[:, None]
+    absc = (0.5 * (b - a))[:, None] * _KRONROD_X
+    return np.concatenate([centr, centr - absc, centr + absc], axis=1).ravel()
+
+
+class _Memo(dict):
+    """Values of the scalar function ``fn`` by argument: those handed in,
+    and any other computed by ``fn`` when first asked for."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn, args: np.ndarray, values: np.ndarray):
+        super().__init__(zip(args.tolist(), values.tolist()))
+        self.fn = fn
+
+    def __missing__(self, x):
+        y = self[x] = self.fn(x)
+        return y
+
+
+def _node_memos(h: PiecewiseTestFunction) -> tuple[_Memo, _Memo, _Memo]:
+    """Memos of h, h' and t -> the integral of h over [-1 - t, 1 - t] for
+    the residual quadratures of one call, filled in one array pass at every
+    node of their first QUADPACK pass.
+
+    The memos are local to the call, since the adaptive rules revisit nodes
+    across integrals and h may outlive the call.  h and h' are filled at the
+    nodes of [-R, R] cut at the cells; when delta != 0, also h and h' at the
+    nodes t of [-R, R] cut at the cells and their shifts, with h(1 - t),
+    h(-1 - t) and the integral; and h at the nodes of [R - 1, R] cut at the
+    cells, for the tail integral on the equation branch.  QUADPACK still
+    takes every sum and every decision, and a node past its first pass
+    costs one scalar call.
+    """
+    R = h.R
+    u = _kronrod_nodes(-R, R, _quad_points(h, -R, R))
+    t = np.empty(0)
+    if h.g.delta:
+        t = _kronrod_nodes(-R, R, _quad_points(h, -R, R, _shifted_points(h)))
+    ends = _kronrod_nodes(R - 1, R, _quad_points(h, R - 1, R))
+    slope_at = np.concatenate([u, t])
+    value_at = np.concatenate([u, t, 1 - t, -1 - t, ends])
+    return (
+        _Memo(h._value, value_at, h._values(value_at)),
+        _Memo(h._slope, slope_at, h._slopes(slope_at)),
+        _Memo(lambda x: h.integral(-1 - x, 1 - x), t, h._integrals(-1 - t, 1 - t)),
+    )
 
 
 def quotient_quadrature(h: PiecewiseTestFunction) -> float:
@@ -406,38 +565,27 @@ def quotient_quadrature(h: PiecewiseTestFunction) -> float:
     inner antiderivatives; quadrature subdivides at every cell boundary and
     at boundaries shifted by +-1.
     """
-    return _quotient_quadrature(h, cache(h._value), cache(h._slope))
+    return _quotient_quadrature(h, *_node_memos(h))
 
 
-def _quotient_quadrature(h: PiecewiseTestFunction, value, slope) -> float:
-    """``quotient_quadrature`` with h and h' evaluated through ``value`` and
-    ``slope``: memos local to the caller, since the adaptive rules revisit
-    nodes across integrals and h may outlive the call."""
+def _quotient_quadrature(h: PiecewiseTestFunction, value, slope, window) -> float:
+    """``quotient_quadrature`` with h, h' and the window integral of h read
+    from the memos of ``_node_memos``."""
     delta = h.g.delta
     eps = float(h.g.epsilon)
     R = h.R
-    brks = list(h.breakpoints())
-    shifted = [1 - b for b in brks] + [-1 - b for b in brks]
+    cuts = _quad_points(h, -R, R)
 
-    i_h2 = _quad(lambda u: value(u) ** 2, -R, R, _quad_points(h, -R, R))
-    i_d2 = _quad(lambda u: slope(u) ** 2, -R, R, _quad_points(h, -R, R))
+    i_h2 = _quad(lambda u: value[u] ** 2, -R, R, cuts)
+    i_d2 = _quad(lambda u: slope[u] ** 2, -R, R, cuts)
     i_h = h.integral(-R, R)
 
     num = i_d2
     den = i_h2 + eps * i_h**2
     if delta:
-        conv_h = _quad(
-            lambda t: value(t) * h.integral(-1 - t, 1 - t),
-            -R,
-            R,
-            _quad_points(h, -R, R, extra=shifted),
-        )
-        conv_d = _quad(
-            lambda t: slope(t) * (value(1 - t) - value(-1 - t)),
-            -R,
-            R,
-            _quad_points(h, -R, R, extra=shifted),
-        )
+        shifts = _quad_points(h, -R, R, _shifted_points(h))
+        conv_h = _quad(lambda t: value[t] * window[t], -R, R, shifts)
+        conv_d = _quad(lambda t: slope[t] * (value[1 - t] - value[-1 - t]), -R, R, shifts)
         num -= 0.5 * delta * conv_d
         den += 0.5 * delta * conv_h
     return num / (4 * math.pi**2 * den)
@@ -485,7 +633,8 @@ def residuals(
     avoiding a 1e-6 neighbourhood of the cell boundaries, where h is only
     one-sidedly differentiable; the Volterra form is sampled on [0, R - 1e-6].
     A support up to 1e-4 is a single cell narrower than those margins, and
-    there they shrink to R/2 and R/4.
+    there they shrink to R/2 and R/4.  The samples are taken by the array
+    evaluators of h, and the quadratures read h from ``_node_memos``.
     """
     ctx = h.ctx if ctx is None else ctx
     delta = h.g.delta
@@ -497,28 +646,18 @@ def residuals(
     us = np.linspace(-R + edge, R - edge, _RESIDUAL_SAMPLES)
     us = us[np.min(np.abs(us[:, None] - brks[None, :]), axis=1) > near]
 
-    value, slope = cache(h._value), cache(h._slope)  # shared with the quotient
-    h_scale = max(1e-300, max(abs(value(float(u))) for u in us))
-    dh_scale = max(1.0, max(abs(slope(float(u))) for u in us))
+    hs, ahead, behind = np.split(h._values(np.concatenate([us, us + 1, us - 1])), 3)
+    dhs = h._slopes(us)
+    h_scale = max(1e-300, float(np.max(np.abs(hs))))
+    dh_scale = max(1.0, float(np.max(np.abs(dhs))))
 
-    ode = 0.0
-    for u in us:
-        u = float(u)
-        defect = (
-            slope(u)
-            - math.sin(lam * u)
-            + 0.5 * delta * (value(u + 1) - value(u - 1))
-        )
-        ode = max(ode, abs(defect))
-    ode /= dh_scale
+    defect = dhs - np.sin(lam * us) + 0.5 * delta * (ahead - behind)
+    ode = float(np.max(np.abs(defect))) / dh_scale
 
-    volt = 0.0
-    for u in np.linspace(0.0, R - near, _RESIDUAL_SAMPLES // 2):
-        u = float(u)
-        shift = h.integral(u + 1, R + 1) - h.integral(u - 1, R - 1)
-        defect = value(u) - _phi(h, u) - 0.5 * delta * shift
-        volt = max(volt, abs(defect))
-    volt /= h_scale
+    vs = np.linspace(0.0, R - near, _RESIDUAL_SAMPLES // 2)
+    shift = h._integrals(vs + 1, R + 1) - h._integrals(vs - 1, R - 1)
+    defect = h._values(vs) - _phi(h, vs) - 0.5 * delta * shift
+    volt = float(np.max(np.abs(defect))) / h_scale
 
     tail_exact = h.integral(R - 1, R)
     full_exact = h.integral(-R, R)
@@ -527,11 +666,12 @@ def residuals(
     compat = abs(compat) / compat_scale
 
     target = lam**2 / (4 * math.pi**2)
-    ray = abs(_quotient_quadrature(h, value, slope) - target) / target
+    value, slope, window = _node_memos(h)
+    ray = abs(_quotient_quadrature(h, value, slope, window) - target) / target
 
     if ctx is not None:
-        tail_quad = _quad(value, R - 1, R, _quad_points(h, R - 1, R))
-        full_quad = _quad(value, -R, R, _quad_points(h, -R, R))
+        tail_quad = _quad(value.__getitem__, R - 1, R, _quad_points(h, R - 1, R))
+        full_quad = _quad(value.__getitem__, -R, R, _quad_points(h, -R, R))
         scale = max(abs(tail_exact), abs(full_exact), 1e-300)
         tail_gap = abs(tail_integral_closed(ctx, lam) - tail_quad) / scale
         full_gap = abs(full_integral_closed(ctx, lam) - full_quad) / scale

@@ -254,6 +254,17 @@ def test_curve_bad_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_failing_curve_writes_nothing(to_file, tmp_path, capsys):
+    # the first row's bound fails: no header or partial CSV may be left
+    argv = ["curve", "--symmetry", "O", "--nu-from", "-2", "--nu-to", "-1", "--steps", "2"]
+    path = tmp_path / "curve.csv"
+    code, out, err = run(capsys, *argv, *(["--out", str(path)] if to_file else []))
+    assert code == 2 and out == ""
+    assert err == "error: nu_max must be positive\n"
+    assert not path.exists()
+
+
 def test_proportion_full_family(capsys):
     code, out, _ = run(
         capsys, "proportion", "--family", "Hr", "--r", "1", "--beta", "1.0"
@@ -361,6 +372,23 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     assert err.value.code == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,smallest",
+    [
+        (["bound", "--symmetry", "U", "--nu-max", "1e-320"], "1.5e-154"),
+        (["bound", "--symmetry", "U", "--nu-max", "1e-160"], "1.5e-154"),
+        (["bound", "--symmetry", "O", "--nu-max", "1e-14"], "1e-13"),
+        (["bound", "--symmetry", "SO-", "--nu-max", "1e-300"], "1e-13"),
+        (["testfn", "--symmetry", "Sp", "--R", "1e-200"], "1e-13"),
+    ],
+)
+def test_tiny_support_is_a_usage_error_naming_the_limit(argv, smallest, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: support R = ")
+    assert f" is below {smallest}, the smallest support " in err
 
 
 def test_bound_reports_a_failed_root_scan(capsys):

@@ -95,9 +95,41 @@ def test_inverse_round_trip():
             assert branch[0] < x < branch[1]
 
 
+def test_inverse_names_its_reach():
+    for y in (1.01e13, -1.01e13):
+        assert 0 < tan_ratio_inverse(y) < tan_ratio_fixed_point()
+    for y in (1.02e13, -1.02e13, 1e300):
+        with pytest.raises(ValueError, match=r"solves \|y\| up to 1\.01e\+13"):
+            tan_ratio_inverse(y)
+
+
 # ---------------------------------------------------------------------------
 # Small-support branch
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "g,smallest",
+    [
+        (Symmetry.U, 1.5e-154),
+        (Symmetry.O, 1e-13),
+        (Symmetry.Sp, 1e-13),
+        (Symmetry.SOplus, 1e-13),
+        (Symmetry.SOminus, 1e-13),
+    ],
+)
+def test_smallest_support_is_solved_and_named(g, smallest):
+    # every support from the limit up gives a finite minimum; below it the
+    # error names the limit instead of a bisection failure, an overflow to
+    # inf or a ZeroDivisionError
+    for R in np.geomspace(smallest, 0.5, 200).tolist():
+        res = solver.minimal_quotient(g, R)
+        assert math.isfinite(res.m_tilde) and res.m_tilde > 0
+    for R in (math.nextafter(smallest, 0.0), smallest / 10, 1e-200, 5e-321):
+        with pytest.raises(ValueError, match=f"below {smallest!r}, the smallest support"):
+            solver.minimal_quotient(g, R)
+        if g is not Symmetry.U:
+            with pytest.raises(ValueError, match=f"below {smallest!r}"):
+                small_support_minimum(g, R)
 
 def test_small_support_orthogonal_full_range():
     res = small_support_minimum(Symmetry.O, 1.0)

@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from lowzero import rayleigh, solver
-from testfunction_oracles import integral_all_pieces, piece_index_linear_scan
+from lowzero import rayleigh, solver, testfunction
+from testfunction_oracles import (
+    integral_all_pieces,
+    piece_index_linear_scan,
+    quotient_quadrature_scalar,
+    residuals_scalar,
+)
 from lowzero.chebyshev import u_stack
 from lowzero.solver import DegenerateRadiusError, build_context, smallest_root
 from lowzero.symmetry import Symmetry
+from lowzero.verification import RESIDUAL_PAIRS
 from lowzero.testfunction import (
     assemble,
     full_integral_closed,
@@ -319,6 +325,36 @@ def test_table_driven_evaluation_matches_oracle_bitwise(g, R):
         assert h.derivative(u) == slope
 
 
+def _bits_equal(got, want) -> bool:
+    """Equal values and equal signs, so +0.0 and -0.0 differ."""
+    got, want = np.asarray(got), np.asarray(want)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("g,R", BITWISE_CASES)
+def test_array_evaluators_match_scalar_bitwise(g, R):
+    h, _ = reconstruct(g, R)
+    brks = [float(b) for b in h.breakpoints()]
+    mids = [0.5 * (lo + hi) for lo, hi in zip(brks, brks[1:])]
+    # off the support on both sides, on every breakpoint and inside cells
+    edges = [-R - 1e-300, R + 1e-12]
+    us = np.array(list(np.linspace(-R - 1.5, R + 1.5, 301)) + brks + mids + edges)
+    assert _bits_equal(h(us), [h._value(float(u)) for u in us])
+    assert _bits_equal(h.derivative(us), [h._slope(float(u)) for u in us])
+    assert _bits_equal(h(us.reshape(-1, 1)).ravel(), h(us))
+    # reversed, empty, whole-cell and cell-edge windows, windows off the
+    # support, and the convolution windows (-1 - t, 1 - t)
+    windows = [(b, c) for b in brks for c in brks]
+    windows += [w for b in brks for m in mids for w in ((b, m), (m, b))]
+    windows += [(-1 - t, 1 - t) for t in list(us)]
+    windows += [(u, R + 1) for u in us] + [(u - 1, R - 1) for u in us]
+    windows += [(R + 1, R + 2), (-R - 2, -R - 1), (R + 2, -R - 2)]
+    lo, hi = np.array(windows).T
+    assert _bits_equal(
+        h._integrals(lo, hi), [h.integral(float(a), float(b)) for a, b in windows]
+    )
+
+
 # ---------------------------------------------------------------------------
 # Residual suite
 # ---------------------------------------------------------------------------
@@ -374,3 +410,49 @@ def test_quotient_matches_solved_minimum_and_oracle():
         assert math.sqrt(quotient_quadrature(h)) == pytest.approx(
             rayleigh.sqrt_quotient(g, R, 400), abs=5e-3
         )
+
+
+REFERENCE_CASES = (
+    list(RESIDUAL_PAIRS)
+    + BITWISE_CASES
+    + [(g, R) for g in (Symmetry.O, Symmetry.Sp) for R in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)]
+)
+
+
+@pytest.mark.parametrize("g,R", REFERENCE_CASES)
+def test_residuals_equal_the_scalar_reference(g, R):
+    h, _ = reconstruct(g, R)
+    assert residuals(h) == residuals_scalar(h)
+    value, slope = h._value, h._slope
+    assert quotient_quadrature(h) == quotient_quadrature_scalar(h, value, slope)
+
+
+def _count_misses(monkeypatch) -> list:
+    """Count the memo lookups that fall back to a scalar evaluation."""
+    misses = [0]
+    fallback = testfunction._Memo.__missing__
+
+    def counted(memo, x):
+        misses[0] += 1
+        return fallback(memo, x)
+
+    monkeypatch.setattr(testfunction._Memo, "__missing__", counted)
+    return misses
+
+
+@pytest.mark.parametrize("g,R", RESIDUAL_PAIRS)
+def test_residual_quadrature_nodes_are_all_prefetched(g, R, monkeypatch):
+    h, _ = reconstruct(g, R)
+    misses = _count_misses(monkeypatch)
+    residuals(h)
+    assert misses[0] == 0
+
+
+@pytest.mark.parametrize("g,R", [(Symmetry.O, 0.9), (Symmetry.SOminus, 1.2), (Symmetry.Sp, 8.7)])
+def test_residuals_unchanged_when_no_node_is_prefetched(g, R, monkeypatch):
+    h, _ = reconstruct(g, R)
+    expected = residuals(h)
+    misses = _count_misses(monkeypatch)
+    monkeypatch.setattr(testfunction, "_kronrod_nodes", lambda lo, hi, points: np.empty(0))
+    assert residuals(h) == expected
+    assert misses[0] > 0

@@ -1,8 +1,19 @@
 """Piecewise test-function routines used only as test oracles."""
 
 import math
+from functools import cache
 
-from lowzero.testfunction import _ZERO_FREQ
+import numpy as np
+
+from lowzero.testfunction import (
+    _RESIDUAL_SAMPLES,
+    _ZERO_FREQ,
+    ResidualReport,
+    _quad,
+    _quad_points,
+    full_integral_closed,
+    tail_integral_closed,
+)
 
 
 def piece_index_linear_scan(h, u: float) -> int:
@@ -41,3 +52,108 @@ def integral_all_pieces(h, lo: float, hi: float) -> float:
             else:
                 total += (a / f) * (math.cos(f * seg_lo + ph) - math.cos(f * seg_hi + ph))
     return total
+
+
+def quotient_quadrature_scalar(h, value, slope) -> float:
+    """``testfunction._quotient_quadrature`` with every node evaluated one
+    float at a time through ``value`` and ``slope`` (memoized scalar
+    evaluators of h and h'), and every window integral through
+    ``h.integral``."""
+    delta = h.g.delta
+    eps = float(h.g.epsilon)
+    R = h.R
+    brks = list(h.breakpoints())
+    shifted = [1 - b for b in brks] + [-1 - b for b in brks]
+
+    i_h2 = _quad(lambda u: value(u) ** 2, -R, R, _quad_points(h, -R, R))
+    i_d2 = _quad(lambda u: slope(u) ** 2, -R, R, _quad_points(h, -R, R))
+    i_h = h.integral(-R, R)
+
+    num = i_d2
+    den = i_h2 + eps * i_h**2
+    if delta:
+        conv_h = _quad(
+            lambda t: value(t) * h.integral(-1 - t, 1 - t),
+            -R,
+            R,
+            _quad_points(h, -R, R, extra=shifted),
+        )
+        conv_d = _quad(
+            lambda t: slope(t) * (value(1 - t) - value(-1 - t)),
+            -R,
+            R,
+            _quad_points(h, -R, R, extra=shifted),
+        )
+        num -= 0.5 * delta * conv_d
+        den += 0.5 * delta * conv_h
+    return num / (4 * math.pi**2 * den)
+
+
+def residuals_scalar(h, ctx=None) -> ResidualReport:
+    """``testfunction.residuals`` sampling h, h' and the integrals one float
+    at a time, and running every quadrature node through the scalar
+    evaluators."""
+    ctx = h.ctx if ctx is None else ctx
+    delta = h.g.delta
+    eps = float(h.g.epsilon)
+    R, lam = h.R, h.lam
+
+    edge, near = (1e-4, 1e-6) if R > 1e-4 else (R / 2, R / 4)
+    brks = h.breakpoints()
+    us = np.linspace(-R + edge, R - edge, _RESIDUAL_SAMPLES)
+    us = us[np.min(np.abs(us[:, None] - brks[None, :]), axis=1) > near]
+
+    value, slope = cache(h._value), cache(h._slope)  # shared with the quotient
+    h_scale = max(1e-300, max(abs(value(float(u))) for u in us))
+    dh_scale = max(1.0, max(abs(slope(float(u))) for u in us))
+
+    ode = 0.0
+    for u in us:
+        u = float(u)
+        defect = (
+            slope(u)
+            - math.sin(lam * u)
+            + 0.5 * delta * (value(u + 1) - value(u - 1))
+        )
+        ode = max(ode, abs(defect))
+    ode /= dh_scale
+
+    volt = 0.0
+    for u in np.linspace(0.0, R - near, _RESIDUAL_SAMPLES // 2):
+        u = float(u)
+        shift = h.integral(u + 1, R + 1) - h.integral(u - 1, R - 1)
+        phi = 0.0 if abs(u) > R else -(1 / lam) * (math.cos(lam * u) - math.cos(lam * R))
+        defect = value(u) - phi - 0.5 * delta * shift
+        volt = max(volt, abs(defect))
+    volt /= h_scale
+
+    tail_exact = h.integral(R - 1, R)
+    full_exact = h.integral(-R, R)
+    compat = (1 / lam) * math.cos(lam * R) + 0.5 * delta * tail_exact + eps * full_exact
+    compat_scale = max(abs(1 / lam), abs(tail_exact), abs(full_exact), 1e-300)
+    compat = abs(compat) / compat_scale
+
+    target = lam**2 / (4 * math.pi**2)
+    ray = abs(quotient_quadrature_scalar(h, value, slope) - target) / target
+
+    if ctx is not None:
+        tail_quad = _quad(value, R - 1, R, _quad_points(h, R - 1, R))
+        full_quad = _quad(value, -R, R, _quad_points(h, -R, R))
+        scale = max(abs(tail_exact), abs(full_exact), 1e-300)
+        tail_gap = abs(tail_integral_closed(ctx, lam) - tail_quad) / scale
+        full_gap = abs(full_integral_closed(ctx, lam) - full_quad) / scale
+    else:
+        tail_gap = full_gap = 0.0
+
+    sqrt_scaled = 2 * R * lam / math.pi
+    k_norm = -4 * R * sqrt_scaled * math.cos(0.5 * math.pi * sqrt_scaled) / math.pi**2
+
+    return ResidualReport(
+        delayed_ode=ode,
+        volterra=volt,
+        compatibility=compat,
+        rayleigh_gap=ray,
+        int_tail_gap=tail_gap,
+        int_full_gap=full_gap,
+        k_normalization=k_norm,
+    )
