@@ -42,6 +42,7 @@ print("partition points:", ", ".join(f"{b:+.3f}" for b in h.breakpoints()))
 with open("optimal_test_function.csv", "w", newline="") as handle:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["u", "h"])
-    for u in np.linspace(-R - 0.1, R + 0.1, 801):
-        writer.writerow([f"{float(u):.8f}", f"{h(float(u)):.12f}"])
+    us = np.linspace(-R - 0.1, R + 0.1, 801)
+    for u, v in zip(us.tolist(), h(us).tolist()):
+        writer.writerow([f"{u:.8f}", f"{v:.12f}"])
 print("wrote optimal_test_function.csv (801 samples, even, zero outside support)")

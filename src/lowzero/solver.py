@@ -55,7 +55,8 @@ __all__ = [
 
 
 class DegenerateRadiusError(ValueError):
-    """The continuity matrix is numerically singular at this support.
+    """No context exists at this support: 2R is numerically an integer, or
+    the continuity matrix is numerically singular.
 
     Happens for at most finitely many R per unit interval; callers should
     perturb R by ~1e-6 and retry.
@@ -406,10 +407,10 @@ _order_tables = lru_cache(maxsize=128)(_OrderTables)
 def build_context(g: Symmetry, R: float) -> EquationContext:
     """Assemble the frequency-independent data for the equation branch.
 
-    Requires a Sp/SO kernel, R > 1/2, and 2R away from integers (the
-    partition alternates gaps of 2R-(n-1) and n-2R, both of which must stay
-    positive).  Raises ``DegenerateRadiusError`` at the finitely many R where
-    the continuity matrix degenerates.
+    Requires a Sp/SO kernel and R > 1/2.  Raises ``DegenerateRadiusError``
+    where 2R is within 1e-9 of an integer (the partition alternates gaps of
+    2R-(n-1) and n-2R, both of which must stay positive) and at the
+    finitely many R where the continuity matrix degenerates.
 
     The contexts of the last 16 (kernel, support) pairs are kept, so a
     support solved a moment ago returns the same context, with its root.
@@ -426,7 +427,7 @@ def _build_context(g: Symmetry, R: float) -> EquationContext:
     if R <= 0.5:
         raise ValueError("equation branch requires R > 1/2")
     if abs(2 * R - round(2 * R)) < 1e-9:
-        raise ValueError("2R must not be (numerically) an integer")
+        raise DegenerateRadiusError("2R must not be (numerically) an integer")
     n = int(math.floor(2 * R)) + 1
 
     a = np.zeros(n + 1)

@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain
-from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,110 +73,68 @@ class PiecewiseTestFunction:
         return np.asarray(pts)
 
     @cached_property
-    def _los(self) -> list[float]:
-        return [p.lo for p in self.pieces]
-
-    @cached_property
-    def _his(self) -> list[float]:
-        return [p.hi for p in self.pieces]
-
-    @cached_property
     def _cells(self) -> tuple:
-        """Lookup tables of ``_value`` and ``_slope``: the support's ends,
-        the upper ends of every cell but the last, and per cell its
-        (a, f, ph) terms and their slope amplitudes a*f.  bisect_right on
-        those upper ends gives the first cell whose upper end exceeds u,
-        else the last cell, which keeps its upper end; a*f is the product
-        that a * f * cos(f*u + ph) forms first.
-
-        Last, the tables of ``_values`` and ``_slopes``: those upper ends as
-        an array, and a, f, ph and a*f as [term, cell] arrays, each cell
-        padded to the longest cell's number of terms with terms (0, 0, 0).
+        """Lookup tables of ``_values`` and ``_slopes``: the cells' lower
+        and upper ends, and a, f, ph and the slope amplitudes a*f as [term,
+        cell] arrays, each cell padded to the longest cell's number of terms
+        with terms (0, 0, 0).  searchsorted(side="right") on the upper ends
+        of every cell but the last gives the first cell whose upper end
+        exceeds u, else the last cell, which keeps its upper end; a*f is the
+        product that a * f * cos(f*u + ph) forms first.
         """
-        his = self._his
         terms = [p.terms for p in self.pieces]
-        amps = [tuple(a * f for a, f, _ in cell) for cell in terms]
         width = max(map(len, terms))
         pad = ((0.0, 0.0, 0.0),)
         flat = chain.from_iterable(chain.from_iterable(c + pad * (width - len(c)) for c in terms))
         table = np.fromiter(flat, float, 3 * width * len(terms)).reshape(len(terms), width, 3)
         a, f, ph = table.transpose(2, 1, 0).copy()
-        arrays = (np.array(his[:-1]), a, f, ph, a * f)
-        return self._los[0], his[-1], his[:-1], terms, amps, arrays
+        los = np.array([p.lo for p in self.pieces])
+        his = np.array([p.hi for p in self.pieces])
+        return los, his, a, f, ph, a * f
 
     @cached_property
     def _antiderivatives(self) -> tuple:
-        """Integration tables over the padded terms of ``_cells``' arrays.
+        """Integration tables over the padded terms of ``_cells``.
 
-        Per term (f, ph, c, cos_lo, cos_hi, const): c = a/f, the term
-        integrates to c*(cos(f*x + ph) - cos(f*y + ph)) over [x, y], and
-        cos_lo and cos_hi are those cosines at the cell's ends; a term of
-        frequency below ``_ZERO_FREQ``, padding included, is a constant
-        (const true) c = a*sin(ph) and integrates to c*(y - x).  Returned:
-        those tuples per cell; every term's integral over its whole cell, in
-        cell order; the number of terms per cell; and for ``_integrals`` the
-        cells' ends, the whole-cell integrals with 0.0 appended and the six
-        per-term tables as [term, cell] arrays.  A padding term integrates
-        to 0 times a width, +0.0, and a term of a cell of no width to c*0.0:
-        adding either leaves a sum that starts at +0.0 as it is.
+        Per term (f, ph, c, cos_lo, cos_hi, const), as [term, cell] arrays:
+        c = a/f, the term integrates to c*(cos(f*x + ph) - cos(f*y + ph))
+        over [x, y], and cos_lo and cos_hi are those cosines at the cell's
+        ends; a term of frequency below ``_ZERO_FREQ``, padding included, is
+        a constant (const true) c = a*sin(ph) and integrates to c*(y - x).
+        Returned with the number of terms per cell and every term's integral
+        over its whole cell, in cell order, with 0.0 appended.  A padding
+        term integrates to 0 times a width, +0.0, and a term of a cell of
+        no width to c*0.0: adding either leaves a sum that starts at +0.0
+        as it is.
         """
-        los, his = np.array(self._los), np.array(self._his)
-        _, _, _, _, _, (_, a, f, ph, _) = self._cells
+        los, his, a, f, ph, _ = self._cells
         const = np.abs(f) < _ZERO_FREQ
         c = np.where(const, a * np.sin(ph), a / np.where(const, 1.0, f))
         cos_lo, cos_hi = np.cos(f * los + ph), np.cos(f * his + ph)
         whole = np.where(const, c * (his - los), c * (cos_lo - cos_hi)).T.ravel()
-        table = (f, ph, c, cos_lo, cos_hi, const)
-        cells = [list(zip(*cols)) for cols in zip(*(x.T.tolist() for x in table))]
-        arrays = (los, his, np.append(whole, 0.0), table)
-        return cells, whole.tolist(), f.shape[0], arrays
+        return f.shape[0], np.append(whole, 0.0), (f, ph, c, cos_lo, cos_hi, const)
 
-    # The terms are added left to right, in explicit loops or a left fold:
-    # from Python 3.12 on the builtin sum compensates float additions, and
-    # would give other bits there than on 3.10 and 3.11.  The array
-    # evaluators add them the same way, one [term] row after another, and
-    # take every other operation element by element in the scalar order;
-    # numpy's sin and cos give the bits of math.sin and math.cos.
-
-    def _value(self, u) -> float:
-        u = float(u)
-        lo, hi, uppers, terms, _, _ = self._cells
-        if not lo <= u <= hi:
-            return 0.0
-        total = 0.0
-        for a, f, p in terms[bisect_right(uppers, u)]:
-            total += a * math.sin(f * u + p)
-        return total
-
-    def _slope(self, u) -> float:
-        u = float(u)
-        lo, hi, uppers, terms, amps, _ = self._cells
-        if not lo <= u <= hi:
-            return 0.0
-        i = bisect_right(uppers, u)
-        total = 0.0
-        for (_, f, p), af in zip(terms[i], amps[i]):
-            total += af * math.cos(f * u + p)
-        return total
+    # The terms of a cell are added left to right, one [term] row after
+    # another or in a left fold (np.add.accumulate is sequential by
+    # definition, np.add.reduce may add pairwise), and a Python float is
+    # evaluated as a one-element array, so every route gives the same bits.
 
     def _values(self, u: np.ndarray) -> np.ndarray:
-        """``_value`` at every entry of the 1-D array u."""
-        _, a, _, _, _ = self._cells[5]
-        return self._fold_terms(u, a, np.sin)
+        """h at every entry of the 1-D array u."""
+        return self._fold_terms(u, self._cells[2], np.sin)
 
     def _slopes(self, u: np.ndarray) -> np.ndarray:
-        """``_slope`` at every entry of the 1-D array u."""
-        _, _, _, _, af = self._cells[5]
-        return self._fold_terms(u, af, np.cos)
+        """h' at every entry of the 1-D array u."""
+        return self._fold_terms(u, self._cells[5], np.cos)
 
     def _fold_terms(self, u: np.ndarray, amp: np.ndarray, wave) -> np.ndarray:
         """Sum over u's cell of amp * wave(f*u + ph), amp being a [term,
         cell] table; 0.0 off the support."""
-        lo, hi, _, _, _, (uppers, _, f, ph, _) = self._cells
+        los, his, _, f, ph, _ = self._cells
         u = np.asarray(u, dtype=float)
-        inside = (lo <= u) & (u <= hi)
-        u = np.where(inside, u, lo)  # keeps wave finite where the result is 0.0
-        cell = np.searchsorted(uppers, u, side="right")
+        inside = (los[0] <= u) & (u <= his[-1])
+        u = np.where(inside, u, los[0])  # keeps wave finite where the result is 0.0
+        cell = np.searchsorted(his[:-1], u, side="right")
         total = np.zeros(u.shape)
         for amp_j, f_j, ph_j in zip(amp, f, ph):
             total += amp_j[cell] * wave(f_j[cell] * u + ph_j[cell])
@@ -187,78 +143,40 @@ class PiecewiseTestFunction:
     def __call__(self, u):
         if isinstance(u, np.ndarray):
             return self._values(u.ravel()).reshape(u.shape)
-        return self._value(u)
+        return self._values(np.array([float(u)])).item()
 
     def derivative(self, u):
         """One-sided derivative (right-sided at interior breakpoints)."""
         if isinstance(u, np.ndarray):
             return self._slopes(u.ravel()).reshape(u.shape)
-        return self._slope(u)
+        return self._slopes(np.array([float(u)])).item()
 
     def integral(self, lo: float, hi: float) -> float:
-        """Exact integral over [lo, hi] via per-term antiderivatives.
-
-        The range is clipped to the support, where the function vanishes.
-        The cells are contiguous, so only the first and last covered cells
-        can be partial: those add their terms one by one, reusing the stored
-        cosines at their own edges, and the whole cells between add their
-        stored per-term integrals in one left fold.  These are the same
-        operands in the same order as evaluating every term afresh, so the
-        same sum.
-        """
-        if hi < lo:
-            return -self.integral(hi, lo)
-        # Clipping is spelled out as max() and min() evaluate it (the second
-        # operand only when strictly past the first), without their calls.
-        los, his = self._los, self._his
-        lo = los[0] if los[0] > lo else lo
-        hi = his[-1] if his[-1] < hi else hi
-        if hi <= lo:
-            return 0.0
-        first, stop = bisect_right(his, lo), bisect_left(los, hi)
-        total = self._cell_integral(first, lo, hi, 0.0)
-        if stop - first > 1:
-            _, wholes, width, _ = self._antiderivatives
-            total = reduce(add, wholes[(first + 1) * width : (stop - 1) * width], total)
-            total = self._cell_integral(stop - 1, lo, hi, total)
-        return total
-
-    def _cell_integral(self, i: int, lo: float, hi: float, total: float) -> float:
-        """``total`` plus the integral of cell i over its part of [lo, hi]."""
-        cell_lo, cell_hi = self._los[i], self._his[i]
-        seg_lo = cell_lo if cell_lo > lo else lo
-        seg_hi = cell_hi if cell_hi < hi else hi
-        if seg_hi <= seg_lo:
-            return total
-        at_lo, at_hi = seg_lo == cell_lo, seg_hi == cell_hi
-        cells, wholes, width, _ = self._antiderivatives
-        if at_lo and at_hi:
-            return reduce(add, wholes[i * width : (i + 1) * width], total)
-        for f, ph, c, cos_lo, cos_hi, const in cells[i]:
-            if const:
-                total += c * (seg_hi - seg_lo)
-                continue
-            if not at_lo:
-                cos_lo = math.cos(f * seg_lo + ph)
-            if not at_hi:
-                cos_hi = math.cos(f * seg_hi + ph)
-            total += c * (cos_lo - cos_hi)
-        return total
+        """Exact integral over [lo, hi] via per-term antiderivatives; see
+        ``_integrals``."""
+        return self._integrals(np.array([float(lo)]), np.array([float(hi)])).item()
 
     def _integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """``integral`` over every window [lo[k], hi[k]] of two 1-D arrays.
+        """Exact integral over every window [lo[k], hi[k]] of two 1-D arrays.
 
-        Each step of ``integral`` is taken for all windows at once: the
-        swap of a reversed window, the clipping, the first covered cell, the
-        whole cells between, whose stored integrals are gathered into rows
-        and added one row after another (a window with fewer adds the
-        appended 0.0), and the last covered cell.  A window's total starts
-        at +0.0 and so never is -0.0, and adding +0.0 leaves it as it is.
+        A reversed window is swapped and its integral negated, and each
+        window is clipped to the support, where h vanishes.  The cells are
+        contiguous, so only the first and last covered cells can be partial:
+        those add their terms one by one, reusing the stored cosines at
+        their own edges, and the whole cells between add their stored
+        per-term integrals, gathered into rows (a window with fewer adds the
+        appended 0.0) and folded left to right by np.add.accumulate.  These
+        are the same operands in the same order as evaluating every term
+        afresh, so the same sum.  A window's total starts at +0.0 and so
+        never is -0.0, and adding +0.0 leaves it as it is.
         """
-        _, _, width, (los, his, wholes, _) = self._antiderivatives
+        los, his = self._cells[:2]
+        width, wholes, _ = self._antiderivatives
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
         flip = hi < lo
         lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+        # Clipping is spelled out as max() and min() evaluate it (the second
+        # operand only when strictly past the first).
         lo = np.where(los[0] > lo, los[0], lo)
         hi = np.where(his[-1] < hi, his[-1], hi)
         some = hi > lo
@@ -270,16 +188,17 @@ class PiecewiseTestFunction:
         count = np.where(inner, (stop - first - 2) * width, 0)
         if count.size and count.max() > 0:
             step = np.arange(count.max())[:, None]
-            for row in wholes[np.where(step < count, begin + step, len(wholes) - 1)]:
-                total += row
+            rows = wholes[np.where(step < count, begin + step, len(wholes) - 1)]
+            total = np.add.accumulate(np.concatenate([total[None], rows]), axis=0)[-1]
         total = self._cell_integrals(stop - 1, lo, hi, total, inner)
         total = np.where(some, total, 0.0)
         return np.where(flip, -total, total)
 
     def _cell_integrals(self, i, lo, hi, total, use) -> np.ndarray:
-        """``_cell_integral`` for every window, of cell i[k] for window k,
-        adding to ``total`` in place where ``use`` holds."""
-        los, his, _, (f, ph, c, cos_lo, cos_hi, const) = self._antiderivatives[3]
+        """``total`` plus, where ``use`` holds, the integral of cell i[k]
+        over its part of window k, added in place."""
+        los, his = self._cells[:2]
+        f, ph, c, cos_lo, cos_hi, const = self._antiderivatives[2]
         cell_lo, cell_hi = los[i], his[i]
         seg_lo = np.where(cell_lo > lo, cell_lo, lo)
         seg_hi = np.where(cell_hi < hi, cell_hi, hi)
@@ -515,8 +434,9 @@ def _kronrod_nodes(lo: float, hi: float, points: Sequence[float]) -> np.ndarray:
 
 
 class _Memo(dict):
-    """Values of the scalar function ``fn`` by argument: those handed in,
-    and any other computed by ``fn`` when first asked for."""
+    """Values of ``fn`` by argument: those handed in, and any other computed
+    when first asked for, by ``fn`` on a one-element array.  ``fn`` maps a
+    1-D array to the array of its values."""
 
     __slots__ = ("fn",)
 
@@ -525,7 +445,7 @@ class _Memo(dict):
         self.fn = fn
 
     def __missing__(self, x):
-        y = self[x] = self.fn(x)
+        y = self[x] = self.fn(np.array([x])).item()
         return y
 
 
@@ -540,8 +460,8 @@ def _node_memos(h: PiecewiseTestFunction) -> tuple[_Memo, _Memo, _Memo]:
     nodes t of [-R, R] cut at the cells and their shifts, with h(1 - t),
     h(-1 - t) and the integral; and h at the nodes of [R - 1, R] cut at the
     cells, for the tail integral on the equation branch.  QUADPACK still
-    takes every sum and every decision, and a node past its first pass
-    costs one scalar call.
+    takes every sum and every decision, and a node past its first pass is
+    evaluated by the same array evaluator on one point.
     """
     R = h.R
     u = _kronrod_nodes(-R, R, _quad_points(h, -R, R))
@@ -551,10 +471,11 @@ def _node_memos(h: PiecewiseTestFunction) -> tuple[_Memo, _Memo, _Memo]:
     ends = _kronrod_nodes(R - 1, R, _quad_points(h, R - 1, R))
     slope_at = np.concatenate([u, t])
     value_at = np.concatenate([u, t, 1 - t, -1 - t, ends])
+    window = lambda x: h._integrals(-1 - x, 1 - x)
     return (
-        _Memo(h._value, value_at, h._values(value_at)),
-        _Memo(h._slope, slope_at, h._slopes(slope_at)),
-        _Memo(lambda x: h.integral(-1 - x, 1 - x), t, h._integrals(-1 - t, 1 - t)),
+        _Memo(h._values, value_at, h._values(value_at)),
+        _Memo(h._slopes, slope_at, h._slopes(slope_at)),
+        _Memo(window, t, window(t)),
     )
 
 
@@ -565,12 +486,13 @@ def quotient_quadrature(h: PiecewiseTestFunction) -> float:
     inner antiderivatives; quadrature subdivides at every cell boundary and
     at boundaries shifted by +-1.
     """
-    return _quotient_quadrature(h, *_node_memos(h))
+    return _quotient_quadrature(h, *_node_memos(h), h.integral(-h.R, h.R))
 
 
-def _quotient_quadrature(h: PiecewiseTestFunction, value, slope, window) -> float:
+def _quotient_quadrature(h: PiecewiseTestFunction, value, slope, window, i_h: float) -> float:
     """``quotient_quadrature`` with h, h' and the window integral of h read
-    from the memos of ``_node_memos``."""
+    from the memos of ``_node_memos``, and ``i_h`` the integral of h over
+    [-R, R]."""
     delta = h.g.delta
     eps = float(h.g.epsilon)
     R = h.R
@@ -578,7 +500,6 @@ def _quotient_quadrature(h: PiecewiseTestFunction, value, slope, window) -> floa
 
     i_h2 = _quad(lambda u: value[u] ** 2, -R, R, cuts)
     i_d2 = _quad(lambda u: slope[u] ** 2, -R, R, cuts)
-    i_h = h.integral(-R, R)
 
     num = i_d2
     den = i_h2 + eps * i_h**2
@@ -634,7 +555,8 @@ def residuals(
     one-sidedly differentiable; the Volterra form is sampled on [0, R - 1e-6].
     A support up to 1e-4 is a single cell narrower than those margins, and
     there they shrink to R/2 and R/4.  The samples are taken by the array
-    evaluators of h, and the quadratures read h from ``_node_memos``.
+    evaluators of h, the integrals in one ``_integrals`` call, and the
+    quadratures read h from ``_node_memos``.
     """
     ctx = h.ctx if ctx is None else ctx
     delta = h.g.delta
@@ -654,20 +576,24 @@ def residuals(
     defect = dhs - np.sin(lam * us) + 0.5 * delta * (ahead - behind)
     ode = float(np.max(np.abs(defect))) / dh_scale
 
+    # the Volterra windows (v + 1, R + 1) and (v - 1, R - 1), then [R - 1, R]
+    # and [-R, R], in one call
     vs = np.linspace(0.0, R - near, _RESIDUAL_SAMPLES // 2)
-    shift = h._integrals(vs + 1, R + 1) - h._integrals(vs - 1, R - 1)
-    defect = h._values(vs) - _phi(h, vs) - 0.5 * delta * shift
+    lo = np.concatenate([vs + 1, vs - 1, [R - 1, -R]])
+    hi = np.concatenate([np.full(vs.size, R + 1), np.full(vs.size, R - 1), [R, R]])
+    ints = h._integrals(lo, hi)
+    ahead, behind = np.split(ints[:-2], 2)
+    defect = h._values(vs) - _phi(h, vs) - 0.5 * delta * (ahead - behind)
     volt = float(np.max(np.abs(defect))) / h_scale
 
-    tail_exact = h.integral(R - 1, R)
-    full_exact = h.integral(-R, R)
+    tail_exact, full_exact = ints[-2:].tolist()
     compat = (1 / lam) * math.cos(lam * R) + 0.5 * delta * tail_exact + eps * full_exact
     compat_scale = max(abs(1 / lam), abs(tail_exact), abs(full_exact), 1e-300)
     compat = abs(compat) / compat_scale
 
     target = lam**2 / (4 * math.pi**2)
     value, slope, window = _node_memos(h)
-    ray = abs(_quotient_quadrature(h, value, slope, window) - target) / target
+    ray = abs(_quotient_quadrature(h, value, slope, window, full_exact) - target) / target
 
     if ctx is not None:
         tail_quad = _quad(value.__getitem__, R - 1, R, _quad_points(h, R - 1, R))

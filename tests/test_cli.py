@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lowzero
 from lowzero.cli import main
 from lowzero.solver import DegenerateRadiusError
 
@@ -102,6 +106,21 @@ def test_bound_oracle_check_uses_solved_support(capsys, monkeypatch):
     assert code == 0
     assert oracle_supports == [R - 1e-6]
     assert float(parse_kv(out)["oracle_gap"]) <= 5e-3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--symmetry", "Sp", "--nu-max", "2.00002"],
+        ["testfn", "--symmetry", "Sp", "--R", "1", "--samples", "5"],
+    ],
+)
+def test_integer_2r_support_is_nudged(capsys, argv):
+    # the bound's limit sample nu/2 - 1e-5 and the testfn support are R = 1
+    with pytest.warns(UserWarning, match="support 1.0 is numerically degenerate; using 1.000001"):
+        code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out and "error" not in err
 
 
 def test_bound_json_format(capsys):
@@ -470,3 +489,15 @@ def test_csv_matches_golden(golden, argv, tmp_path, capsys):
     np.testing.assert_allclose(
         [float(row[1]) for row in got], [float(row[1]) for row in want], rtol=1e-12, atol=0
     )
+
+
+def test_python_m_lowzero_runs_the_cli():
+    argv = ["bound", "--symmetry", "SO+", "--nu-max", "2"]
+    env = {**os.environ, "PYTHONPATH": str(Path(lowzero.__file__).parents[1])}
+    out = [
+        subprocess.run(
+            [sys.executable, "-m", module, *argv], env=env, capture_output=True, check=True
+        ).stdout
+        for module in ("lowzero", "lowzero.cli")
+    ]
+    assert out[0] == out[1] and out[0].startswith(b"symmetry SO+\n")

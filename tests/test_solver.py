@@ -796,12 +796,29 @@ def test_sp_scaled_frequency_stays_between_one_and_two():
     # s = 2 R lam / pi is the square root of the 16 R^2-scaled Sp minimum;
     # it never comes near an odd integer, where the piecewise optimizer
     # would only be conditionally optimal.  The grid drops R = 20, where
-    # 2R is an integer and no context exists.
+    # 2R is an integer and the solve runs at a nudged support.
     scaled = []
     for R in np.linspace(0.51, 20.0, 2002)[1:-1]:
         result, _ = solver.solve(Symmetry.Sp, float(R))
         scaled.append(2 * result.support * result.lam / math.pi)
     assert 1.0 < min(scaled) and max(scaled) < 2.0
+
+
+@pytest.mark.parametrize(
+    "g,R,used",
+    [
+        (Symmetry.Sp, 1.0, 1.000001),
+        (Symmetry.SOplus, 1.5, 1.500001),
+        (Symmetry.SOminus, 2.0 - 2e-10, 2.0 - 2e-10 - 1e-6),
+    ],
+)
+def test_integer_2r_support_is_nudged_and_matches_the_oracle(g, R, used):
+    with pytest.raises(DegenerateRadiusError):
+        build_context(g, R)
+    with pytest.warns(UserWarning, match=f"support {R} is numerically degenerate; using {used}"):
+        result, ctx = solver.solve(g, R)
+    assert result.support == ctx.R == used
+    assert result.bound == pytest.approx(rayleigh.sqrt_quotient(g, used, 400), abs=1e-9)
 
 
 def test_degenerate_radius_error_carries_advice():

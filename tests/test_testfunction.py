@@ -11,6 +11,8 @@ from testfunction_oracles import (
     piece_index_linear_scan,
     quotient_quadrature_scalar,
     residuals_scalar,
+    slope_by_terms,
+    value_by_terms,
 )
 from lowzero.chebyshev import u_stack
 from lowzero.solver import DegenerateRadiusError, build_context, smallest_root
@@ -325,6 +327,18 @@ def test_table_driven_evaluation_matches_oracle_bitwise(g, R):
         assert h.derivative(u) == slope
 
 
+def test_scalar_calls_return_python_floats():
+    h, _ = reconstruct(Symmetry.Sp, 5.349)
+    R = h.R
+    for u in np.linspace(-R - 0.5, R + 0.5, 47).tolist():
+        for x in (u, np.float64(u)):
+            assert type(h(x)) is float and type(h.derivative(x)) is float
+            assert type(h.integral(x, R)) is float and type(h.integral(-R, x)) is float
+    for call in (h, h.derivative):
+        with pytest.raises(TypeError):
+            call([0.0, 0.1])
+
+
 def _bits_equal(got, want) -> bool:
     """Equal values and equal signs, so +0.0 and -0.0 differ."""
     got, want = np.asarray(got), np.asarray(want)
@@ -339,8 +353,8 @@ def test_array_evaluators_match_scalar_bitwise(g, R):
     # off the support on both sides, on every breakpoint and inside cells
     edges = [-R - 1e-300, R + 1e-12]
     us = np.array(list(np.linspace(-R - 1.5, R + 1.5, 301)) + brks + mids + edges)
-    assert _bits_equal(h(us), [h._value(float(u)) for u in us])
-    assert _bits_equal(h.derivative(us), [h._slope(float(u)) for u in us])
+    assert _bits_equal(h(us), [value_by_terms(h, float(u)) for u in us])
+    assert _bits_equal(h.derivative(us), [slope_by_terms(h, float(u)) for u in us])
     assert _bits_equal(h(us.reshape(-1, 1)).ravel(), h(us))
     # reversed, empty, whole-cell and cell-edge windows, windows off the
     # support, and the convolution windows (-1 - t, 1 - t)
@@ -351,7 +365,7 @@ def test_array_evaluators_match_scalar_bitwise(g, R):
     windows += [(R + 1, R + 2), (-R - 2, -R - 1), (R + 2, -R - 2)]
     lo, hi = np.array(windows).T
     assert _bits_equal(
-        h._integrals(lo, hi), [h.integral(float(a), float(b)) for a, b in windows]
+        h._integrals(lo, hi), [integral_all_pieces(h, float(a), float(b)) for a, b in windows]
     )
 
 
@@ -423,7 +437,8 @@ REFERENCE_CASES = (
 def test_residuals_equal_the_scalar_reference(g, R):
     h, _ = reconstruct(g, R)
     assert residuals(h) == residuals_scalar(h)
-    value, slope = h._value, h._slope
+    value = lambda u: value_by_terms(h, u)
+    slope = lambda u: slope_by_terms(h, u)
     assert quotient_quadrature(h) == quotient_quadrature_scalar(h, value, slope)
 
 

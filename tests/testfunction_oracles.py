@@ -28,6 +28,26 @@ def piece_index_linear_scan(h, u: float) -> int:
     return -1
 
 
+def value_by_terms(h, u: float) -> float:
+    """h(u) from the terms of the piece holding u, added left to right as
+    the builtin sum does before Python 3.12."""
+    i = piece_index_linear_scan(h, u)
+    total = 0.0
+    for a, f, p in h.pieces[i].terms if i >= 0 else ():
+        total += a * math.sin(f * u + p)
+    return total
+
+
+def slope_by_terms(h, u: float) -> float:
+    """h'(u), right-sided at interior breakpoints, the way
+    ``value_by_terms`` gives h(u)."""
+    i = piece_index_linear_scan(h, u)
+    total = 0.0
+    for a, f, p in h.pieces[i].terms if i >= 0 else ():
+        total += a * f * math.cos(f * u + p)
+    return total
+
+
 def integral_all_pieces(h, lo: float, hi: float) -> float:
     """Integral of h over [lo, hi] term by term, visiting every piece.
 
@@ -55,10 +75,9 @@ def integral_all_pieces(h, lo: float, hi: float) -> float:
 
 
 def quotient_quadrature_scalar(h, value, slope) -> float:
-    """``testfunction._quotient_quadrature`` with every node evaluated one
-    float at a time through ``value`` and ``slope`` (memoized scalar
-    evaluators of h and h'), and every window integral through
-    ``h.integral``."""
+    """``testfunction.quotient_quadrature`` with every node evaluated one
+    float at a time through ``value`` and ``slope`` (scalar evaluators of h
+    and h'), and every integral of h by ``integral_all_pieces``."""
     delta = h.g.delta
     eps = float(h.g.epsilon)
     R = h.R
@@ -67,13 +86,13 @@ def quotient_quadrature_scalar(h, value, slope) -> float:
 
     i_h2 = _quad(lambda u: value(u) ** 2, -R, R, _quad_points(h, -R, R))
     i_d2 = _quad(lambda u: slope(u) ** 2, -R, R, _quad_points(h, -R, R))
-    i_h = h.integral(-R, R)
+    i_h = integral_all_pieces(h, -R, R)
 
     num = i_d2
     den = i_h2 + eps * i_h**2
     if delta:
         conv_h = _quad(
-            lambda t: value(t) * h.integral(-1 - t, 1 - t),
+            lambda t: value(t) * integral_all_pieces(h, -1 - t, 1 - t),
             -R,
             R,
             _quad_points(h, -R, R, extra=shifted),
@@ -90,9 +109,9 @@ def quotient_quadrature_scalar(h, value, slope) -> float:
 
 
 def residuals_scalar(h, ctx=None) -> ResidualReport:
-    """``testfunction.residuals`` sampling h, h' and the integrals one float
-    at a time, and running every quadrature node through the scalar
-    evaluators."""
+    """``testfunction.residuals`` evaluating h, h' and the integrals of h one
+    float at a time, at the samples and at every quadrature node, by
+    ``value_by_terms``, ``slope_by_terms`` and ``integral_all_pieces``."""
     ctx = h.ctx if ctx is None else ctx
     delta = h.g.delta
     eps = float(h.g.epsilon)
@@ -103,7 +122,8 @@ def residuals_scalar(h, ctx=None) -> ResidualReport:
     us = np.linspace(-R + edge, R - edge, _RESIDUAL_SAMPLES)
     us = us[np.min(np.abs(us[:, None] - brks[None, :]), axis=1) > near]
 
-    value, slope = cache(h._value), cache(h._slope)  # shared with the quotient
+    value = cache(lambda u: value_by_terms(h, u))  # shared with the quotient
+    slope = cache(lambda u: slope_by_terms(h, u))
     h_scale = max(1e-300, max(abs(value(float(u))) for u in us))
     dh_scale = max(1.0, max(abs(slope(float(u))) for u in us))
 
@@ -121,14 +141,14 @@ def residuals_scalar(h, ctx=None) -> ResidualReport:
     volt = 0.0
     for u in np.linspace(0.0, R - near, _RESIDUAL_SAMPLES // 2):
         u = float(u)
-        shift = h.integral(u + 1, R + 1) - h.integral(u - 1, R - 1)
+        shift = integral_all_pieces(h, u + 1, R + 1) - integral_all_pieces(h, u - 1, R - 1)
         phi = 0.0 if abs(u) > R else -(1 / lam) * (math.cos(lam * u) - math.cos(lam * R))
         defect = value(u) - phi - 0.5 * delta * shift
         volt = max(volt, abs(defect))
     volt /= h_scale
 
-    tail_exact = h.integral(R - 1, R)
-    full_exact = h.integral(-R, R)
+    tail_exact = integral_all_pieces(h, R - 1, R)
+    full_exact = integral_all_pieces(h, -R, R)
     compat = (1 / lam) * math.cos(lam * R) + 0.5 * delta * tail_exact + eps * full_exact
     compat_scale = max(abs(1 / lam), abs(tail_exact), abs(full_exact), 1e-300)
     compat = abs(compat) / compat_scale
