@@ -1,11 +1,12 @@
 """Closed forms against the brute-force Rayleigh-quotient oracle.
 
 The oracle expands admissible test functions in truncated cosine series and
-takes the smallest generalized eigenvalue of the resulting quadratic forms.
-It knows nothing about tangent inversions or transcendental equations, so
-agreement with the closed-form solver is a genuine two-route check.  The
-script also shows the truncation refinement: the oracle minimum only ever
-decreases as modes are added.
+minimizes the Rayleigh quotient of the resulting quadratic forms by inverse
+iteration, returning the quotient of an actual coefficient vector, so it
+never lies below the true minimum.  It knows nothing about tangent
+inversions or transcendental equations, so agreement with the closed-form
+solver is a genuine two-route check.  The script also shows the truncation
+refinement: the oracle minimum only ever decreases as modes are added.
 
 Run:  python3 demos/oracle_crosscheck.py
 """

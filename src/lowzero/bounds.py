@@ -28,8 +28,8 @@ form (``solver._one_mode_quotient``), with the bits of the oracle's one-mode
 forms, and a scan that holds no root raises ``RootScanError`` naming it.
 
 Only the CLI's oracle checks (``bound --oracle-check``, ``verify``) use the
-eigensolve, whose last digits depend on the BLAS thread count: output that
-must be byte-identical needs ``OPENBLAS_NUM_THREADS=1``.
+eigenvalue oracle; on a 2-core machine their output is byte-identical with
+the BLAS library on one thread and on both.
 """
 
 from __future__ import annotations

@@ -501,3 +501,19 @@ def test_python_m_lowzero_runs_the_cli():
         for module in ("lowzero", "lowzero.cli")
     ]
     assert out[0] == out[1] and out[0].startswith(b"symmetry SO+\n")
+
+
+def test_oracle_check_output_does_not_depend_on_blas_threads():
+    # the oracle's value is the same whether the BLAS library may use every
+    # core or one thread (a dense eigensolve's last digits were not)
+    argv = ["bound", "--symmetry", "SO+", "--nu-max", "2", "--oracle-check", "--format", "json"]
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in threads}
+    env["PYTHONPATH"] = str(Path(lowzero.__file__).parents[1])
+    out = [
+        subprocess.run(
+            [sys.executable, "-m", "lowzero", *argv], env=run_env, capture_output=True, check=True
+        ).stdout
+        for run_env in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})
+    ]
+    assert out[0] == out[1] and b'"oracle": ' in out[0]
