@@ -254,6 +254,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, solver.RootScanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy names the array it could not allocate, e.g. an oracle's
+        # --trunc x --trunc form; a bare MemoryError carries no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -63,6 +63,13 @@ def assemble_forms(g: Symmetry, R: float, N: int) -> QuadraticForms:
     the same floating-point operations in the same order as its closed form
     with the sign on the leading factor; a sign flip commutes with rounding,
     so moving it onto a per-mode factor changes no bit.
+
+    Every outer product is written straight into one of three N x N
+    buffers, so the peak is 3 N^2 doubles, two of which are returned:
+    W holds m^2 - n^2, then lead/(m^2 - n^2), then mu; L holds lambda, then
+    cos_m - cos_n, then the numerator A; T is scratch for the terms of
+    lambda and then receives the denominator B.  At or below half support
+    the two forms are the only N x N arrays.
     """
     if not 0 < R < math.inf:
         raise ValueError("R must be positive and finite")
@@ -78,9 +85,11 @@ def assemble_forms(g: Symmetry, R: float, N: int) -> QuadraticForms:
     diag = slice(None, None, N + 1)  # the diagonal of a flattened N x N form
 
     if R <= 0.5:
-        # Both forms are exactly symmetric: a diagonal plus outer(v, v).
-        B = np.eye(N)
-        B += (delta + 2 * eps) * (8 * R / math.pi**2) * np.outer(v, v)
+        # Both forms are exactly symmetric: a diagonal plus c*outer(v, v).
+        B = np.outer(v, v)
+        B *= (delta + 2 * eps) * (8 * R / math.pi**2)
+        B.flat[diag] += 1.0
+        B += 0.0  # eye(N) + x is 0.0 + x off the diagonal: no -0.0 survives
         return QuadraticForms(numerator=np.diag(sq), denominator=B, R=R, g=g)
 
     lead = 8 * R * R / math.pi**2
@@ -88,34 +97,37 @@ def assemble_forms(g: Symmetry, R: float, N: int) -> QuadraticForms:
     sin_d = np.sin(math.pi * idx / (2 * R))
     cos_d = np.cos(math.pi * idx / (2 * R))
     signed = parity * d  # p_m*m
-    diff = np.subtract.outer(sq, sq)  # m^2 - n^2, exact
-    diff.flat[diag] = 1.0  # diagonals come from their own formulas below
+    W = np.subtract.outer(sq, sq)  # m^2 - n^2, exact
+    W.flat[diag] = 1.0  # diagonals come from their own formulas below
 
     # lam = lead*sign*m*n/(m^2 - n^2)*(cos_n/n^2 - cos_m/m^2) - lead*sign/(m*n)
-    lam = np.multiply.outer(-parity * (lead * d), signed)
-    lam /= diff
+    L = np.multiply.outer(-parity * (lead * d), signed)
+    L /= W
     q = cos_d / sq
-    lam *= q - q[:, None]
-    signed_mn = np.multiply.outer(-signed, signed)
-    lam -= np.divide(lead, signed_mn, out=signed_mn)
-    lam.flat[diag] = (
+    T = np.subtract(q, q[:, None])
+    L *= T
+    np.multiply(-signed[:, None], signed, out=T)
+    L -= np.divide(lead, T, out=T)
+    L.flat[diag] = (
         2 * R * (2 * R - 1) / (d * math.pi) * sin_d
         - 8 * R * R / (math.pi * d) ** 2 * cos_d
         + 8 * R * R / (math.pi * d) ** 2
     )
-    lam *= scale
-    lam += (16 * R * eps / math.pi**2) * np.outer(v, v)
-    lam += 0.0  # eye(N) + lam is 0.0 + lam off the diagonal: no -0.0 survives
-    lam.flat[diag] += 1.0
-    B = lam + lam.T
+    L *= scale
+    np.multiply(v[:, None], v, out=T)
+    T *= 16 * R * eps / math.pi**2
+    L += T
+    L += 0.0  # eye(N) + lam is 0.0 + lam off the diagonal: no -0.0 survives
+    L.flat[diag] += 1.0
+    B = np.add(L, L.T, out=T)
     B *= 0.5
 
     # A = diag(m^2) - scale*m*n*mu, mu = lead*sign/(m^2 - n^2)*(cos_m - cos_n),
     # with the sign moved onto m*n.  lead/(m^2 - n^2) and cos_m - cos_n are
     # each exactly antisymmetric, so A is exactly symmetric as it stands.
-    mu = np.divide(lead, diff, out=diff)  # unsigned mu
-    mu *= np.subtract.outer(cos_d, cos_d)
-    A = np.multiply.outer(signed, signed)  # -sign*m*n
+    mu = np.divide(lead, W, out=W)  # unsigned mu
+    mu *= np.subtract(cos_d[:, None], cos_d, out=L)
+    A = np.multiply(signed[:, None], signed, out=L)  # -sign*m*n
     A *= scale
     A *= mu
     A += 0.0  # diag(m^2) - x is 0.0 - x off the diagonal: no -0.0 survives

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lowzero
+from lowzero import rayleigh
 from lowzero.cli import main
 from lowzero.solver import DegenerateRadiusError
 
@@ -282,6 +283,40 @@ def test_failing_curve_writes_nothing(to_file, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == "error: nu_max must be positive\n"
     assert not path.exists()
+
+
+NUMPY_REFUSAL = (
+    "Unable to allocate 298. GiB for an array with shape (200000, 200000) and data type float64"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--symmetry", "SO+", "--nu-max", "2", "--oracle-check", "--trunc", "200000"],
+        ["verify", "--grid-size", "1", "--trunc", "200000"],
+    ],
+    ids=["bound", "verify"],
+)
+@pytest.mark.parametrize(
+    "message, expected",
+    [
+        (NUMPY_REFUSAL, NUMPY_REFUSAL),
+        ("", "out of memory"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_oracle_too_large_for_memory_is_usage_error(argv, message, expected, capsys, monkeypatch):
+    # numpy refuses a 200000 x 200000 form at once; stand in for it without
+    # allocating anything
+    def refuse(g, R, N):
+        assert N == 200000
+        raise MemoryError(message)
+
+    monkeypatch.setattr(rayleigh, "assemble_forms", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {expected}\n"
 
 
 def test_proportion_full_family(capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -162,6 +163,48 @@ def test_forms_match_meshgrid_reference_bit_for_bit(g):
             # exactly symmetric, so the transposes handed to LAPACK are the same
             for form in (forms.numerator, forms.denominator):
                 assert _same_bits(form, np.ascontiguousarray(form.T)), (R, N)
+
+
+@pytest.mark.parametrize("R", [0.3, 2.7])
+@pytest.mark.parametrize("func", [assemble_forms, minimize], ids=lambda f: f.__name__)
+def test_oracle_peak_memory_is_three_forms(func, R):
+    # three N x N buffers, two of them the returned forms; minimize's
+    # Cholesky copy of A takes the place of the third once it is freed
+    N = 1000
+    tracemalloc.start()
+    try:
+        func(Symmetry.SOminus, R, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * N * N * 8, peak / (N * N * 8)
+
+
+@pytest.mark.parametrize("R", [0.3, 0.5, 2.7])
+@pytest.mark.parametrize("g", list(Symmetry), ids=lambda g: g.value)
+def test_forms_are_separate_contiguous_symmetric_arrays(g, R):
+    forms = assemble_forms(g, R, 50)
+    A, B = forms.numerator, forms.denominator
+    for form in (A, B):
+        assert form.flags.c_contiguous and form.flags.owndata
+        assert _same_bits(form, np.ascontiguousarray(form.T))
+    assert not np.shares_memory(A, B)
+
+
+def test_minimize_leaves_its_forms_intact(monkeypatch):
+    real = rayleigh.assemble_forms
+    seen = []
+
+    def keep(g, R, N):
+        forms = real(g, R, N)
+        seen.append((forms, forms.numerator.copy(), forms.denominator.copy()))
+        return forms
+
+    monkeypatch.setattr(rayleigh, "assemble_forms", keep)
+    minimize(Symmetry.SOminus, 2.7, 200)
+    [(forms, A, B)] = seen
+    assert _same_bits(forms.numerator, A)
+    assert _same_bits(forms.denominator, B)
 
 
 def test_minimize_matches_reference_eigensolve_on_oracle_grid():
