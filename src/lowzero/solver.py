@@ -245,10 +245,16 @@ class BoundResult:
 # ``tan_ratio_inverse`` solves down to R = 1e-13.
 _SMALLEST_UNITARY_SUPPORT = 1.5e-154
 _SMALLEST_SUPPORT = 1e-13
+# The largest O support solved.  Rounding 1 + 1/R loses the last bits of
+# 1/R, so the O minimum's relative error grows about like R * 1e-16: against
+# a 40-digit inversion it stays below 6e-10 up to R = 5e6 and passes 1e-9
+# before R = 1e7 (and 1 + 1/R rounds to 1 past R = 9e15).
+_LARGEST_O_SUPPORT = 5e6
 
 
 def _check_support(g: Symmetry, R: float) -> None:
-    """Raise ``ValueError`` for a support too small for g's minimum."""
+    """Raise ``ValueError`` for a support outside those g's minimum is
+    solved at."""
     if R <= 0:
         raise ValueError("R must be positive")
     smallest = _SMALLEST_UNITARY_SUPPORT if g is Symmetry.U else _SMALLEST_SUPPORT
@@ -256,6 +262,11 @@ def _check_support(g: Symmetry, R: float) -> None:
         raise ValueError(
             f"support R = {R!r} is below {smallest!r}, the smallest support the "
             f"{g.value} kernel is solved at (a height bound needs nu_max >= {2 * smallest!r})"
+        )
+    if g is Symmetry.O and R > _LARGEST_O_SUPPORT:
+        raise ValueError(
+            f"support R = {R!r} is above {_LARGEST_O_SUPPORT!r}, the largest support the "
+            f"O kernel is solved at (a height bound needs nu_max <= {2 * _LARGEST_O_SUPPORT!r})"
         )
 
 
@@ -850,7 +861,8 @@ def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]
     nudged by 1e-6 with a warning, and the result and the context record the
     support used.  A support solved a moment ago reuses its context and the
     root found on it (see ``build_context``).  A support below the smallest
-    solved, 1e-13 (1.5e-154 for U), raises ``ValueError`` naming it.
+    solved, 1e-13 (1.5e-154 for U), or an O support above 5e6 raises
+    ``ValueError`` naming the limit.
     """
     _check_support(g, R)
     if g is Symmetry.U:

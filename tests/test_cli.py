@@ -348,12 +348,13 @@ def test_proportion_signed_at_threshold(capsys):
 
 
 def test_proportion_even_r_rejected(capsys):
-    code, _, err = run(
-        capsys, "proportion", "--family", "Hrpm", "--r", "2", "--sign", "-1",
-        "--beta", "1.0",
-    )
-    assert code == 2
-    assert "odd" in err
+    for r, sign in (("2", "-1"), ("0", "+1"), ("-1", "+1"), ("-2", "-1")):  # r <= 0 too
+        code, out, err = run(
+            capsys, "proportion", "--family", "Hrpm", "--r", r, "--sign", sign,
+            "--beta", "1.0",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: sign-restricted families require odd r\n"
 
 
 def test_proportion_sign_on_full_family_rejected(capsys):
@@ -391,8 +392,16 @@ def test_testfn_csv_even_and_supported(tmp_path, capsys):
 
 
 def test_testfn_unitary_rejected(capsys):
-    code, _, err = run(capsys, "testfn", "--symmetry", "U", "--R", "0.5")
-    assert code == 2
+    code, out, err = run(capsys, "testfn", "--symmetry", "U", "--R", "0.5")
+    assert code == 2 and out == ""
+    assert err == "error: the unitary kernel has no reconstructed optimizer\n"
+
+
+@pytest.mark.parametrize("R", ["0", "-0.5"])
+def test_testfn_nonpositive_support_rejected(R, capsys):
+    code, out, err = run(capsys, "testfn", "--symmetry", "Sp", "--R", R)
+    assert code == 2 and out == ""
+    assert err == "error: R must be positive\n"
 
 
 def test_verify_small_grid(tmp_path):
@@ -443,6 +452,29 @@ def test_tiny_support_is_a_usage_error_naming_the_limit(argv, smallest, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: support R = ")
     assert f" is below {smallest}, the smallest support " in err
+
+
+@pytest.mark.parametrize(
+    "argv,R",
+    [
+        (["bound", "--symmetry", "O", "--nu-max", "1e17"], "5e+16"),
+        (["bound", "--symmetry", "O", "--nu-max", "10000002"], "5000001.0"),
+        (["testfn", "--symmetry", "O", "--R", "1e8"], "100000000.0"),
+    ],
+)
+def test_huge_orthogonal_support_is_a_usage_error_naming_the_limit(argv, R, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: support R = {R} is above 5000000.0, the largest support the O kernel "
+        "is solved at (a height bound needs nu_max <= 10000000.0)\n"
+    )
+
+
+def test_orthogonal_bound_at_the_largest_support(capsys):
+    code, out, _ = run(capsys, "bound", "--symmetry", "O", "--nu-max", "1e7")
+    assert code == 0
+    assert parse_kv(out)["bound"] == "2.4656174798764109e-11"
 
 
 def test_bound_reports_a_failed_root_scan(capsys):
