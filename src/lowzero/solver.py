@@ -112,7 +112,6 @@ def _bisect(
     xtol: float,
     ends: Optional[tuple] = None,
     guess: Optional[float] = None,
-    stop=None,
 ) -> float:
     """One-at-a-time bisection of [lo, hi]; sign logic only, so invariant
     under f -> -f.
@@ -128,10 +127,6 @@ def _bisect(
     f at the midpoint plain bisection visits, so the root is plain
     bisection's bit for bit, as long as ``f`` gives an array element the
     bits it gives the same point alone.
-
-    ``stop(lo, hi)``, when given, is asked before each halving; once it
-    holds, the walk returns the midpoint of the current bracket instead of
-    the root, for a caller to whom every point of that bracket serves alike.
     """
     flo, fhi = np.asarray(f(np.array([lo, hi])) if ends is None else ends).tolist()
     if flo == 0.0:
@@ -143,7 +138,7 @@ def _bisect(
     path, values, i = [], [], 0
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi or (stop is not None and stop(lo, hi)):
+        if mid <= lo or mid >= hi:
             return mid
         if i == len(path) or path[i] != mid:
             if guess is None:
@@ -789,12 +784,7 @@ def _inverse_cubic_zero(x: list, y: list, origin: float) -> float:
 
 
 def smallest_root(ctx: EquationContext) -> float:
-    """Smallest positive root of the equation away from the excluded set."""
-    return _equation_root(ctx)
-
-
-def _equation_root(ctx: EquationContext, stop=None) -> float:
-    """``smallest_root``, with the bisection's ``stop`` (see ``_bisect``).
+    """Smallest positive root of the equation away from the excluded set.
 
     The scan ends at the one-mode frequency (``_upper_frequency``), which
     bounds the root, and reads the amplitude sums its points share with
@@ -811,7 +801,7 @@ def _equation_root(ctx: EquationContext, stop=None) -> float:
     except RootScanError as exc:
         message = f"{exc} for {ctx.g.value} at R={ctx.R}"
         raise RootScanError(message, exc.grid, exc.values) from None
-    return _bisect(f, lo, hi, ROOT_XTOL, ends, guess, stop)
+    return _bisect(f, lo, hi, ROOT_XTOL, ends, guess)
 
 
 # ---------------------------------------------------------------------------
@@ -825,44 +815,18 @@ def equation_branch(g: Symmetry, R: float) -> bool:
     return g not in (Symmetry.U, Symmetry.O) and R > 0.5
 
 
-def _scaled_minimum(lam: float) -> float:
-    """The normalized minimum (lam / 2 pi)^2 at the scaled frequency lam."""
-    return (lam / (2 * math.pi)) ** 2
-
-
-def _equation_context(g: Symmetry, R: float, stacklevel: int) -> EquationContext:
-    """``build_context(g, R)``, or at R -+ 1e-6 where the continuity matrix
-    degenerates at R, with a warning issued at frame ``stacklevel`` as
-    counted from here."""
-    try:
-        return build_context(g, R)
-    except DegenerateRadiusError:
-        n = int(math.floor(2 * R)) + 1
-        for nudged in (R - 1e-6, R + 1e-6):
-            if (n - 1) / 2.0 < nudged < n / 2.0:
-                try:
-                    ctx = build_context(g, nudged)
-                except DegenerateRadiusError:
-                    continue
-                warnings.warn(
-                    f"support {R} is numerically degenerate; using {nudged}",
-                    stacklevel=stacklevel,
-                )
-                return ctx
-        raise
-
-
 def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]]:
     """Minimum for kernel g at support R, with the context it was solved on.
 
     Dispatches on kernel and support: exact unitary value, shifted-cosine
     branch, or transcendental-equation branch; the context is None off the
     equation branch.  A support where the continuity matrix degenerates is
-    nudged by 1e-6 with a warning, and the result and the context record the
-    support used.  A support solved a moment ago reuses its context and the
-    root found on it (see ``build_context``).  A support below the smallest
-    solved, 1e-13 (1.5e-154 for U), or an O support above 5e6 raises
-    ``ValueError`` naming the limit.
+    nudged by 1e-6 with a warning, issued at the line that called solve's
+    caller (such as ``minimal_quotient``), and the result and the context
+    record the support used.  A support solved a moment ago reuses its
+    context and the root found on it (see ``build_context``).  A support
+    below the smallest solved, 1e-13 (1.5e-154 for U), or an O support above
+    5e6 raises ``ValueError`` naming the limit.
     """
     _check_support(g, R)
     if g is Symmetry.U:
@@ -871,9 +835,22 @@ def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]
     if not equation_branch(g, R):
         return small_support_minimum(g, R), None
 
-    ctx = _equation_context(g, R, stacklevel=4)
+    try:
+        ctx = build_context(g, R)
+    except DegenerateRadiusError:
+        n = int(math.floor(2 * R)) + 1
+        for nudged in (R - 1e-6, R + 1e-6):
+            if (n - 1) / 2.0 < nudged < n / 2.0:
+                try:
+                    ctx = build_context(g, nudged)
+                    break
+                except DegenerateRadiusError:
+                    pass
+        else:
+            raise
+        warnings.warn(f"support {R} is numerically degenerate; using {nudged}", stacklevel=3)
     lam = ctx.root
-    m_tilde = _scaled_minimum(lam)
+    m_tilde = (lam / (2 * math.pi)) ** 2
     result = BoundResult(
         m_tilde=m_tilde,
         bound=math.sqrt(m_tilde),
@@ -882,29 +859,6 @@ def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]
         lam=lam,
     )
     return result, ctx
-
-
-def _bound_beyond(g: Symmetry, R: float, target: float, tol: float) -> Optional[float]:
-    """The bound ``solve`` finds for (g, R) if it differs from ``target`` by
-    more than ``tol``, else None.
-
-    Off the equation branch this is ``solve``'s bound.  On it the context
-    is ``solve``'s, nudged the same way, with the warning issued at the line
-    that called this function.  The bound sqrt((lam / 2 pi)^2) does not
-    decrease as the root lam grows, and abs(target - b) > tol, in floats as
-    well, is monotone in b on each side of target, so once both ends of the
-    root's bracket lie within tol every point between them does: the
-    bisection stops there.  Otherwise it runs to the root, whose bound is
-    returned if it lies beyond tol.
-    """
-    if not equation_branch(g, R):
-        found = solve(g, R)[0].bound
-        return found if abs(target - found) > tol else None
-    ctx = _equation_context(g, R, stacklevel=3)
-    bound = lambda lam: math.sqrt(_scaled_minimum(lam))
-    near = lambda lam: not abs(target - bound(lam)) > tol
-    lam = _equation_root(ctx, stop=lambda lo, hi: near(lo) and near(hi))
-    return None if near(lam) else bound(lam)
 
 
 def minimal_quotient(g: Symmetry, R: float) -> BoundResult:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lowzero import rayleigh, solver
 from lowzero.bounds import height_bound
@@ -340,9 +342,9 @@ def test_context_arrays_match_per_entry_assembly_bitwise():
 def test_batched_bisection_matches_one_at_a_time(g, R, monkeypatch):
     brackets = []
 
-    def recording_bisect(f, lo, hi, xtol, ends=None, guess=None, stop=None):
+    def recording_bisect(f, lo, hi, xtol, ends=None, guess=None):
         brackets.append((f, lo, hi, ends, guess))
-        return _bisect(f, lo, hi, xtol, ends, guess, stop)
+        return _bisect(f, lo, hi, xtol, ends, guess)
 
     monkeypatch.setattr(solver, "_bisect", recording_bisect)
     ctx = build_context(g, R)
@@ -657,24 +659,6 @@ def test_first_guess_changes_no_root():
             assert smallest_root(ctx) == _bisect(f_div, lo, hi, ROOT_XTOL, ends)
 
 
-def test_bisection_stop_returns_the_midpoint_of_the_first_stopped_bracket():
-    f = lambda x: x - 0.3
-    asked = []
-
-    def stop(lo, hi):
-        asked.append((lo, hi))
-        return hi - lo < 1e-3
-
-    lo, hi = 0.0, 1.0
-    while not hi - lo < 1e-3:  # plain bisection's brackets
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if mid < 0.3 else (lo, mid)
-    assert _bisect(f, 0.0, 1.0, 1e-12, stop=stop) == 0.5 * (lo + hi)
-    assert asked[-1] == (lo, hi) and len(asked) == 11
-    assert _bisect(f, 0.0, 1.0, 1e-12, stop=lambda lo, hi: False) == _bisect(f, 0.0, 1.0, 1e-12)
-    assert _bisect(f, 0.0, 1.0, 1e-12, stop=lambda lo, hi: True) == 0.5
-
-
 def _one_mode_supports():
     """R just above 1/2, on both sides of each half-integer up to 60, and a
     dense grid of (0.5, 60)."""
@@ -790,6 +774,15 @@ def test_minimum_strictly_decreasing_in_support():
         grid = [r for r in supports if abs(2 * r - round(2 * r)) > 1e-3]
         values = [minimal_quotient(g, float(R)).m_tilde for R in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("g", list(Symmetry))
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(R=st.floats(min_value=0.02, max_value=20.0), step=st.floats(min_value=1e-6, max_value=1e-1))
+def test_minimum_strictly_decreasing_for_any_step(g, R, step):
+    # a support with 2R within 1e-9 of an integer is solved 1e-6 away
+    assume(all(abs(2 * r - round(2 * r)) > 1e-8 for r in (R, R + step)))
+    assert minimal_quotient(g, R + step).m_tilde < minimal_quotient(g, R).m_tilde
 
 
 def test_sp_scaled_frequency_stays_between_one_and_two():
