@@ -396,14 +396,28 @@ def _shifted_points(h: PiecewiseTestFunction) -> list:
     return [1 - b for b in brks] + [-1 - b for b in brks]
 
 
+_QUAD_TOL = 1e-11  # epsabs and epsrel of every residual quadrature
+
+
 def _quad(f, lo: float, hi: float, points: Sequence[float]) -> float:
+    """QUADPACK's dqagpe at ``points`` (sorted, strictly inside), or dqagse
+    when there are none.  dqagpe takes the points as its first intervals,
+    so the limit of 200 subintervals is raised by their number."""
     val, _ = scipy.integrate.quad(
-        f, lo, hi, points=list(points) or None, limit=200, epsabs=1e-11, epsrel=1e-11
+        f,
+        lo,
+        hi,
+        points=list(points) or None,
+        limit=200 + len(points),
+        epsabs=_QUAD_TOL,
+        epsrel=_QUAD_TOL,
     )
     return val
 
 
-# QUADPACK's 21-point Gauss-Kronrod abscissae (dqk21), as its source spells them.
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21), as its source spells it:
+# the abscissae xgk(1..10), the Kronrod weights wgk(1..11), wgk(11) being
+# the centre's, and the Gauss weights wg(1..5) of xgk(2), xgk(4), ..., xgk(10).
 _KRONROD_X = np.array([
     0.995657163025808080735527280689003,
     0.973906528517171720077964012084452,
@@ -416,67 +430,120 @@ _KRONROD_X = np.array([
     0.294392862701460198131126603103866,
     0.148874338981631210884826001129720,
 ])
+_KRONROD_W = np.array([
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077208034367454,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_GAUSS_W = np.array([
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# dqk21 adds wgk(11)*f(centr), then wgk(j)*(f(centr - absc) + f(centr + absc))
+# for the abscissae xgk(2), xgk(4), ..., xgk(10), then xgk(1), xgk(3), ...,
+# xgk(9): the order of the nodes here
+_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
+_RESK_W = np.append(_KRONROD_W[10], _KRONROD_W[_ORDER])[:, None]
+# the weights of the 21 nodes of an interval, in ``_kronrod_nodes``' order
+_NODE_WGK = np.concatenate([_RESK_W.ravel(), _KRONROD_W[_ORDER]])
+_NODE_WG = np.concatenate([[0.0], _GAUSS_W, np.zeros(5), _GAUSS_W, np.zeros(5)])
+_ERR_FLOOR = 50 * np.finfo(float).eps  # dqk21's least error estimate, relative to resabs
 
 
 def _kronrod_nodes(lo: float, hi: float, points: Sequence[float]) -> np.ndarray:
-    """Every node of QUADPACK's first pass of ``_quad(f, lo, hi, points)``.
+    """Every node of QUADPACK's first pass of ``_quad(f, lo, hi, points)``,
+    21 per interval, interval by interval.
 
     That pass applies dqk21 to each interval between consecutive points of
     lo, ``points`` (sorted, strictly inside) and hi, which samples [a, b] at
     centr = 0.5*(a + b) and at centr -+ hlgth*x for its ten abscissae x,
     with hlgth = 0.5*(b - a): the same operations here give the same bits.
+    The nodes of an interval are centr, then centr - hlgth*x and then
+    centr + hlgth*x for x = xgk(2), xgk(4), ..., xgk(10), xgk(1), ..., xgk(9).
     """
     edges = np.array([lo, *points, hi])
     a, b = edges[:-1], edges[1:]
     centr = (0.5 * (a + b))[:, None]
-    absc = (0.5 * (b - a))[:, None] * _KRONROD_X
+    absc = (0.5 * (b - a))[:, None] * _KRONROD_X[_ORDER]
     return np.concatenate([centr, centr - absc, centr + absc], axis=1).ravel()
 
 
-class _Memo(dict):
-    """Values of ``fn`` by argument: those handed in, and any other computed
-    when first asked for, by ``fn`` on a one-element array.  ``fn`` maps a
-    1-D array to the array of its values."""
+def _integrate(f, fx: np.ndarray, lo: float, hi: float, points: Sequence[float]) -> float:
+    """``_quad(f, lo, hi, points)``, given f's values ``fx`` at
+    ``_kronrod_nodes(lo, hi, points)``.
 
-    __slots__ = ("fn",)
+    Where QUADPACK stops after its first pass, its result is summed here
+    from ``fx``: per interval, resk = wgk(11)*f(centr) plus the terms
+    wgk(j)*(f(centr - absc) + f(centr + absc)) in the nodes' order, folded
+    left to right, and area = resk*hlgth; dqagse returns the one
+    area, dqagpe the areas added left to right from 0.0.  Those are
+    QUADPACK's operands in its order, so the same bits where QUADPACK
+    takes each product and sum rounded on its own, with no fused
+    multiply-add: checked with scipy 1.17.1 on x86_64 (Linux, glibc 2.36).
 
-    def __init__(self, fn, args: np.ndarray, values: np.ndarray):
-        super().__init__(zip(args.tolist(), values.tolist()))
-        self.fn = fn
-
-    def __missing__(self, x):
-        y = self[x] = self.fn(np.array([x])).item()
-        return y
-
-
-def _node_memos(h: PiecewiseTestFunction) -> tuple[_Memo, _Memo, _Memo]:
-    """Memos of h, h' and t -> the integral of h over [-1 - t, 1 - t] for
-    the residual quadratures of one call, filled in one array pass at every
-    node of their first QUADPACK pass.
-
-    The memos are local to the call, since the adaptive rules revisit nodes
-    across integrals and h may outlive the call.  h and h' are filled at the
-    nodes of [-R, R] cut at the cells; when delta != 0, also h and h' at the
-    nodes t of [-R, R] cut at the cells and their shifts, with h(1 - t),
-    h(-1 - t) and the integral; and h at the nodes of [R - 1, R] cut at the
-    cells, for the tail integral on the equation branch.  QUADPACK still
-    takes every sum and every decision, and a node past its first pass is
-    evaluated by the same array evaluator on one point.
+    Whether it stops is read from dqk21's error estimate, summed here in
+    any order, so with a margin for rounding.  dqagpe stops when the
+    estimates add up to at most errbnd = max(epsabs, epsrel*|result|),
+    and dqagse when its one estimate is at most errbnd and differs from
+    resasc, or is 0; here they must be at most errbnd/2 and below
+    resasc/2, or f vanish at every node, where QUADPACK's estimate is 0.
+    Otherwise ``_quad`` integrates f, a function of one float.
     """
+    edges = np.array([lo, *points, hi])
+    hlgth = 0.5 * (edges[1:] - edges[:-1])
+    fx = fx.reshape(hlgth.size, 21)
+    pairs = np.concatenate([fx[:, :1], fx[:, 1:11] + fx[:, 11:]], axis=1)
+    resk = np.add.accumulate(pairs.T * _RESK_W)[-1]
+    area = resk * hlgth
+    result = np.add.accumulate(np.append(0.0, area))[-1] if points else area[0]
+
+    resabs = np.abs(fx) @ _NODE_WGK * hlgth
+    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _NODE_WGK * hlgth
+    err = np.abs(resk - fx @ _NODE_WG) * hlgth
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0) & (err != 0), scaled, err)
+    err = np.maximum(_ERR_FLOOR * resabs, err)
+
+    half_bound = 0.5 * max(_QUAD_TOL, _QUAD_TOL * abs(result))
+    if points:
+        stops = err.sum() <= half_bound
+    else:
+        stops = err[0] <= half_bound and err[0] < 0.5 * resasc[0] or not fx.any()
+    return float(result) if stops else _quad(f, lo, hi, points)
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 at every entry of x, with the bits Python's x ** 2 gives a float:
+    the C library's pow(x, 2.0), which need not be rounded as x * x is."""
+    return np.array([v**2 for v in x.tolist()])
+
+
+def _at(fn, *args: np.ndarray) -> list[np.ndarray]:
+    """The array evaluator fn at each 1-D array of args, in one call."""
+    return np.split(fn(np.concatenate(args)), np.cumsum([a.size for a in args[:-1]]))
+
+
+def _quotient_nodes(h: PiecewiseTestFunction) -> tuple:
+    """The cuts of the quotient's quadratures over [-R, R] and the nodes u
+    and t of their first passes: cut at the cells, and, for the convolution
+    terms, at the cells and their shifts (None, and no t, when delta = 0)."""
     R = h.R
-    u = _kronrod_nodes(-R, R, _quad_points(h, -R, R))
-    t = np.empty(0)
-    if h.g.delta:
-        t = _kronrod_nodes(-R, R, _quad_points(h, -R, R, _shifted_points(h)))
-    ends = _kronrod_nodes(R - 1, R, _quad_points(h, R - 1, R))
-    slope_at = np.concatenate([u, t])
-    value_at = np.concatenate([u, t, 1 - t, -1 - t, ends])
-    window = lambda x: h._integrals(-1 - x, 1 - x)
-    return (
-        _Memo(h._values, value_at, h._values(value_at)),
-        _Memo(h._slopes, slope_at, h._slopes(slope_at)),
-        _Memo(window, t, window(t)),
-    )
+    cuts = _quad_points(h, -R, R)
+    shifts = _quad_points(h, -R, R, _shifted_points(h)) if h.g.delta else None
+    t = np.empty(0) if shifts is None else _kronrod_nodes(-R, R, shifts)
+    return cuts, shifts, _kronrod_nodes(-R, R, cuts), t
 
 
 def quotient_quadrature(h: PiecewiseTestFunction) -> float:
@@ -486,29 +553,40 @@ def quotient_quadrature(h: PiecewiseTestFunction) -> float:
     inner antiderivatives; quadrature subdivides at every cell boundary and
     at boundaries shifted by +-1.
     """
-    return _quotient_quadrature(h, *_node_memos(h), h.integral(-h.R, h.R))
+    cuts, shifts, u, t = _quotient_nodes(h)
+    hu, ht, ahead, behind = _at(h._values, u, t, 1 - t, -1 - t)
+    du, dt = _at(h._slopes, u, t)
+    i_h = h.integral(-h.R, h.R)
+    return _quotient_quadrature(h, cuts, shifts, hu, du, t, ht, dt, ahead, behind, i_h)
 
 
-def _quotient_quadrature(h: PiecewiseTestFunction, value, slope, window, i_h: float) -> float:
-    """``quotient_quadrature`` with h, h' and the window integral of h read
-    from the memos of ``_node_memos``, and ``i_h`` the integral of h over
-    [-R, R]."""
+def _quotient_quadrature(
+    h: PiecewiseTestFunction, cuts, shifts, hu, du, t, ht, dt, ahead, behind, i_h: float
+) -> float:
+    """``quotient_quadrature`` from h and h' at the first-pass nodes of
+    [-R, R] cut at ``cuts`` (``hu``, ``du``) and, when delta != 0, from h,
+    h', h(1 - t) and h(-1 - t) at those t of [-R, R] cut at ``shifts``
+    (``ht``, ``dt``, ``ahead``, ``behind``), for the convolution integrands
+    h(t) * (integral of h over [-1 - t, 1 - t]) and h'(t) * (h(1 - t) -
+    h(-1 - t)); ``i_h`` is the integral of h over [-R, R].  A quadrature
+    past its first pass evaluates h one point at a time."""
     delta = h.g.delta
     eps = float(h.g.epsilon)
     R = h.R
-    cuts = _quad_points(h, -R, R)
 
-    i_h2 = _quad(lambda u: value[u] ** 2, -R, R, cuts)
-    i_d2 = _quad(lambda u: slope[u] ** 2, -R, R, cuts)
+    h2, d2 = np.split(_squares(np.concatenate([hu, du])), 2)
+    i_h2 = _integrate(lambda u: h(u) ** 2, h2, -R, R, cuts)
+    i_d2 = _integrate(lambda u: h.derivative(u) ** 2, d2, -R, R, cuts)
 
     num = i_d2
     den = i_h2 + eps * i_h**2
     if delta:
-        shifts = _quad_points(h, -R, R, _shifted_points(h))
-        conv_h = _quad(lambda t: value[t] * window[t], -R, R, shifts)
-        conv_d = _quad(lambda t: slope[t] * (value[1 - t] - value[-1 - t]), -R, R, shifts)
-        num -= 0.5 * delta * conv_d
-        den += 0.5 * delta * conv_h
+        conv_h = ht * h._integrals(-1 - t, 1 - t)
+        conv_d = dt * (ahead - behind)
+        window = lambda s: h(s) * h.integral(-1 - s, 1 - s)
+        shift = lambda s: h.derivative(s) * (h(1 - s) - h(-1 - s))
+        num -= 0.5 * delta * _integrate(shift, conv_d, -R, R, shifts)
+        den += 0.5 * delta * _integrate(window, conv_h, -R, R, shifts)
     return num / (4 * math.pi**2 * den)
 
 
@@ -554,9 +632,14 @@ def residuals(
     avoiding a 1e-6 neighbourhood of the cell boundaries, where h is only
     one-sidedly differentiable; the Volterra form is sampled on [0, R - 1e-6].
     A support up to 1e-4 is a single cell narrower than those margins, and
-    there they shrink to R/2 and R/4.  The samples are taken by the array
-    evaluators of h, the integrals in one ``_integrals`` call, and the
-    quadratures read h from ``_node_memos``.
+    there they shrink to R/2 and R/4.
+
+    h is evaluated in one ``_values`` call and h' in one ``_slopes`` call,
+    at the samples and at every node of the first QUADPACK pass of each
+    quadrature; the Volterra and closed-form integrals of h take one
+    ``_integrals`` call, the windows of the convolution integrand another.
+    ``_integrate`` sums each quadrature where QUADPACK stops after that
+    pass, and leaves the rest to QUADPACK.
     """
     ctx = h.ctx if ctx is None else ctx
     delta = h.g.delta
@@ -567,9 +650,15 @@ def residuals(
     brks = h.breakpoints()
     us = np.linspace(-R + edge, R - edge, _RESIDUAL_SAMPLES)
     us = us[np.min(np.abs(us[:, None] - brks[None, :]), axis=1) > near]
+    vs = np.linspace(0.0, R - near, _RESIDUAL_SAMPLES // 2)
 
-    hs, ahead, behind = np.split(h._values(np.concatenate([us, us + 1, us - 1])), 3)
-    dhs = h._slopes(us)
+    cuts, shifts, u, t = _quotient_nodes(h)
+    tail_cuts = _quad_points(h, R - 1, R)
+    ends = _kronrod_nodes(R - 1, R, tail_cuts) if ctx is not None else np.empty(0)
+    hs, ahead, behind, h_vs, hu, ht, ht_ahead, ht_behind, h_ends = _at(
+        h._values, us, us + 1, us - 1, vs, u, t, 1 - t, -1 - t, ends
+    )
+    dhs, du, dt = _at(h._slopes, us, u, t)
     h_scale = max(1e-300, float(np.max(np.abs(hs))))
     dh_scale = max(1.0, float(np.max(np.abs(dhs))))
 
@@ -578,12 +667,11 @@ def residuals(
 
     # the Volterra windows (v + 1, R + 1) and (v - 1, R - 1), then [R - 1, R]
     # and [-R, R], in one call
-    vs = np.linspace(0.0, R - near, _RESIDUAL_SAMPLES // 2)
     lo = np.concatenate([vs + 1, vs - 1, [R - 1, -R]])
     hi = np.concatenate([np.full(vs.size, R + 1), np.full(vs.size, R - 1), [R, R]])
     ints = h._integrals(lo, hi)
     ahead, behind = np.split(ints[:-2], 2)
-    defect = h._values(vs) - _phi(h, vs) - 0.5 * delta * (ahead - behind)
+    defect = h_vs - _phi(h, vs) - 0.5 * delta * (ahead - behind)
     volt = float(np.max(np.abs(defect))) / h_scale
 
     tail_exact, full_exact = ints[-2:].tolist()
@@ -592,12 +680,14 @@ def residuals(
     compat = abs(compat) / compat_scale
 
     target = lam**2 / (4 * math.pi**2)
-    value, slope, window = _node_memos(h)
-    ray = abs(_quotient_quadrature(h, value, slope, window, full_exact) - target) / target
+    quotient = _quotient_quadrature(
+        h, cuts, shifts, hu, du, t, ht, dt, ht_ahead, ht_behind, full_exact
+    )
+    ray = abs(quotient - target) / target
 
     if ctx is not None:
-        tail_quad = _quad(value.__getitem__, R - 1, R, _quad_points(h, R - 1, R))
-        full_quad = _quad(value.__getitem__, -R, R, _quad_points(h, -R, R))
+        tail_quad = _integrate(h, h_ends, R - 1, R, tail_cuts)
+        full_quad = _integrate(h, hu, -R, R, cuts)
         scale = max(abs(tail_exact), abs(full_exact), 1e-300)
         tail_gap = abs(tail_integral_closed(ctx, lam) - tail_quad) / scale
         full_gap = abs(full_integral_closed(ctx, lam) - full_quad) / scale

@@ -391,6 +391,15 @@ def test_testfn_csv_even_and_supported(tmp_path, capsys):
         assert value <= 1e-7
 
 
+def test_testfn_past_200_breakpoints(capsys):
+    # 200 cell boundaries: QUADPACK once refused them at 200 subintervals
+    code, out, err = run(capsys, "testfn", "--symmetry", "SO+", "--R", "50.3", "--samples", "11")
+    assert code == 0
+    assert len(out.splitlines()) == 12
+    assert err.startswith("residuals:")
+    assert max(float(field.split("=")[1]) for field in err.split()[1:]) <= 1e-10
+
+
 def test_testfn_unitary_rejected(capsys):
     code, out, err = run(capsys, "testfn", "--symmetry", "U", "--R", "0.5")
     assert code == 2 and out == ""

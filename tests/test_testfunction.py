@@ -1,6 +1,9 @@
 import cmath
 import math
+import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -442,32 +445,197 @@ def test_residuals_equal_the_scalar_reference(g, R):
     assert quotient_quadrature(h) == quotient_quadrature_scalar(h, value, slope)
 
 
-def _count_misses(monkeypatch) -> list:
-    """Count the memo lookups that fall back to a scalar evaluation."""
-    misses = [0]
-    fallback = testfunction._Memo.__missing__
+@pytest.mark.parametrize("seed", range(40))
+def test_residuals_equal_the_scalar_reference_at_seeded_supports(seed):
+    rng = np.random.default_rng([22, seed])
+    g = (Symmetry.O, Symmetry.Sp, Symmetry.SOplus, Symmetry.SOminus)[seed % 4]
+    R = float(rng.uniform(0.2, 12.0))
+    h, _ = reconstruct(g, R)
+    assert residuals(h) == residuals_scalar(h)
 
-    def counted(memo, x):
-        misses[0] += 1
-        return fallback(memo, x)
 
-    monkeypatch.setattr(testfunction._Memo, "__missing__", counted)
-    return misses
+def test_residuals_square_as_python_does():
+    # a node's h'^2 here is one ulp off Python's x ** 2 when taken as x * x,
+    # and so is the quadrature of h'^2 (4.432769460709068)
+    h, _ = reconstruct(Symmetry.Sp, 1.2017583115525228)
+    assert residuals(h) == residuals_scalar(h)
+    value = lambda u: value_by_terms(h, u)
+    slope = lambda u: slope_by_terms(h, u)
+    assert quotient_quadrature(h) == quotient_quadrature_scalar(h, value, slope)
+
+
+def _count_quad(monkeypatch) -> list:
+    """Count the quadratures that QUADPACK integrates itself."""
+    calls = [0]
+    quad = testfunction._quad
+
+    def counted(*args):
+        calls[0] += 1
+        return quad(*args)
+
+    monkeypatch.setattr(testfunction, "_quad", counted)
+    return calls
+
+
+def _force_quad(monkeypatch) -> None:
+    """Make every residual quadrature a call of ``_quad``."""
+    def quad(f, fx, lo, hi, points):
+        return testfunction._quad(f, lo, hi, points)
+
+    monkeypatch.setattr(testfunction, "_integrate", quad)
 
 
 @pytest.mark.parametrize("g,R", RESIDUAL_PAIRS)
 def test_residual_quadrature_nodes_are_all_prefetched(g, R, monkeypatch):
+    # every quadrature stops after QUADPACK's first pass, whose nodes are
+    # evaluated in advance: none falls back to ``_quad``
     h, _ = reconstruct(g, R)
-    misses = _count_misses(monkeypatch)
+    calls = _count_quad(monkeypatch)
     residuals(h)
-    assert misses[0] == 0
+    quotient_quadrature(h)
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("g,R", [(Symmetry.O, 0.9), (Symmetry.SOminus, 1.2), (Symmetry.Sp, 8.7)])
 def test_residuals_unchanged_when_no_node_is_prefetched(g, R, monkeypatch):
+    # QUADPACK evaluating every node and taking every sum itself gives the
+    # same report and quotient
     h, _ = reconstruct(g, R)
-    expected = residuals(h)
-    misses = _count_misses(monkeypatch)
-    monkeypatch.setattr(testfunction, "_kronrod_nodes", lambda lo, hi, points: np.empty(0))
-    assert residuals(h) == expected
-    assert misses[0] > 0
+    expected = residuals(h), quotient_quadrature(h)
+    calls = _count_quad(monkeypatch)
+    _force_quad(monkeypatch)
+    assert (residuals(h), quotient_quadrature(h)) == expected
+    assert calls[0] > 0
+
+
+def test_no_quadpack_call_on_an_optimizer_round(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    ops = workloads.Optimizer().make_round(1, 0)
+    calls = [0]
+    quad = scipy.integrate.quad
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    done = 0
+    for op in ops:
+        try:
+            workloads.Optimizer.call(*op.args)
+        except solver.RootScanError:
+            continue
+        done += 1
+    assert done >= len(ops) - len(workloads.Optimizer.pinned) and calls[0] == 0
+
+
+@pytest.mark.parametrize("g,R,gate", [(Symmetry.SOplus, 50.3, 1e-10), (Symmetry.Sp, 60.3, 2e-9)])
+def test_residuals_past_200_breakpoints_equal_quadpack(g, R, gate, monkeypatch):
+    # QUADPACK refuses 200 break points at a limit of 200 subintervals; each
+    # quadrature is compared with QUADPACK at 200 more, fed the same values
+    h, _ = reconstruct(g, R)
+    integrate = testfunction._integrate
+    compared = []
+
+    def integrate_and_compare(f, fx, lo, hi, points):
+        got = integrate(f, fx, lo, hi, points)
+        known = dict(zip(testfunction._kronrod_nodes(lo, hi, points).tolist(), fx.tolist()))
+        want, _ = scipy.integrate.quad(
+            lambda x: known[x] if x in known else f(x), lo, hi, points=list(points) or None,
+            limit=200 + len(points), epsabs=1e-11, epsrel=1e-11,
+        )
+        compared.append((len(points), got == want))
+        return got
+
+    monkeypatch.setattr(testfunction, "_integrate", integrate_and_compare)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = residuals(h)
+    assert len(compared) == 6 and sum(n >= 200 for n, _ in compared) == 5
+    assert all(same for _, same in compared)
+    assert report.max_defect() <= gate
+
+
+# ---------------------------------------------------------------------------
+# QUADPACK's first pass
+# ---------------------------------------------------------------------------
+
+def test_kronrod_weights_solve_the_even_moment_equations():
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        gauss = [
+            mpmath.findroot(lambda x: mpmath.legendre(10, x), mp.mpf(x))
+            for x in testfunction._KRONROD_X[1::2]
+        ]
+
+        def weights(nodes):
+            """Weights of the symmetric rule at +-nodes (0 once) exact
+            for 1, x^2, ..., x^(2 len(nodes) - 2) on [-1, 1]."""
+            ks = range(len(nodes))
+            a = mpmath.matrix([[(1 if x == 0 else 2) * x ** (2 * k) for x in nodes] for k in ks])
+            return mpmath.lu_solve(a, mpmath.matrix([mp.mpf(2) / (2 * k + 1) for k in ks]))
+
+        def kronrod(kx):
+            return [x for pair in zip(kx, gauss) for x in pair] + [mp.zero]
+
+        def excess_moments(*kx):
+            nodes = kronrod(kx)
+            w = weights(nodes)
+            return [
+                sum((1 if x == 0 else 2) * wi * x ** (2 * k) for x, wi in zip(nodes, w))
+                - mp.mpf(2) / (2 * k + 1)
+                for k in range(11, 16)
+            ]
+
+        kx = mpmath.findroot(excess_moments, [mp.mpf(x) for x in testfunction._KRONROD_X[::2]])
+        nodes = kronrod(list(kx))
+        assert [float(x) for x in nodes[:10]] == testfunction._KRONROD_X.tolist()
+        assert [float(w) for w in weights(nodes)] == testfunction._KRONROD_W.tolist()
+        assert [float(w) for w in weights(gauss)] == testfunction._GAUSS_W.tolist()
+
+
+def _one_point(f):
+    """f, an array function, as a function of one float."""
+    return lambda x: f(np.array([x])).item()
+
+
+def _quadpack(f, lo, hi, points):
+    value, _ = scipy.integrate.quad(
+        _one_point(f), lo, hi, points=list(points) or None, limit=200 + len(points),
+        epsabs=1e-11, epsrel=1e-11,
+    )
+    return value
+
+
+FIRST_PASS_CASES = [
+    (lambda u: np.cos(3 * u) + u * u, -1.0, 1.0, []),
+    (lambda u: np.exp(-u) * np.sin(u), 0.0, 2.5, []),
+    (lambda u: np.cos(3 * u) + u * u, -1.0, 1.0, [-0.25, 0.5]),
+    (lambda u: np.sin(7 * u) / (2 + u), -0.3, 4.1, np.linspace(-0.2, 4.0, 37).tolist()),
+    (lambda u: np.zeros_like(u), -0.5, 0.5, []),
+    (lambda u: np.cos(u) ** 2, -60.0, 60.0, np.linspace(-59.5, 59.5, 250).tolist()),
+]
+
+
+@pytest.mark.parametrize("f,lo,hi,points", FIRST_PASS_CASES)
+def test_first_pass_equals_quadpack(f, lo, hi, points, monkeypatch):
+    calls = _count_quad(monkeypatch)
+    got = testfunction._integrate(
+        _one_point(f), f(testfunction._kronrod_nodes(lo, hi, points)), lo, hi, points
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert got == _quadpack(f, lo, hi, points)
+    assert calls[0] == 0
+
+
+def test_first_pass_leaves_a_kink_to_quadpack(monkeypatch):
+    f = lambda u: np.abs(u - 0.3)
+    calls = _count_quad(monkeypatch)
+    fx = f(testfunction._kronrod_nodes(-1.0, 1.0, []))
+    got = testfunction._integrate(_one_point(f), fx, -1.0, 1.0, [])
+    assert got == _quadpack(f, -1.0, 1.0, [])
+    assert calls[0] == 1
+
