@@ -5,6 +5,10 @@ sum of sinusoids: one mode per nonnegative Chebyshev frequency of the two
 homogeneous orders, plus a single mode at the solved frequency lam.  The
 homogeneous amplitudes come from the continuity linear system; the lam-mode
 amplitudes are fixed complex numbers depending only on (kernel, support, lam).
+One record of that mode (``_lambda_mode``) holds the forcing amplitude z,
+U_0(lam)..U_n(lam) and z(-i delta)^k for k < n; each cell's lam-mode
+coefficient, the continuity right side and both closed-form integrals of h
+read it, so an optimizer and its residuals each evaluate it once.
 
 Every defining property of the optimizer is re-checked here as a residual:
 the delay differential equation, the integral (Volterra) form, the scalar
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.integrate
@@ -33,13 +37,11 @@ __all__ = [
     "PiecewiseTestFunction",
     "ResidualReport",
     "mode_coefficient",
-    "solve_continuity",
     "assemble",
     "reconstruct",
     "residuals",
     "quotient_quadrature",
-    "tail_integral_closed",
-    "full_integral_closed",
+    "closed_integrals",
 ]
 
 _ZERO_FREQ = 1e-14
@@ -248,19 +250,27 @@ def _mode_coefficient(
     )
 
 
-def solve_continuity(ctx: EquationContext, lam: float) -> np.ndarray:
-    """Homogeneous amplitudes enforcing continuity at the partition points.
+class _LambdaMode(NamedTuple):
+    """The lam-frequency mode at (ctx, lam); see the module docstring."""
 
-    Returns the raw solution vector; its first floor(n/2) entries are the
-    amplitudes of the inner (order n-1) family, the remaining ones are the
-    *negatives* of the outer (order n) family amplitudes.
-    """
+    z: complex  # the forcing amplitude
+    u: list[float]  # U_0(lam)..U_n(lam)
+    rot: list[complex]  # z * (-i delta)^k for k < n
+    rhs: list[float]  # the continuity right side, U_k(lam) * Im(rot[k])
+
+
+def _lambda_mode(ctx: EquationContext, lam: float) -> _LambdaMode:
     z = forcing_amplitude(ctx, lam)
-    u = cheb.u_stack(ctx.n - 1, lam).tolist()
-    rhs = np.empty(ctx.n)
-    for k in range(ctx.n):
-        rhs[k] = u[k] * (z * _ipow(-ctx.delta, k)).imag
-    return np.linalg.solve(ctx.m_matrix, rhs)
+    u = cheb.u_stack(ctx.n, lam).tolist()
+    rot = [z * _ipow(-ctx.delta, k) for k in range(ctx.n)]
+    return _LambdaMode(z, u, rot, [uk * r.imag for uk, r in zip(u, rot)])
+
+
+def _solve_continuity(ctx: EquationContext, mode: _LambdaMode) -> np.ndarray:
+    """Homogeneous amplitudes enforcing continuity at the partition points:
+    the floor(n/2) amplitudes of the inner (order n-1) family, then the
+    *negatives* of the outer (order n) family's."""
+    return np.linalg.solve(ctx.m_matrix, np.array(mode.rhs))
 
 
 def _interval_bounds(ctx: EquationContext, m: int) -> tuple[float, float]:
@@ -281,12 +291,10 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
     """
     n = ctx.n
     delta = ctx.delta
-    x = solve_continuity(ctx, lam)
+    mode = _lambda_mode(ctx, lam)
+    x = _solve_continuity(ctx, mode)
     r_inner = x[: n // 2]
     r_outer = -x[n // 2 :]
-    # U_0..U_n at lam serve both families: the order n - 1 recurrence is a
-    # prefix of the order n one
-    u = cheb.u_stack(n, lam).tolist()
 
     pieces: list[Piece] = []
 
@@ -305,12 +313,12 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
         m = n - 1 - 2 * k
         mid = (n - 2 * k - 1) / 2.0
         amps = r_outer * ctx.u_hi[k]
-        add_piece(m, mid, amps, ctx.theta_hi, _mode_coefficient(ctx, lam, k, n, u))
+        add_piece(m, mid, amps, ctx.theta_hi, _mode_coefficient(ctx, lam, k, n, mode.u))
     for k in range(n - 1):  # inner family: cells n-2, n-4, ..., -(n-2)
         m = n - 2 - 2 * k
         mid = (n - 2 * k - 2) / 2.0
         amps = r_inner * ctx.u_lo[k]
-        add_piece(m, mid, amps, ctx.theta_lo, _mode_coefficient(ctx, lam, k, n - 1, u))
+        add_piece(m, mid, amps, ctx.theta_lo, _mode_coefficient(ctx, lam, k, n - 1, mode.u))
 
     pieces.sort(key=lambda p: p.lo)
     return PiecewiseTestFunction(pieces=tuple(pieces), R=ctx.R, lam=lam, g=ctx.g, ctx=ctx)
@@ -590,35 +598,23 @@ def _quotient_quadrature(
     return num / (4 * math.pi**2 * den)
 
 
-def tail_integral_closed(ctx: EquationContext, lam: float) -> float:
-    """Closed form of the integral of the optimizer over [R-1, R]."""
-    z = forcing_amplitude(ctx, lam)
-    u = cheb.u_stack(ctx.n - 1, lam).tolist()
+def closed_integrals(ctx: EquationContext, lam: float) -> tuple[float, float]:
+    """Closed forms of the integrals of the optimizer over [R-1, R] and
+    [-R, R], as Python floats."""
+    z, u, rot, rhs = _lambda_mode(ctx, lam)
     delta = ctx.delta
-    acc_sin = 0.0
-    for k in range(ctx.n):
-        acc_sin += u[k] * (z * _ipow(-delta, k)).imag * ctx.alpha[k]
+    tail = full = 0.0
     acc_mode = 0j
-    for k in range(ctx.n):
+    for k, (alpha, beta) in enumerate(zip(ctx.alpha.tolist(), ctx.beta_arr.tolist())):
+        tail += rhs[k] * alpha
         acc_mode += _ipow(-delta, k) * u[k]
-    phi_part = (
+        full += u[k] * (rot[k].imag * beta - (2 / lam) * rot[k].real)
+    tail += (
         -(2 / (delta * lam)) * math.cos(lam * ctx.R)
         - (2 / lam) * z.real
         + 2 * delta * (1j * z * acc_mode).real
     )
-    return acc_sin + phi_part
-
-
-def full_integral_closed(ctx: EquationContext, lam: float) -> float:
-    """Closed form of the integral of the optimizer over [-R, R]."""
-    z = forcing_amplitude(ctx, lam)
-    u = cheb.u_stack(ctx.n - 1, lam).tolist()
-    delta = ctx.delta
-    acc = 0.0
-    for k in range(ctx.n):
-        rot = z * _ipow(-delta, k)
-        acc += u[k] * (rot.imag * ctx.beta_arr[k] - (2 / lam) * rot.real)
-    return acc
+    return tail, full
 
 
 def residuals(
@@ -689,8 +685,9 @@ def residuals(
         tail_quad = _integrate(h, h_ends, R - 1, R, tail_cuts)
         full_quad = _integrate(h, hu, -R, R, cuts)
         scale = max(abs(tail_exact), abs(full_exact), 1e-300)
-        tail_gap = abs(tail_integral_closed(ctx, lam) - tail_quad) / scale
-        full_gap = abs(full_integral_closed(ctx, lam) - full_quad) / scale
+        tail_closed, full_closed = closed_integrals(ctx, lam)
+        tail_gap = abs(tail_closed - tail_quad) / scale
+        full_gap = abs(full_closed - full_quad) / scale
     else:
         tail_gap = full_gap = 0.0
 

@@ -274,6 +274,13 @@ def test_curve_bad_range(capsys):
     assert code == 2
 
 
+def test_curve_needs_two_steps(capsys):
+    argv = ["curve", "--symmetry", "O", "--nu-from", "1", "--nu-to", "2", "--steps", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: --steps must be at least 2\n"
+
+
 @pytest.mark.parametrize("to_file", [False, True])
 def test_failing_curve_writes_nothing(to_file, tmp_path, capsys):
     # the first row's bound fails: no header or partial CSV may be left
@@ -365,6 +372,36 @@ def test_proportion_sign_on_full_family_rejected(capsys):
     assert code == 2
 
 
+def test_proportion_signed_family_needs_a_sign(capsys):
+    code, out, err = run(capsys, "proportion", "--family", "Hrpm", "--r", "3", "--beta", "100")
+    assert code == 2 and out == ""
+    assert err == "error: Hrpm requires --sign\n"
+
+
+def test_bad_sign_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["proportion", "--family", "Hrpm", "--r", "3", "--sign", "x", "--beta", "100"])
+    assert err.value.code == 2
+    assert "argument --sign: bad sign 'x' (use +1 or -1)" in capsys.readouterr().err
+
+
+def test_proportion_json_format(capsys):
+    code, out, _ = run(
+        capsys, "proportion", "--family", "Hr", "--r", "2", "--beta", "3", "--format", "json"
+    )
+    assert code == 0 and out.count("\n") == 1
+    record = json.loads(out)
+    assert list(record) == sorted(record)
+    assert record == {
+        "beta": "3",
+        "cleared": True,
+        "family": "Hr",
+        "lower_bound": "0.9251186741697518",
+        "r": 2,
+        "threshold": "2.2982169231905218",
+    }
+
+
 def test_testfn_csv_even_and_supported(tmp_path, capsys):
     out_file = tmp_path / "h.csv"
     code = main(
@@ -398,6 +435,21 @@ def test_testfn_past_200_breakpoints(capsys):
     assert len(out.splitlines()) == 12
     assert err.startswith("residuals:")
     assert max(float(field.split("=")[1]) for field in err.split()[1:]) <= 1e-10
+
+
+def test_testfn_needs_two_samples(capsys):
+    code, out, err = run(capsys, "testfn", "--symmetry", "Sp", "--R", "0.75", "--samples", "1")
+    assert code == 2 and out == ""
+    assert err == "error: --samples must be at least 2\n"
+
+
+def test_bound_root_in_an_exclusion_core_exits_2(capsys):
+    code, out, err = run(capsys, "bound", "--symmetry", "Sp", "--nu-max", "45.54749406851713")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: root within 1e-09 of excluded frequency 0.1361666490962466"
+        " for Sp at R=22.773737034258566\n"
+    )
 
 
 def test_testfn_unitary_rejected(capsys):

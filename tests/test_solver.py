@@ -284,6 +284,13 @@ def test_forcing_amplitude_excluded_frequencies():
             forcing_amplitude(ctx, root)
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.0, -0.3])
+def test_forcing_amplitude_rejects_a_nonpositive_frequency(lam):
+    ctx = build_context(Symmetry.Sp, 0.75)
+    with pytest.raises(ValueError, match="frequency must be positive"):
+        forcing_amplitude(ctx, lam)
+
+
 def test_equation_scalar_vs_vector():
     ctx = build_context(Symmetry.Sp, 0.9)
     grid = np.linspace(0.2, 3.0, 29)
@@ -405,6 +412,36 @@ def test_batched_bisection_bracket_narrower_than_xtol():
     assert _bisect(f, lo, hi, 1e-12) == bisect_one_at_a_time(f, lo, hi, 1e-12) == 0.5 * (lo + hi)
 
 
+def test_bisection_returns_an_end_where_f_vanishes():
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        return np.asarray(x) - 0.3
+
+    assert _bisect(f, 0.3, 1.0, 1e-12) == 0.3
+    assert _bisect(f, 0.0, 0.3, 1e-12) == 0.3
+    assert _bisect(f, 1.0, 0.3, 1e-12, ends=(0.7, 0.0)) == 0.3
+    assert calls == [2, 2]  # the ends alone, and none when they are given
+
+
+def test_bisection_rejects_a_bracket_without_a_sign_change():
+    with pytest.raises(ValueError, match="does not straddle a sign change"):
+        _bisect(lambda x: np.asarray(x) - 0.3, 0.4, 1.0, 1e-12)
+    with pytest.raises(ValueError, match="does not straddle a sign change"):
+        _bisect(lambda x: np.asarray(x) - 0.3, 0.0, 0.2, 1e-12, ends=(-0.3, -0.1))
+
+
+def test_bisection_of_adjacent_floats_returns_their_rounded_midpoint():
+    # with xtol = 0 the bracket shrinks to two adjacent floats, whose
+    # midpoint rounds onto one of them
+    lo = 0.5
+    hi = float(np.nextafter(lo, 1.0))
+    step = lambda x: np.where(np.asarray(x) > lo, 1.0, -1.0)
+    assert _bisect(step, lo, hi, 0.0) == 0.5 * (lo + hi)
+    assert _bisect(step, 0.0, 1.0, 0.0) in (lo, hi)
+
+
 def test_tan_ratio_bisections_keep_their_bits():
     assert tan_ratio_fixed_point().hex() == "0x1.6e27ebe4bf298p-1"
     # the shifted-cosine minimum on both branches of the tangent map
@@ -480,6 +517,18 @@ def test_root_scan_error_prints_the_scan_end():
         height_bound(g, 200.0)
     expected = f"no admissible root up to the one-mode frequency {lam_up!r} for SO- at R={R!r}"
     assert str(info.value) == expected
+
+
+def test_root_in_an_exclusion_core_is_a_loud_scan_error():
+    # both ends of the exclusion window around 0.1361666490962466 keep the
+    # sign of the scan point beside them: the root lies within 1e-9 of it
+    with pytest.raises(RootScanError) as info:
+        solver.solve(Symmetry.Sp, 22.773737034258563)
+    assert str(info.value) == (
+        "root within 1e-09 of excluded frequency 0.1361666490962466"
+        " for Sp at R=22.773737034258563"
+    )
+    assert info.value.grid.size == info.value.values.size == 394
 
 
 def test_first_root_error_carries_the_whole_scan():

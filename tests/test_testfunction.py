@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from lowzero import chebyshev as cheb
 from lowzero import rayleigh, solver, testfunction
 from testfunction_oracles import (
+    full_integral_loop,
     integral_all_pieces,
     piece_index_linear_scan,
     quotient_quadrature_scalar,
     residuals_scalar,
     slope_by_terms,
+    solve_continuity_loop,
+    tail_integral_loop,
     value_by_terms,
 )
 from lowzero.chebyshev import u_stack
@@ -23,13 +27,11 @@ from lowzero.symmetry import Symmetry
 from lowzero.verification import RESIDUAL_PAIRS
 from lowzero.testfunction import (
     assemble,
-    full_integral_closed,
+    closed_integrals,
     mode_coefficient,
     quotient_quadrature,
     reconstruct,
     residuals,
-    solve_continuity,
-    tail_integral_closed,
 )
 
 EQUATION_CASES = [
@@ -39,6 +41,8 @@ EQUATION_CASES = [
     (Symmetry.SOminus, 0.8),
     (Symmetry.SOminus, 1.2),
 ]
+
+EQUATION_KERNELS = (Symmetry.Sp, Symmetry.SOplus, Symmetry.SOminus)
 
 SMALL_CASES = [
     (Symmetry.O, 0.35),
@@ -131,7 +135,7 @@ def test_solve_continuity_residual():
 
     for g, R in EQUATION_CASES:
         ctx, lam = _solved(g, R)
-        x = solve_continuity(ctx, lam)
+        x = testfunction._solve_continuity(ctx, testfunction._lambda_mode(ctx, lam))
         z = forcing_amplitude(ctx, lam)
         u = u_stack(ctx.n - 1, lam)
         rhs = np.array([u[k] * (z * _ipow(-ctx.delta, k)).imag for k in range(ctx.n)])
@@ -238,8 +242,53 @@ def test_integral_closed_forms_match_quadrature():
             limit=200, epsabs=1e-12,
         )
         scale = max(abs(tail_quad), abs(full_quad), 1e-12)
-        assert abs(tail_integral_closed(ctx, lam) - tail_quad) <= 1e-9 * scale
-        assert abs(full_integral_closed(ctx, lam) - full_quad) <= 1e-9 * scale
+        tail_closed, full_closed = closed_integrals(ctx, lam)
+        assert abs(tail_closed - tail_quad) <= 1e-9 * scale
+        assert abs(full_closed - full_quad) <= 1e-9 * scale
+
+
+LAMBDA_MODE_CASES = list(dict.fromkeys(
+    [(g, R) for g in EQUATION_KERNELS for R in (0.75, 2.3, 6.949, 9.6)]
+    + [(g, R) for g, R in RESIDUAL_PAIRS if R > 0.5 and g is not Symmetry.O]
+    + [(Symmetry.SOminus, 5.2), (Symmetry.SOplus, 50.3)]
+))
+
+
+@pytest.mark.parametrize("g,R", LAMBDA_MODE_CASES)
+def test_lambda_mode_record_matches_the_reference_loops_bitwise(g, R):
+    # the continuity solve and both closed-form integrals, read from one
+    # record of the lam mode, against loops that each derive it afresh
+    h, _ = reconstruct(g, R)
+    ctx, lam = h.ctx, h.lam
+    x = testfunction._solve_continuity(ctx, testfunction._lambda_mode(ctx, lam))
+    assert x.tobytes() == solve_continuity_loop(ctx, lam).tobytes()
+    tail, full = closed_integrals(ctx, lam)
+    assert type(tail) is float and type(full) is float
+    assert _bits_equal(tail, tail_integral_loop(ctx, lam))
+    assert _bits_equal(full, full_integral_loop(ctx, lam))
+
+
+def test_one_lambda_mode_per_reconstruct_and_check(monkeypatch):
+    # the optimizer and its residuals each evaluate the forcing amplitude
+    # once, and the Chebyshev stack at lam once besides the amplitude's own
+    amplitude = testfunction.forcing_amplitude
+    stack = cheb.u_stack
+    calls = {"amplitude": 0, "scalar stack": 0}
+
+    def counted_amplitude(ctx, lam):
+        calls["amplitude"] += 1
+        return amplitude(ctx, lam)
+
+    def counted_stack(n_max, x):
+        calls["scalar stack"] += np.ndim(x) == 0
+        return stack(n_max, x)
+
+    monkeypatch.setattr(testfunction, "forcing_amplitude", counted_amplitude)
+    monkeypatch.setattr(cheb, "u_stack", counted_stack)
+    h, res = reconstruct(Symmetry.SOplus, 5.2)
+    residuals(h)
+    assert res.branch == "transcendental"
+    assert calls == {"amplitude": 2, "scalar stack": 4}
 
 
 def test_lambda_mode_integrals_closed_form():
@@ -399,6 +448,14 @@ def test_residuals_repeatable_and_keep_no_state_on_h(g, R):
     assert residuals(h) == first
     target = h.lam**2 / (4 * math.pi**2)
     assert abs(quotient_quadrature(h) - target) / target == first.rayleigh_gap
+
+
+@pytest.mark.parametrize("g,R", [(Symmetry.SOplus, 5.2), (Symmetry.Sp, 0.75), (Symmetry.SOminus, 1.2)])
+def test_residual_report_fields_are_python_floats(g, R):
+    h, _ = reconstruct(g, R)
+    report = residuals(h)
+    assert all(type(v) is float for v in vars(report).values())
+    assert "np.float64" not in repr(report)
 
 
 def test_residuals_small_support_branch():

@@ -5,14 +5,14 @@ from functools import cache
 
 import numpy as np
 
+from lowzero.chebyshev import u_stack
+from lowzero.solver import _ipow, forcing_amplitude
 from lowzero.testfunction import (
     _RESIDUAL_SAMPLES,
     _ZERO_FREQ,
     ResidualReport,
     _quad,
     _quad_points,
-    full_integral_closed,
-    tail_integral_closed,
 )
 
 
@@ -74,6 +74,53 @@ def integral_all_pieces(h, lo: float, hi: float) -> float:
     return total
 
 
+# The continuity solve and the two closed-form integrals of h, each deriving
+# the lam mode on its own: the forcing amplitude, the U_k(lam) and every
+# rotation z * (-i delta)^k.  ``testfunction`` forms the same products and
+# sums from one record of that mode, so the same bits.
+
+
+def solve_continuity_loop(ctx, lam) -> np.ndarray:
+    """Homogeneous amplitudes enforcing continuity, right side entry by entry."""
+    z = forcing_amplitude(ctx, lam)
+    u = u_stack(ctx.n - 1, lam).tolist()
+    rhs = np.empty(ctx.n)
+    for k in range(ctx.n):
+        rhs[k] = u[k] * (z * _ipow(-ctx.delta, k)).imag
+    return np.linalg.solve(ctx.m_matrix, rhs)
+
+
+def tail_integral_loop(ctx, lam) -> float:
+    """Closed form of the integral of the optimizer over [R-1, R]."""
+    z = forcing_amplitude(ctx, lam)
+    u = u_stack(ctx.n - 1, lam).tolist()
+    delta = ctx.delta
+    acc_sin = 0.0
+    for k in range(ctx.n):
+        acc_sin += u[k] * (z * _ipow(-delta, k)).imag * ctx.alpha[k]
+    acc_mode = 0j
+    for k in range(ctx.n):
+        acc_mode += _ipow(-delta, k) * u[k]
+    phi_part = (
+        -(2 / (delta * lam)) * math.cos(lam * ctx.R)
+        - (2 / lam) * z.real
+        + 2 * delta * (1j * z * acc_mode).real
+    )
+    return acc_sin + phi_part
+
+
+def full_integral_loop(ctx, lam) -> float:
+    """Closed form of the integral of the optimizer over [-R, R]."""
+    z = forcing_amplitude(ctx, lam)
+    u = u_stack(ctx.n - 1, lam).tolist()
+    delta = ctx.delta
+    acc = 0.0
+    for k in range(ctx.n):
+        rot = z * _ipow(-delta, k)
+        acc += u[k] * (rot.imag * ctx.beta_arr[k] - (2 / lam) * rot.real)
+    return acc
+
+
 def quotient_quadrature_scalar(h, value, slope) -> float:
     """``testfunction.quotient_quadrature`` with every node evaluated one
     float at a time through ``value`` and ``slope`` (scalar evaluators of h
@@ -111,7 +158,9 @@ def quotient_quadrature_scalar(h, value, slope) -> float:
 def residuals_scalar(h, ctx=None) -> ResidualReport:
     """``testfunction.residuals`` evaluating h, h' and the integrals of h one
     float at a time, at the samples and at every quadrature node, by
-    ``value_by_terms``, ``slope_by_terms`` and ``integral_all_pieces``."""
+    ``value_by_terms``, ``slope_by_terms`` and ``integral_all_pieces``, and
+    the closed-form integrals by ``tail_integral_loop`` and
+    ``full_integral_loop``."""
     ctx = h.ctx if ctx is None else ctx
     delta = h.g.delta
     eps = float(h.g.epsilon)
@@ -160,8 +209,8 @@ def residuals_scalar(h, ctx=None) -> ResidualReport:
         tail_quad = _quad(value, R - 1, R, _quad_points(h, R - 1, R))
         full_quad = _quad(value, -R, R, _quad_points(h, -R, R))
         scale = max(abs(tail_exact), abs(full_exact), 1e-300)
-        tail_gap = abs(tail_integral_closed(ctx, lam) - tail_quad) / scale
-        full_gap = abs(full_integral_closed(ctx, lam) - full_quad) / scale
+        tail_gap = abs(tail_integral_loop(ctx, lam) - tail_quad) / scale
+        full_gap = abs(full_integral_loop(ctx, lam) - full_quad) / scale
     else:
         tail_gap = full_gap = 0.0
 
