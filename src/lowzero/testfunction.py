@@ -300,6 +300,8 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
 
     def add_piece(m: int, mid: float, amps, thetas, zmode: complex) -> None:
         lo, hi = _interval_bounds(ctx, m)
+        if not hi > lo:  # an empty cell of a closed-end context
+            return
         terms = []
         for j0, (r, th) in enumerate(zip(amps, thetas)):
             j = j0 + 1
@@ -336,8 +338,8 @@ def _shifted_cosine(g: Symmetry, R: float, lam: float) -> PiecewiseTestFunction:
 
 
 def reconstruct(g: Symmetry, R: float) -> tuple[PiecewiseTestFunction, BoundResult]:
-    """Optimizer and minimum for any non-unitary kernel and support, solved
-    (and nudged off a degenerate support) exactly as ``solver.solve`` does."""
+    """Optimizer and minimum for any non-unitary kernel and support R,
+    solved at R exactly as ``solver.solve`` does."""
     if g is Symmetry.U:
         raise ValueError("the unitary kernel has no attained optimizer to build")
     res, ctx = solve(g, R)

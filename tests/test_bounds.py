@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lowzero import bounds, solver
+from lowzero import solver
 from lowzero.bounds import (
     family_height_bound,
     height_bound,
@@ -165,35 +165,6 @@ def test_limit_guard_matches_two_solve_reference(g, fresh_contexts):
             expected = minimal_quotient(g, nu / 2.0 - 1e-5)
         assert repr(result) == repr(expected)
         assert caught == []
-
-
-@pytest.mark.parametrize("which", [(0,), (0, -1), (0, -1, 1)])
-def test_limit_guard_nudges_like_reference(which, monkeypatch, fresh_contexts):
-    # the sample support R + k * 1e-6 is rigged degenerate for each k in which
-    g, nu_max = Symmetry.SOplus, 5.3
-    R = nu_max / 2.0 - 1e-5
-    degenerate = [R + k * 1e-6 for k in which]
-    used = next((R + k * 1e-6 for k in (-1, 1) if k not in which), None)
-    real_build = solver.build_context
-
-    def build(g, radius):
-        if radius in degenerate:
-            raise solver.DegenerateRadiusError("rigged")
-        return real_build(g, radius)
-
-    monkeypatch.setattr(solver, "build_context", build)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if used is None:  # no nudge is left, so the sample's own error is raised
-            with pytest.raises(solver.DegenerateRadiusError, match="rigged"):
-                height_bound_result(g, nu_max)
-        else:
-            assert height_bound_result(g, nu_max).support == used
-    assert [str(w.message) for w in caught] == [
-        f"support {R} is numerically degenerate; using {used}"
-    ] * (used is not None)
-    # the nudge is reported at the line of height_bound_result that solved it
-    assert all(w.filename == bounds.__file__ for w in caught)
 
 
 def test_equation_calls_per_bound(monkeypatch, fresh_contexts):

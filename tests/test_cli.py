@@ -12,7 +12,6 @@ import pytest
 import lowzero
 from lowzero import rayleigh
 from lowzero.cli import main
-from lowzero.solver import DegenerateRadiusError
 
 
 def run(capsys, *argv):
@@ -82,46 +81,19 @@ def test_bound_root_inside_exclusion_window(capsys):
 
 
 def test_bound_oracle_check_uses_solved_support(capsys, monkeypatch):
-    from lowzero import rayleigh, solver
-
     nu = 2.0
-    R = nu / 2 - 1e-5
-    real_build, real_oracle = solver.build_context, rayleigh.sqrt_quotient
+    real_oracle = rayleigh.sqrt_quotient
     oracle_supports = []
-
-    def degenerate_at_r(g, radius):
-        if radius == R:
-            raise DegenerateRadiusError("rigged")
-        return real_build(g, radius)
 
     def recording_oracle(g, radius, trunc):
         oracle_supports.append(radius)
         return real_oracle(g, radius, trunc)
 
-    monkeypatch.setattr(solver, "build_context", degenerate_at_r)
     monkeypatch.setattr(rayleigh, "sqrt_quotient", recording_oracle)
-    with pytest.warns(UserWarning, match="degenerate"):
-        code, out, _ = run(
-            capsys, "bound", "--symmetry", "Sp", "--nu-max", str(nu), "--oracle-check"
-        )
+    code, out, _ = run(capsys, "bound", "--symmetry", "Sp", "--nu-max", str(nu), "--oracle-check")
     assert code == 0
-    assert oracle_supports == [R - 1e-6]
+    assert oracle_supports == [nu / 2 - 1e-5]
     assert float(parse_kv(out)["oracle_gap"]) <= 5e-3
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["bound", "--symmetry", "Sp", "--nu-max", "2.00002"],
-        ["testfn", "--symmetry", "Sp", "--R", "1", "--samples", "5"],
-    ],
-)
-def test_integer_2r_support_is_nudged(capsys, argv):
-    # the bound's limit sample nu/2 - 1e-5 and the testfn support are R = 1
-    with pytest.warns(UserWarning, match="support 1.0 is numerically degenerate; using 1.000001"):
-        code, out, err = run(capsys, *argv)
-    assert code == 0
-    assert out and "error" not in err
 
 
 def test_bound_json_format(capsys):

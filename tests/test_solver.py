@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,8 +212,9 @@ def test_context_guards():
         build_context(Symmetry.O, 0.8)
     with pytest.raises(ValueError):
         build_context(Symmetry.Sp, 0.4)
-    with pytest.raises(ValueError):
-        build_context(Symmetry.Sp, 1.0 + 1e-12)
+    # 2R = n builds the closed-end context with n points; just past it, n + 1
+    assert build_context(Symmetry.Sp, 1.0).n == 2
+    assert build_context(Symmetry.Sp, 1.0 + 1e-12).n == 3
 
 
 CONTEXT_ARRAYS = ("a", "theta_lo", "theta_hi", "u_lo", "u_hi", "m_matrix", "alpha", "beta_arr")
@@ -837,30 +839,50 @@ def test_minimum_strictly_decreasing_for_any_step(g, R, step):
 def test_sp_scaled_frequency_stays_between_one_and_two():
     # s = 2 R lam / pi is the square root of the 16 R^2-scaled Sp minimum;
     # it never comes near an odd integer, where the piecewise optimizer
-    # would only be conditionally optimal.  The grid drops R = 20, where
-    # 2R is an integer and the solve runs at a nudged support.
+    # would only be conditionally optimal.
     scaled = []
-    for R in np.linspace(0.51, 20.0, 2002)[1:-1]:
+    for R in np.linspace(0.51, 20.0, 2002)[1:]:
         result, _ = solver.solve(Symmetry.Sp, float(R))
         scaled.append(2 * result.support * result.lam / math.pi)
     assert 1.0 < min(scaled) and max(scaled) < 2.0
 
 
 @pytest.mark.parametrize(
-    "g,R,used",
-    [
-        (Symmetry.Sp, 1.0, 1.000001),
-        (Symmetry.SOplus, 1.5, 1.500001),
-        (Symmetry.SOminus, 2.0 - 2e-10, 2.0 - 2e-10 - 1e-6),
-    ],
+    "g,R", [(Symmetry.Sp, 1.0), (Symmetry.SOplus, 1.5), (Symmetry.SOminus, 2.0 - 2e-10)]
 )
-def test_integer_2r_support_is_nudged_and_matches_the_oracle(g, R, used):
-    with pytest.raises(DegenerateRadiusError):
-        build_context(g, R)
-    with pytest.warns(UserWarning, match=f"support {R} is numerically degenerate; using {used}"):
+def test_integer_2r_support_is_solved_there_and_matches_the_oracle(g, R):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result, ctx = solver.solve(g, R)
-    assert result.support == ctx.R == used
-    assert result.bound == pytest.approx(rayleigh.sqrt_quotient(g, used, 400), abs=1e-9)
+    assert result.support == ctx.R == R
+    # measured: the oracle lies 8e-12 to 8.3e-11 above
+    assert 0.0 <= rayleigh.sqrt_quotient(g, R, 400) - result.bound <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 14])
+@pytest.mark.parametrize("g", EQUATION_KERNELS)
+def test_supports_near_integer_2r_are_solved_where_asked(g, n):
+    # The closed-end context at 2R = n and the contexts within 1e-9 of it
+    # are well conditioned, and the minimum is continuous across 2R = n:
+    # measured cond(M, 1) <= 4.6e3 and a relative slope <= 4.0 in R.
+    at_edge = minimal_quotient(g, n / 2).m_tilde
+    for step in (0.0, 5e-13, -5e-13, 5e-11, -5e-11, 5e-10, -5e-10, 1e-9, -1e-9):
+        R = n / 2 + step
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, ctx = solver.solve(g, R)
+        assert result.support == ctx.R == R
+        assert np.linalg.cond(ctx.m_matrix, 1) <= 1e6
+        assert abs(result.m_tilde - at_edge) / at_edge <= 5 * abs(step) + 1e-10, (R, step)
+
+
+@pytest.mark.parametrize("g", EQUATION_KERNELS)
+def test_closed_end_root_at_r1_matches_two_piece_form(g):
+    two_piece = first_root(
+        lambda lam: spectral_equation_two_piece(g, 1.0, lam), 8.0, u_product_roots(2)
+    )
+    root = build_context(g, 1.0).root  # measured: the same bits
+    assert abs(root - two_piece) <= 1e-12 * two_piece
 
 
 def test_degenerate_radius_error_carries_advice():
