@@ -10,11 +10,14 @@ U_0(lam)..U_n(lam) and z(-i delta)^k for k < n; each cell's lam-mode
 coefficient, the continuity right side and both closed-form integrals of h
 read it, so an optimizer and its residuals each evaluate it once.
 
-Every defining property of the optimizer is re-checked here as a residual:
-the delay differential equation, the integral (Volterra) form, the scalar
-compatibility relation, and the Rayleigh quotient itself, the last evaluated
-by adaptive quadrature over the piecewise representation with exact cell
-boundaries.
+Every defining property of the optimizer is re-checked here as a residual
+(``residuals``): the delay differential equation, the integral (Volterra)
+form, the scalar compatibility relation, the two closed-form integrals of h,
+and the Rayleigh quotient itself.  The quotient has one path,
+``quotient_quadrature``, adaptive quadrature over the piecewise
+representation cut at the exact cell boundaries, which evaluates h and h' at
+its own nodes; ``residuals`` calls it and evaluates h only where its other
+checks read it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .symmetry import Symmetry
 __all__ = [
     "PiecewiseTestFunction",
     "ResidualReport",
-    "mode_coefficient",
     "assemble",
     "reconstruct",
     "residuals",
@@ -164,16 +166,18 @@ class PiecewiseTestFunction:
         A reversed window is swapped and its integral negated, and each
         window is clipped to the support, where h vanishes.  The cells are
         contiguous, so only the first and last covered cells can be partial:
-        those add their terms one by one, reusing the stored cosines at
-        their own edges, and the whole cells between add their stored
-        per-term integrals, gathered into rows (a window with fewer adds the
-        appended 0.0) and folded left to right by np.add.accumulate.  These
-        are the same operands in the same order as evaluating every term
-        afresh, so the same sum.  A window's total starts at +0.0 and so
-        never is -0.0, and adding +0.0 leaves it as it is.
+        each window's cosines are taken once per term, at lo in its first
+        cell and at hi in its last, and those two cells add their terms one
+        by one, with the stored cosines at their other ends; the whole cells
+        between add their stored per-term integrals, gathered into rows (a
+        window with fewer adds the appended 0.0) and folded left to right by
+        np.add.accumulate.  These are the same operands in the same order as
+        evaluating every term afresh, so the same sum.  A window's total
+        starts at +0.0 and so never is -0.0, and adding +0.0 leaves it as it
+        is.
         """
         los, his = self._cells[:2]
-        width, wholes, _ = self._antiderivatives
+        width, wholes, (f, ph, _, cos_lo, cos_hi, _) = self._antiderivatives
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
         flip = hi < lo
         lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
@@ -183,32 +187,31 @@ class PiecewiseTestFunction:
         hi = np.where(his[-1] < hi, his[-1], hi)
         some = hi > lo
         first = np.where(some, np.searchsorted(his, lo, side="right"), 0)
-        stop = np.where(some, np.searchsorted(los, hi, side="left"), 1)
-        total = self._cell_integrals(first, lo, hi, np.zeros(lo.shape), some)
-        inner = stop - first > 1
+        last = np.where(some, np.searchsorted(los, hi, side="left") - 1, 0)
+        inner = last > first
+        at_lo = np.cos(f[:, first] * lo + ph[:, first])
+        at_hi = np.cos(f[:, last] * hi + ph[:, last])
+        # the first cell ends where the window does if it is also the last
+        first_hi = np.where(inner, his[first], hi)
+        first_cos = np.where(inner, cos_hi[:, first], at_hi)
+        total = self._cell_integrals(first, lo, at_lo, first_hi, first_cos, np.zeros(lo.shape), some)
         begin = (first + 1) * width
-        count = np.where(inner, (stop - first - 2) * width, 0)
+        count = np.where(inner, (last - first - 1) * width, 0)
         if count.size and count.max() > 0:
             step = np.arange(count.max())[:, None]
             rows = wholes[np.where(step < count, begin + step, len(wholes) - 1)]
             total = np.add.accumulate(np.concatenate([total[None], rows]), axis=0)[-1]
-        total = self._cell_integrals(stop - 1, lo, hi, total, inner)
+        total = self._cell_integrals(last, los[last], cos_lo[:, last], hi, at_hi, total, inner)
         total = np.where(some, total, 0.0)
         return np.where(flip, -total, total)
 
-    def _cell_integrals(self, i, lo, hi, total, use) -> np.ndarray:
+    def _cell_integrals(self, i, a, cos_a, b, cos_b, total, use) -> np.ndarray:
         """``total`` plus, where ``use`` holds, the integral of cell i[k]
-        over its part of window k, added in place."""
-        los, his = self._cells[:2]
-        f, ph, c, cos_lo, cos_hi, const = self._antiderivatives[2]
-        cell_lo, cell_hi = los[i], his[i]
-        seg_lo = np.where(cell_lo > lo, cell_lo, lo)
-        seg_hi = np.where(cell_hi < hi, cell_hi, hi)
-        use = use & (seg_hi > seg_lo)
-        f, ph, c = f[:, i], ph[:, i], c[:, i]
-        cos_lo = np.where(seg_lo == cell_lo, cos_lo[:, i], np.cos(f * seg_lo + ph))
-        cos_hi = np.where(seg_hi == cell_hi, cos_hi[:, i], np.cos(f * seg_hi + ph))
-        terms = np.where(const[:, i], c * (seg_hi - seg_lo), c * (cos_lo - cos_hi))
+        over [a[k], b[k]], given cos(f*a + ph) and cos(f*b + ph) per term,
+        added in place."""
+        _, _, c, _, _, const = self._antiderivatives[2]
+        c = c[:, i]
+        terms = np.where(const[:, i], c * (b - a), c * (cos_a - cos_b))
         for row in np.where(use, terms, 0.0):
             total += row
         return total
@@ -218,23 +221,14 @@ class PiecewiseTestFunction:
 # Equation-branch assembly
 # ---------------------------------------------------------------------------
 
-def mode_coefficient(ctx: EquationContext, lam: float, k: int, order: int) -> complex:
-    """Complex amplitude of the lam-frequency mode on one partition cell.
-
-    ``order`` selects the interval family (the Chebyshev order whose roots
-    provide the cell's homogeneous frequencies): ``n`` for the outermost
-    family, ``n - 1`` for the interleaved one.
-    """
-    if not 0 <= k <= order - 1:
-        raise ValueError(f"cell index {k} out of range for order {order}")
-    return _mode_coefficient(ctx, lam, k, order, cheb.u_stack(order, lam).tolist())
-
-
 def _mode_coefficient(
     ctx: EquationContext, lam: float, k: int, m: int, u: list[float]
 ) -> complex:
-    """``mode_coefficient`` of order m, given U_0(lam), U_1(lam), ... up to
-    at least U_m(lam) in ``u``."""
+    """Complex amplitude of the lam-frequency mode on cell k of the interval
+    family of order m (the Chebyshev order whose roots provide the cell's
+    homogeneous frequencies): ``n`` for the outermost family, ``n - 1`` for
+    the interleaved one.  ``u`` holds U_0(lam), U_1(lam), ... up to at least
+    U_m(lam)."""
     delta = ctx.delta
     denom = lam + delta * math.sin(lam)
     if abs(denom) < 1e-12:
@@ -287,7 +281,7 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
 
     The two interval families jointly tile [-R, R]; on each cell the phases
     of the homogeneous modes are pinned to the cell midpoint, and the
-    lam-mode amplitude/phase come from ``mode_coefficient``.
+    lam-mode amplitude/phase come from ``_mode_coefficient``.
     """
     n = ctx.n
     delta = ctx.delta
@@ -362,9 +356,7 @@ class ResidualReport:
       + (delta/2) * int_{R-1}^R h + eps * int h;
     ``rayleigh_gap``: quotient-vs-lam^2/(4 pi^2) gap by adaptive quadrature;
     ``int_tail_gap``/``int_full_gap``: closed-form-vs-quadrature gaps for the
-      two integrals of h (only meaningful on the equation branch);
-    ``k_normalization``: the integral-equation constant implied by the
-      scale-1 convention, reported for reference.
+      two integrals of h (only meaningful on the equation branch).
     """
 
     delayed_ode: float
@@ -373,7 +365,6 @@ class ResidualReport:
     rayleigh_gap: float
     int_tail_gap: float
     int_full_gap: float
-    k_normalization: float
 
     def max_defect(self) -> float:
         return max(
@@ -545,48 +536,33 @@ def _at(fn, *args: np.ndarray) -> list[np.ndarray]:
     return np.split(fn(np.concatenate(args)), np.cumsum([a.size for a in args[:-1]]))
 
 
-def _quotient_nodes(h: PiecewiseTestFunction) -> tuple:
-    """The cuts of the quotient's quadratures over [-R, R] and the nodes u
-    and t of their first passes: cut at the cells, and, for the convolution
-    terms, at the cells and their shifts (None, and no t, when delta = 0)."""
-    R = h.R
-    cuts = _quad_points(h, -R, R)
-    shifts = _quad_points(h, -R, R, _shifted_points(h)) if h.g.delta else None
-    t = np.empty(0) if shifts is None else _kronrod_nodes(-R, R, shifts)
-    return cuts, shifts, _kronrod_nodes(-R, R, cuts), t
-
-
 def quotient_quadrature(h: PiecewiseTestFunction) -> float:
     """Normalized Rayleigh quotient of h by adaptive quadrature.
 
     All convolution-range integrals reduce to single integrals against exact
-    inner antiderivatives; quadrature subdivides at every cell boundary and
-    at boundaries shifted by +-1.
+    inner antiderivatives; quadrature subdivides at every cell boundary and,
+    for the convolution integrands h(t) * (integral of h over [-1 - t, 1 - t])
+    and h'(t) * (h(1 - t) - h(-1 - t)), also at the boundaries shifted by +-1.
+    h is evaluated in one ``_values`` call and h' in one ``_slopes`` call, at
+    every node of QUADPACK's first pass of each quadrature, and the windows
+    of the convolution integrand take one ``_integrals`` call.  A quadrature
+    past its first pass evaluates h one point at a time.
     """
-    cuts, shifts, u, t = _quotient_nodes(h)
-    hu, ht, ahead, behind = _at(h._values, u, t, 1 - t, -1 - t)
-    du, dt = _at(h._slopes, u, t)
-    i_h = h.integral(-h.R, h.R)
-    return _quotient_quadrature(h, cuts, shifts, hu, du, t, ht, dt, ahead, behind, i_h)
-
-
-def _quotient_quadrature(
-    h: PiecewiseTestFunction, cuts, shifts, hu, du, t, ht, dt, ahead, behind, i_h: float
-) -> float:
-    """``quotient_quadrature`` from h and h' at the first-pass nodes of
-    [-R, R] cut at ``cuts`` (``hu``, ``du``) and, when delta != 0, from h,
-    h', h(1 - t) and h(-1 - t) at those t of [-R, R] cut at ``shifts``
-    (``ht``, ``dt``, ``ahead``, ``behind``), for the convolution integrands
-    h(t) * (integral of h over [-1 - t, 1 - t]) and h'(t) * (h(1 - t) -
-    h(-1 - t)); ``i_h`` is the integral of h over [-R, R].  A quadrature
-    past its first pass evaluates h one point at a time."""
     delta = h.g.delta
     eps = float(h.g.epsilon)
     R = h.R
 
+    cuts = _quad_points(h, -R, R)
+    shifts = _quad_points(h, -R, R, _shifted_points(h))
+    u = _kronrod_nodes(-R, R, cuts)
+    t = _kronrod_nodes(-R, R, shifts) if delta else np.empty(0)
+    hu, ht, ahead, behind = _at(h._values, u, t, 1 - t, -1 - t)
+    du, dt = _at(h._slopes, u, t)
+
     h2, d2 = np.split(_squares(np.concatenate([hu, du])), 2)
     i_h2 = _integrate(lambda u: h(u) ** 2, h2, -R, R, cuts)
     i_d2 = _integrate(lambda u: h.derivative(u) ** 2, d2, -R, R, cuts)
+    i_h = h.integral(-R, R)
 
     num = i_d2
     den = i_h2 + eps * i_h**2
@@ -632,12 +608,14 @@ def residuals(
     A support up to 1e-4 is a single cell narrower than those margins, and
     there they shrink to R/2 and R/4.
 
-    h is evaluated in one ``_values`` call and h' in one ``_slopes`` call,
-    at the samples and at every node of the first QUADPACK pass of each
-    quadrature; the Volterra and closed-form integrals of h take one
-    ``_integrals`` call, the windows of the convolution integrand another.
-    ``_integrate`` sums each quadrature where QUADPACK stops after that
-    pass, and leaves the rest to QUADPACK.
+    The quotient is ``quotient_quadrature``'s.  Besides it, h is evaluated
+    in one ``_values`` call, at the samples, their shifts by +-1, the
+    Volterra samples and, on the equation branch, every node of QUADPACK's
+    first pass of the quadratures over [R - 1, R] and [-R, R] that the
+    closed forms are compared with; h' in one ``_slopes`` call at the
+    samples; the Volterra and closed-form integrals of h take one
+    ``_integrals`` call.  ``_integrate`` sums each quadrature where QUADPACK
+    stops after that pass, and leaves the rest to QUADPACK.
     """
     ctx = h.ctx if ctx is None else ctx
     delta = h.g.delta
@@ -650,13 +628,13 @@ def residuals(
     us = us[np.min(np.abs(us[:, None] - brks[None, :]), axis=1) > near]
     vs = np.linspace(0.0, R - near, _RESIDUAL_SAMPLES // 2)
 
-    cuts, shifts, u, t = _quotient_nodes(h)
-    tail_cuts = _quad_points(h, R - 1, R)
-    ends = _kronrod_nodes(R - 1, R, tail_cuts) if ctx is not None else np.empty(0)
-    hs, ahead, behind, h_vs, hu, ht, ht_ahead, ht_behind, h_ends = _at(
-        h._values, us, us + 1, us - 1, vs, u, t, 1 - t, -1 - t, ends
-    )
-    dhs, du, dt = _at(h._slopes, us, u, t)
+    if ctx is not None:
+        tail_cuts, full_cuts = _quad_points(h, R - 1, R), _quad_points(h, -R, R)
+        tail, full = _kronrod_nodes(R - 1, R, tail_cuts), _kronrod_nodes(-R, R, full_cuts)
+    else:
+        tail = full = np.empty(0)
+    hs, ahead, behind, h_vs, h_tail, h_full = _at(h._values, us, us + 1, us - 1, vs, tail, full)
+    dhs = h._slopes(us)
     h_scale = max(1e-300, float(np.max(np.abs(hs))))
     dh_scale = max(1.0, float(np.max(np.abs(dhs))))
 
@@ -678,23 +656,17 @@ def residuals(
     compat = abs(compat) / compat_scale
 
     target = lam**2 / (4 * math.pi**2)
-    quotient = _quotient_quadrature(
-        h, cuts, shifts, hu, du, t, ht, dt, ht_ahead, ht_behind, full_exact
-    )
-    ray = abs(quotient - target) / target
+    ray = abs(quotient_quadrature(h) - target) / target
 
     if ctx is not None:
-        tail_quad = _integrate(h, h_ends, R - 1, R, tail_cuts)
-        full_quad = _integrate(h, hu, -R, R, cuts)
+        tail_quad = _integrate(h, h_tail, R - 1, R, tail_cuts)
+        full_quad = _integrate(h, h_full, -R, R, full_cuts)
         scale = max(abs(tail_exact), abs(full_exact), 1e-300)
         tail_closed, full_closed = closed_integrals(ctx, lam)
         tail_gap = abs(tail_closed - tail_quad) / scale
         full_gap = abs(full_closed - full_quad) / scale
     else:
         tail_gap = full_gap = 0.0
-
-    sqrt_scaled = 2 * R * lam / math.pi
-    k_norm = -4 * R * sqrt_scaled * math.cos(0.5 * math.pi * sqrt_scaled) / math.pi**2
 
     return ResidualReport(
         delayed_ode=ode,
@@ -703,5 +675,4 @@ def residuals(
         rayleigh_gap=ray,
         int_tail_gap=tail_gap,
         int_full_gap=full_gap,
-        k_normalization=k_norm,
     )

@@ -82,13 +82,13 @@ def _sin_over_theta(c, theta):
 def context_arrays_loop(g: Symmetry, R: float) -> dict:
     """The context arrays of (g, R), every entry assembled on its own."""
     delta = g.delta
-    n = int(math.floor(2 * R)) + 1
+    n = math.ceil(2 * R)
 
     a = np.zeros(n + 1)
     for i in range((n - 1) // 2 + 1):
         a[n - 2 * i] = R - i
     for i in range((n - 2) // 2 + 1):
-        a[n - 2 * i - 1] = math.floor(2 * R) - R - i
+        a[n - 2 * i - 1] = (n - 1) - R - i
 
     theta_lo = np.array([math.cos(j * math.pi / n) for j in range(1, n // 2 + 1)])
     theta_hi = np.array(

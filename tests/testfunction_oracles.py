@@ -214,9 +214,6 @@ def residuals_scalar(h, ctx=None) -> ResidualReport:
     else:
         tail_gap = full_gap = 0.0
 
-    sqrt_scaled = 2 * R * lam / math.pi
-    k_norm = -4 * R * sqrt_scaled * math.cos(0.5 * math.pi * sqrt_scaled) / math.pi**2
-
     return ResidualReport(
         delayed_ode=ode,
         volterra=volt,
@@ -224,5 +221,4 @@ def residuals_scalar(h, ctx=None) -> ResidualReport:
         rayleigh_gap=ray,
         int_tail_gap=tail_gap,
         int_full_gap=full_gap,
-        k_normalization=k_norm,
     )
