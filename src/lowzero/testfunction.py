@@ -8,7 +8,9 @@ amplitudes are fixed complex numbers depending only on (kernel, support, lam).
 One record of that mode (``_lambda_mode``) holds the forcing amplitude z,
 U_0(lam)..U_n(lam) and z(-i delta)^k for k < n; each cell's lam-mode
 coefficient, the continuity right side and both closed-form integrals of h
-read it, so an optimizer and its residuals each evaluate it once.
+read it.  ``assemble`` evaluates it once and keeps it on h, and the
+residuals of h at h's own context read it from there, so an optimizer and
+its residuals evaluate it once between them.
 
 Every defining property of the optimizer is re-checked here as a residual
 (``residuals``): the delay differential equation, the integral (Volterra)
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple, Optional, Sequence
@@ -63,8 +65,9 @@ class Piece:
 class PiecewiseTestFunction:
     """Even, continuous, compactly supported piecewise-sinusoidal function.
 
-    ``ctx`` is the equation context it was assembled from, None for the
-    shifted cosine.  Amplitudes follow the scale-1 convention of ``solver``.
+    ``ctx`` is the equation context it was assembled from and ``_mode`` the
+    lam-mode record ``assemble`` read there, both None for the shifted
+    cosine.  Amplitudes follow the scale-1 convention of ``solver``.
     """
 
     pieces: tuple[Piece, ...]
@@ -72,6 +75,7 @@ class PiecewiseTestFunction:
     lam: float
     g: Symmetry
     ctx: Optional[EquationContext] = field(default=None, compare=False, repr=False)
+    _mode: Optional[_LambdaMode] = field(default=None, compare=False, repr=False)
 
     def breakpoints(self) -> np.ndarray:
         pts = [p.lo for p in self.pieces] + [self.pieces[-1].hi]
@@ -106,18 +110,22 @@ class PiecewiseTestFunction:
         over [x, y], and cos_lo and cos_hi are those cosines at the cell's
         ends; a term of frequency below ``_ZERO_FREQ``, padding included, is
         a constant (const true) c = a*sin(ph) and integrates to c*(y - x).
-        Returned with the number of terms per cell and every term's integral
-        over its whole cell, in cell order, with 0.0 appended.  A padding
+        Returned with the number of terms per cell, every term's integral
+        over its whole cell, in cell order, with 0.0 appended, and the
+        integral over the support [-R, R] as a Python float.  A padding
         term integrates to 0 times a width, +0.0, and a term of a cell of
         no width to c*0.0: adding either leaves a sum that starts at +0.0
-        as it is.
+        as it is.  The support's integral is the left fold of the whole-cell
+        integrals from +0.0, which is the sum ``_integrals`` forms for the
+        window [-R, R]: its first and last cells are whole.
         """
         los, his, a, f, ph, _ = self._cells
         const = np.abs(f) < _ZERO_FREQ
         c = np.where(const, a * np.sin(ph), a / np.where(const, 1.0, f))
         cos_lo, cos_hi = np.cos(f * los + ph), np.cos(f * his + ph)
         whole = np.where(const, c * (his - los), c * (cos_lo - cos_hi)).T.ravel()
-        return f.shape[0], np.append(whole, 0.0), (f, ph, c, cos_lo, cos_hi, const)
+        support = np.add.accumulate(np.concatenate([[0.0], whole]))[-1].item()
+        return f.shape[0], np.append(whole, 0.0), support, (f, ph, c, cos_lo, cos_hi, const)
 
     # The terms of a cell are added left to right, one [term] row after
     # another or in a left fold (np.add.accumulate is sequential by
@@ -178,7 +186,7 @@ class PiecewiseTestFunction:
         is.
         """
         los, his = self._cells[:2]
-        width, wholes, (f, ph, _, cos_lo, cos_hi, _) = self._antiderivatives
+        width, wholes, _, (f, ph, _, cos_lo, cos_hi, _) = self._antiderivatives
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
         flip = hi < lo
         lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
@@ -210,7 +218,7 @@ class PiecewiseTestFunction:
         """``total`` plus, where ``use`` holds, the integral of cell i[k]
         over [a[k], b[k]], given cos(f*a + ph) and cos(f*b + ph) per term,
         added in place."""
-        _, _, c, _, _, const = self._antiderivatives[2]
+        _, _, c, _, _, const = self._antiderivatives[3]
         c = c[:, i]
         terms = np.where(const[:, i], c * (b - a), c * (cos_a - cos_b))
         for row in np.where(use, terms, 0.0):
@@ -282,43 +290,41 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
 
     The two interval families jointly tile [-R, R]; on each cell the phases
     of the homogeneous modes are pinned to the cell midpoint, and the
-    lam-mode amplitude/phase come from ``_mode_coefficient``.
+    lam-mode amplitude/phase come from ``_mode_coefficient``.  Each family's
+    homogeneous terms are built at once as [cell, term] arrays: amplitude
+    r_j * U_k(theta_j) and phase -pi/2 * (j + delta * mid) - theta_j * mid
+    on cell k with midpoint mid; only the lam-mode coefficient is taken
+    cell by cell.  The record of the lam mode is kept on h for ``residuals``.
     """
     n = ctx.n
-    delta = ctx.delta
     mode = _lambda_mode(ctx, lam)
     x = _solve_continuity(ctx, mode)
-    r_inner = x[: n // 2]
-    r_outer = -x[n // 2 :]
 
     pieces: list[Piece] = []
-
-    def add_piece(m: int, mid: float, amps, thetas, zmode: complex) -> None:
-        lo, hi = _interval_bounds(ctx, m)
-        if not hi > lo:  # an empty cell of a closed-end context
-            return
-        terms = []
-        for j0, (r, th) in enumerate(zip(amps, thetas)):
-            j = j0 + 1
-            amp = r
-            phase = -0.5 * math.pi * (j + delta * mid) - th * mid
-            terms.append((amp, th, phase))
-        terms.append((abs(zmode), lam, cmath.phase(zmode) - lam * mid))
-        pieces.append(Piece(lo=lo, hi=hi, terms=tuple(terms)))
-
-    for k in range(n):  # outer family: cells n-1, n-3, ..., -(n-1)
-        m = n - 1 - 2 * k
-        mid = (n - 2 * k - 1) / 2.0
-        amps = r_outer * ctx.u_hi[k]
-        add_piece(m, mid, amps, ctx.theta_hi, _mode_coefficient(ctx, lam, k, n, mode.u))
-    for k in range(n - 1):  # inner family: cells n-2, n-4, ..., -(n-2)
-        m = n - 2 - 2 * k
-        mid = (n - 2 * k - 2) / 2.0
-        amps = r_inner * ctx.u_lo[k]
-        add_piece(m, mid, amps, ctx.theta_lo, _mode_coefficient(ctx, lam, k, n - 1, mode.u))
+    # outer family (order n): cells n-1, n-3, ..., -(n-1); inner family
+    # (order n-1): cells n-2, n-4, ..., -(n-2); cell m has midpoint m/2
+    for order, r, u, theta in (
+        (n, -x[n // 2 :], ctx.u_hi, ctx.theta_hi),
+        (n - 1, x[: n // 2], ctx.u_lo[: n - 1], ctx.theta_lo),
+    ):
+        m = order - 1 - 2 * np.arange(order)
+        mid = (m / 2.0)[:, None]
+        j = np.arange(1, theta.size + 1)
+        amps = (r * u).tolist()
+        phases = (-0.5 * math.pi * (j + ctx.delta * mid) - theta * mid).tolist()
+        thetas = theta.tolist()
+        for k, m_k in enumerate(m.tolist()):
+            lo, hi = _interval_bounds(ctx, m_k)
+            if not hi > lo:  # an empty cell of a closed-end context
+                continue
+            z = _mode_coefficient(ctx, lam, k, order, mode.u)
+            lam_term = (abs(z), lam, cmath.phase(z) - lam * (m_k / 2.0))
+            pieces.append(Piece(lo=lo, hi=hi, terms=(*zip(amps[k], thetas, phases[k]), lam_term)))
 
     pieces.sort(key=lambda p: p.lo)
-    return PiecewiseTestFunction(pieces=tuple(pieces), R=ctx.R, lam=lam, g=ctx.g, ctx=ctx)
+    return PiecewiseTestFunction(
+        pieces=tuple(pieces), R=ctx.R, lam=lam, g=ctx.g, ctx=ctx, _mode=mode
+    )
 
 
 def _shifted_cosine(g: Symmetry, R: float, lam: float) -> PiecewiseTestFunction:
@@ -370,14 +376,10 @@ class ResidualReport:
     int_full_gap: float
 
     def max_defect(self) -> float:
-        return max(
-            self.delayed_ode,
-            self.volterra,
-            self.compatibility,
-            self.rayleigh_gap,
-            self.int_tail_gap,
-            self.int_full_gap,
-        )
+        """The largest field; NaN if any field is NaN, which ``max`` alone
+        would drop unless it came first."""
+        defects = astuple(self)
+        return math.nan if any(map(math.isnan, defects)) else max(defects)
 
 
 def _phi(h: PiecewiseTestFunction, u: np.ndarray) -> np.ndarray:
@@ -423,8 +425,9 @@ def quotient_quadrature(h: PiecewiseTestFunction) -> float:
     ``_cuts``, so one rule, ``_gauss_rule`` on those cuts, serves all four:
     h is evaluated in one ``_values`` call at its nodes t and at 1 - t and
     -1 - t, h' in one ``_slopes`` call at t, and the windows in one
-    ``_integrals`` call.  Each integral is np.sum(f * w), which calls no
-    BLAS routine, so its bits do not depend on the thread count.
+    ``_integrals`` call; the integral of h over [-R, R] is read from h's
+    ``_antiderivatives`` table.  Each integral is np.sum(f * w), which calls
+    no BLAS routine, so its bits do not depend on the thread count.
     """
     delta = h.g.delta
     eps = float(h.g.epsilon)
@@ -433,7 +436,7 @@ def quotient_quadrature(h: PiecewiseTestFunction) -> float:
     t, w = _gauss_rule(-R, R, _cuts(h))
     ht, ahead, behind = _at(h._values, t, 1 - t, -1 - t)
     dt = h._slopes(t)
-    i_h = h.integral(-R, R)
+    i_h = h._antiderivatives[2]
 
     num = np.sum(dt * dt * w)
     den = np.sum(ht * ht * w) + eps * i_h**2
@@ -446,7 +449,12 @@ def quotient_quadrature(h: PiecewiseTestFunction) -> float:
 def closed_integrals(ctx: EquationContext, lam: float) -> tuple[float, float]:
     """Closed forms of the integrals of the optimizer over [R-1, R] and
     [-R, R], as Python floats."""
-    z, u, rot, rhs = _lambda_mode(ctx, lam)
+    return _closed_integrals(ctx, lam, _lambda_mode(ctx, lam))
+
+
+def _closed_integrals(ctx: EquationContext, lam: float, mode: _LambdaMode) -> tuple[float, float]:
+    """``closed_integrals`` from the lam-mode record at (ctx, lam)."""
+    z, u, rot, rhs = mode
     delta = ctx.delta
     tail = full = 0.0
     acc_mode = 0j
@@ -470,7 +478,9 @@ def residuals(
     ``ctx`` (default ``h.ctx``) enables, on the equation branch, the
     comparison of ``closed_integrals`` (built from the context's alpha and
     beta contractions and the lam mode) with the exact integrals of the
-    assembled h over [R - 1, R] and [-R, R].  The pointwise defects are
+    assembled h over [R - 1, R] and [-R, R].  At h's own context the lam
+    mode is the record ``assemble`` kept on h; any other context, even an
+    equal one, derives it afresh.  The pointwise defects are
     sampled at ``_RESIDUAL_SAMPLES`` points at least 1e-4 inside the support,
     avoiding a 1e-6 neighbourhood of the cell boundaries, where h is only
     one-sidedly differentiable; the Volterra form is sampled on [0, R - 1e-6].
@@ -480,7 +490,8 @@ def residuals(
     The quotient is ``quotient_quadrature``'s.  Besides it, h is evaluated
     in one ``_values`` call, at the samples, their shifts by +-1 and the
     Volterra samples; h' in one ``_slopes`` call at the samples; the
-    Volterra windows, [R - 1, R] and [-R, R] take one ``_integrals`` call.
+    Volterra windows and [R - 1, R] take one ``_integrals`` call, and the
+    integral over [-R, R] is read from h's ``_antiderivatives`` table.
     """
     ctx = h.ctx if ctx is None else ctx
     delta = h.g.delta
@@ -501,16 +512,16 @@ def residuals(
     defect = dhs - np.sin(lam * us) + 0.5 * delta * (ahead - behind)
     ode = float(np.max(np.abs(defect))) / dh_scale
 
-    # the Volterra windows (v + 1, R + 1) and (v - 1, R - 1), then [R - 1, R]
-    # and [-R, R], in one call
-    lo = np.concatenate([vs + 1, vs - 1, [R - 1, -R]])
-    hi = np.concatenate([np.full(vs.size, R + 1), np.full(vs.size, R - 1), [R, R]])
+    # the Volterra windows (v + 1, R + 1) and (v - 1, R - 1), then [R - 1, R],
+    # in one call
+    lo = np.concatenate([vs + 1, vs - 1, [R - 1]])
+    hi = np.concatenate([np.full(vs.size, R + 1), np.full(vs.size, R - 1), [R]])
     ints = h._integrals(lo, hi)
-    ahead, behind = np.split(ints[:-2], 2)
+    ahead, behind = np.split(ints[:-1], 2)
     defect = h_vs - _phi(h, vs) - 0.5 * delta * (ahead - behind)
     volt = float(np.max(np.abs(defect))) / h_scale
 
-    tail_exact, full_exact = ints[-2:].tolist()
+    tail_exact, full_exact = ints[-1].item(), h._antiderivatives[2]
     compat = (1 / lam) * math.cos(lam * R) + 0.5 * delta * tail_exact + eps * full_exact
     compat_scale = max(abs(1 / lam), abs(tail_exact), abs(full_exact), 1e-300)
     compat = abs(compat) / compat_scale
@@ -520,7 +531,8 @@ def residuals(
 
     if ctx is not None:
         scale = max(abs(tail_exact), abs(full_exact), 1e-300)
-        tail_closed, full_closed = closed_integrals(ctx, lam)
+        mode = h._mode if ctx is h.ctx else _lambda_mode(ctx, lam)
+        tail_closed, full_closed = _closed_integrals(ctx, lam, mode)
         tail_gap = abs(tail_closed - tail_exact) / scale
         full_gap = abs(full_closed - full_exact) / scale
     else:

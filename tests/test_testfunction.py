@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ import scipy.integrate
 
 from lowzero import chebyshev as cheb
 from lowzero import rayleigh, solver, testfunction
+from test_solver import CLOSED_END_SUPPORTS
 from testfunction_oracles import (
+    assemble_loop,
     full_integral_loop,
     integral_all_pieces,
     piece_index_linear_scan,
@@ -24,8 +27,9 @@ from testfunction_oracles import (
 from lowzero.chebyshev import u_stack
 from lowzero.solver import build_context, smallest_root
 from lowzero.symmetry import Symmetry
-from lowzero.verification import RESIDUAL_PAIRS
+from lowzero.verification import RESIDUAL_PAIRS, RESIDUAL_TOL, _case
 from lowzero.testfunction import (
+    ResidualReport,
     assemble,
     _mode_coefficient,
     closed_integrals,
@@ -252,9 +256,9 @@ def test_lambda_mode_record_matches_the_reference_loops_bitwise(g, R):
     assert _bits_equal(full, full_integral_loop(ctx, lam))
 
 
-def test_one_lambda_mode_per_reconstruct_and_check(monkeypatch):
-    # the optimizer and its residuals each evaluate the forcing amplitude
-    # once, and the Chebyshev stack at lam once besides the amplitude's own
+def _count_lambda_modes(monkeypatch) -> dict:
+    """Counts of forcing-amplitude calls and of Chebyshev stacks at a
+    scalar frequency from here on."""
     amplitude = testfunction.forcing_amplitude
     stack = cheb.u_stack
     calls = {"amplitude": 0, "scalar stack": 0}
@@ -269,10 +273,65 @@ def test_one_lambda_mode_per_reconstruct_and_check(monkeypatch):
 
     monkeypatch.setattr(testfunction, "forcing_amplitude", counted_amplitude)
     monkeypatch.setattr(cheb, "u_stack", counted_stack)
+    return calls
+
+
+def test_one_lambda_mode_per_reconstruct_and_check(monkeypatch):
+    # the optimizer evaluates the forcing amplitude once, and the Chebyshev
+    # stack at lam once besides the amplitude's own; its residuals read the
+    # record kept on h
+    calls = _count_lambda_modes(monkeypatch)
     h, res = reconstruct(Symmetry.SOplus, 5.2)
     residuals(h)
+    residuals(h, h.ctx)
     assert res.branch == "transcendental"
-    assert calls == {"amplitude": 2, "scalar stack": 4}
+    assert calls == {"amplitude": 1, "scalar stack": 2}
+
+
+@pytest.mark.parametrize("g,R", [(Symmetry.SOplus, 5.2), (Symmetry.Sp, 0.75), (Symmetry.SOminus, 1.2)])
+def test_residuals_derive_the_lambda_mode_of_another_context(g, R, monkeypatch):
+    # an equal context that is not h's own is not trusted with h's record:
+    # the mode is derived afresh from it, with the same bits
+    h, _ = reconstruct(g, R)
+    want = residuals(h)
+    other = solver._build_context.__wrapped__(g, R)
+    assert other is not h.ctx
+    calls = _count_lambda_modes(monkeypatch)
+    got = residuals(h, other)
+    assert calls == {"amplitude": 1, "scalar stack": 2}
+    assert _bits_equal(astuple(got), astuple(want))
+
+
+ASSEMBLE_CASES = list(dict.fromkeys(
+    LAMBDA_MODE_CASES
+    + [(g, R) for g in EQUATION_KERNELS for R in CLOSED_END_SUPPORTS]
+    + [
+        (EQUATION_KERNELS[i % 3], R)
+        for i, R in enumerate(np.random.default_rng(27).uniform(0.51, 20.0, 50).tolist())
+    ]
+))
+
+
+def _hex_pieces(h) -> list:
+    return [
+        (float.hex(p.lo), float.hex(p.hi), [tuple(map(float.hex, t)) for t in p.terms])
+        for p in h.pieces
+    ]
+
+
+def _table_bytes(h) -> list:
+    width, wholes, support, arrays = h._antiderivatives
+    return [a.tobytes() for a in (*h._cells, wholes, *arrays)] + [width, float.hex(support)]
+
+
+@pytest.mark.parametrize("g,R", ASSEMBLE_CASES)
+def test_assemble_matches_the_per_term_loop_bitwise(g, R):
+    # the [cell, term] arrays give every term, and so h's tables, the bits
+    # of forming each term on its own
+    ctx, lam = _solved(g, R)
+    got, want = assemble(ctx, lam), assemble_loop(ctx, lam)
+    assert _hex_pieces(got) == _hex_pieces(want)
+    assert _table_bytes(got) == _table_bytes(want)
 
 
 def test_lambda_mode_integrals_closed_form():
@@ -311,6 +370,28 @@ def test_lambda_mode_integrals_closed_form():
         scale = max(abs(full_quad), abs(tail_quad), 1.0)
         assert abs(full_closed - full_quad) <= 1e-9 * scale
         assert abs(tail_closed - tail_quad) <= 1e-9 * scale
+
+
+SUPPORT_INTEGRAL_CASES = list(dict.fromkeys(
+    [
+        (g, R)
+        for i, g in enumerate((Symmetry.O, Symmetry.Sp, Symmetry.SOplus, Symmetry.SOminus))
+        for R in np.random.default_rng([28, i]).uniform(0.05, 3.0 if i == 0 else 20.0, 6).tolist()
+    ]
+    + [(g, R) for g in EQUATION_KERNELS for R in CLOSED_END_SUPPORTS]
+    + [(Symmetry.O, 1e-10), (Symmetry.O, 5e6), (Symmetry.Sp, 0.3), (Symmetry.SOplus, 50.3)]
+))
+
+
+@pytest.mark.parametrize("g,R", SUPPORT_INTEGRAL_CASES)
+def test_support_integral_is_the_window_integral_bitwise(g, R):
+    # the fold of the whole-cell integrals kept in h's table is the integral
+    # over the window [-R, R], one cell or more than 200 cuts alike
+    h, _ = reconstruct(g, R)
+    support = h._antiderivatives[2]
+    assert type(support) is float
+    assert float.hex(support) == float.hex(h.integral(-R, R))
+    assert float.hex(support) == float.hex(integral_all_pieces(h, -R, R))
 
 
 def test_exact_integral_matches_quadrature():
@@ -458,6 +539,23 @@ def test_residual_report_fields_are_python_floats(g, R):
     report = residuals(h)
     assert all(type(v) is float for v in vars(report).values())
     assert "np.float64" not in repr(report)
+
+
+@pytest.mark.parametrize("at", range(6))
+def test_max_defect_keeps_a_nan(at):
+    # max() alone returns 1e-13 for a NaN that is not the first field, and
+    # the verify case would pass
+    fields = [1e-13, 2e-14, 1e-14, 1e-13, 0.0, 0.0]
+    fields[at] = math.nan
+    defect = ResidualReport(*fields).max_defect()
+    assert math.isnan(defect)
+    assert _case("residuals", 0.0, defect, RESIDUAL_TOL)["pass"] is False
+
+
+def test_max_defect_of_finite_fields_is_their_max():
+    fields = (1e-13, 2e-14, 1e-14, 3e-13, 0.0, 0.0)
+    assert float.hex(ResidualReport(*fields).max_defect()) == float.hex(max(fields))
+    assert ResidualReport(0.0, 0.0, 0.0, 0.0, 0.0, math.inf).max_defect() == math.inf
 
 
 def test_residuals_small_support_branch():

@@ -1,5 +1,6 @@
 """Piecewise test-function routines used only as test oracles."""
 
+import cmath
 import math
 from functools import cache
 
@@ -11,9 +12,15 @@ from lowzero.solver import _ipow, forcing_amplitude
 from lowzero.testfunction import (
     _RESIDUAL_SAMPLES,
     _ZERO_FREQ,
+    Piece,
+    PiecewiseTestFunction,
     ResidualReport,
     _cuts,
     _gauss_rule,
+    _interval_bounds,
+    _lambda_mode,
+    _mode_coefficient,
+    _solve_continuity,
 )
 
 
@@ -73,6 +80,44 @@ def integral_all_pieces(h, lo: float, hi: float) -> float:
             else:
                 total += (a / f) * (math.cos(f * seg_lo + ph) - math.cos(f * seg_hi + ph))
     return total
+
+
+def assemble_loop(ctx, lam) -> PiecewiseTestFunction:
+    """``testfunction.assemble`` with every term of every cell formed on its
+    own: the amplitude r_j * U_k(theta_j) and the phase
+    -pi/2 * (j + delta * mid) - theta_j * mid, one float at a time."""
+    n = ctx.n
+    delta = ctx.delta
+    mode = _lambda_mode(ctx, lam)
+    x = _solve_continuity(ctx, mode)
+    r_inner = x[: n // 2]
+    r_outer = -x[n // 2 :]
+
+    pieces = []
+
+    def add_piece(m, mid, amps, thetas, zmode):
+        lo, hi = _interval_bounds(ctx, m)
+        if not hi > lo:  # an empty cell of a closed-end context
+            return
+        terms = []
+        for j0, (r, th) in enumerate(zip(amps, thetas)):
+            j = j0 + 1
+            phase = -0.5 * math.pi * (j + delta * mid) - th * mid
+            terms.append((r, th, phase))
+        terms.append((abs(zmode), lam, cmath.phase(zmode) - lam * mid))
+        pieces.append(Piece(lo=lo, hi=hi, terms=tuple(terms)))
+
+    for k in range(n):  # outer family: cells n-1, n-3, ..., -(n-1)
+        mid = (n - 2 * k - 1) / 2.0
+        amps = r_outer * ctx.u_hi[k]
+        add_piece(n - 1 - 2 * k, mid, amps, ctx.theta_hi, _mode_coefficient(ctx, lam, k, n, mode.u))
+    for k in range(n - 1):  # inner family: cells n-2, n-4, ..., -(n-2)
+        mid = (n - 2 * k - 2) / 2.0
+        amps = r_inner * ctx.u_lo[k]
+        add_piece(n - 2 - 2 * k, mid, amps, ctx.theta_lo, _mode_coefficient(ctx, lam, k, n - 1, mode.u))
+
+    pieces.sort(key=lambda p: p.lo)
+    return PiecewiseTestFunction(pieces=tuple(pieces), R=ctx.R, lam=lam, g=ctx.g, ctx=ctx, _mode=mode)
 
 
 # The continuity solve and the two closed-form integrals of h, each deriving
