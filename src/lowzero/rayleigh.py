@@ -53,6 +53,12 @@ class QuadraticForms:
     g: Symmetry
 
 
+def _diagonal_numerator(g: Symmetry, R: float) -> bool:
+    """True where the numerator A is diag(m^2): with delta = 0 (the O and U
+    kernels) or at or below half support."""
+    return g.delta == 0 or R <= 0.5
+
+
 def assemble_forms(g: Symmetry, R: float, N: int) -> QuadraticForms:
     """Build the N x N quadratic forms over the first N odd cosine modes.
 
@@ -69,7 +75,9 @@ def assemble_forms(g: Symmetry, R: float, N: int) -> QuadraticForms:
     W holds m^2 - n^2, then lead/(m^2 - n^2), then mu; L holds lambda, then
     cos_m - cos_n, then the numerator A; T is scratch for the terms of
     lambda and then receives the denominator B.  At or below half support
-    the two forms are the only N x N arrays.
+    the two forms are the only N x N arrays, and so they are wherever
+    delta = 0: A is diag(m^2) and B the identity plus a multiple of
+    outer(v, v), the same bits as the general formulas give there.
     """
     if not 0 < R < math.inf:
         raise ValueError("R must be positive and finite")
@@ -84,7 +92,7 @@ def assemble_forms(g: Symmetry, R: float, N: int) -> QuadraticForms:
     sq = d**2
     diag = slice(None, None, N + 1)  # the diagonal of a flattened N x N form
 
-    if R <= 0.5:
+    if _diagonal_numerator(g, R):
         # Both forms are exactly symmetric: a diagonal plus c*outer(v, v).
         B = np.outer(v, v)
         B *= (delta + 2 * eps) * (8 * R / math.pi**2)
@@ -149,6 +157,11 @@ def minimize(g: Symmetry, R: float, N: int = 400) -> float:
     decrease toward that eigenvalue; the iteration stops at the first one
     that does not decrease and returns the smallest.
 
+    Where A is diag(d^2), d the odd mode index (delta = 0, or R <= 1/2),
+    its Cholesky factor is diag(d) exactly, so each step divides by d twice
+    and applies A as d^2 * y: the same bits as the two triangular solves
+    and the matrix-vector product, without the factorization.
+
     The result is the subspace minimum of the scaled quotient; it decreases
     toward the true minimum as N grows.  Raises ``RuntimeError`` if the
     numerator is not numerically positive definite or the quotients keep
@@ -156,23 +169,33 @@ def minimize(g: Symmetry, R: float, N: int = 400) -> float:
     """
     forms = assemble_forms(g, R, N)
     A, B = forms.numerator, forms.denominator
-    # A is exactly symmetric, so its transpose, a Fortran-order view, is the
-    # same matrix: LAPACK factors a copy of it and A stays intact.
-    factor, info = scipy.linalg.lapack.dpotrf(A.T)
-    if info != 0:
-        raise RuntimeError(
-            f"Cholesky factorization of the numerator failed for {g} at R={R}, N={N} "
-            f"(LAPACK info {info})"
-        )
-    trsv = scipy.linalg.blas.dtrsv
+    if _diagonal_numerator(g, R):
+        # A = diag(d^2) with d the odd mode index: its Cholesky factor is
+        # diag(d) exactly, and the two triangular solves are two divisions.
+        sq = np.diagonal(A)
+        d = np.sqrt(sq)
+        solve = lambda rhs: (rhs / d) / d
+        apply_a = lambda y: sq * y
+    else:
+        # A is exactly symmetric, so its transpose, a Fortran-order view, is
+        # the same matrix: LAPACK factors a copy of it and A stays intact.
+        factor, info = scipy.linalg.lapack.dpotrf(A.T)
+        if info != 0:
+            raise RuntimeError(
+                f"Cholesky factorization of the numerator failed for {g} at R={R}, N={N} "
+                f"(LAPACK info {info})"
+            )
+        trsv = scipy.linalg.blas.dtrsv
+        # A = U^T U: y = U^-1 (U^-T rhs) by two triangular solves
+        solve = lambda rhs: trsv(factor, trsv(factor, rhs, trans=1))
+        apply_a = lambda y: A @ y
     rhs = B[:, 0]  # B x for the first mode x = e_1
     best = math.inf
     for _ in range(_MAX_STEPS):
-        # A = U^T U: y = U^-1 (U^-T rhs) by two triangular solves
-        y = trsv(factor, trsv(factor, rhs, trans=1))
+        y = solve(rhs)
         By = B @ y
         yBy = y @ By
-        q = (y @ (A @ y)) / yBy
+        q = (y @ apply_a(y)) / yBy
         if not q < best:
             return float(best)
         best = q

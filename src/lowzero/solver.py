@@ -668,6 +668,9 @@ GRID_STEP = 1e-3
 EXCLUSION_RADIUS = 1e-6
 EXCLUSION_CORE = 1e-9
 ROOT_XTOL = 1e-12
+#: The most scan points the first guess of a root's bisection interpolates
+#: through (see ``_first_bracket``).
+GUESS_POINTS = 10
 
 
 def first_root(f, lam_max: float, excluded) -> float:
@@ -723,16 +726,25 @@ def _first_bracket(f, pts, window, vals, ex, end: str) -> tuple:
     at ``pts``; ``end`` names the scan end when there is no bracket):
     (function, lo, hi, end values, guess) to hand ``_bisect``.
 
-    The function is f divided by lam - e for the windowed frequency e
-    nearest the bracket: no bracket holds an excluded frequency, so the
-    division flips no sign within it, and it takes out the zero at e that
-    would bend the secant guesses of a bracket next to e.  The end values
-    are the scan's (or the exclusion core's), divided the same way.  The
-    guess is the zero of the cubic through the divided values at the two
-    ends and the scan point beyond each, as a function of the value
-    (inverse cubic interpolation), when the four points hold no window,
-    their values are strictly monotone and the zero falls inside the
-    bracket; otherwise None, and the bisection starts from the secant.
+    The function is f divided by lam^2 - e^2 for the windowed frequency e
+    nearest the bracket: no bracket holds an excluded frequency, and every
+    point is positive, so the division flips no sign within it, and it
+    takes out the zero at e that would bend the secant guesses of a
+    bracket next to e.  The end values are the scan's (or the exclusion
+    core's), divided the same way.
+
+    The guess interpolates lam^2 as a function of the divided value
+    through the longest run of scan points around the bracket that holds
+    no window, up to ``GUESS_POINTS``: the run grows by one point at a
+    time on the side with fewer, or on the one side left where a window or
+    the scan's end stops the other.  The guess is the square root of the
+    zero of that polynomial (``_inverse_interpolation_zero``) when the
+    bracket is not a window, the run's values are strictly monotone and
+    the guess falls inside the bracket; otherwise None, and the bisection
+    starts from the secant.  The equations are nearly even in lam, so
+    near 0, where the SO- roots of many cells lie, they are flat in lam
+    but not in lam^2, and the inverse of a flat function interpolates
+    badly.
     """
     sign = np.signbit(vals)
     hits = np.flatnonzero((sign[:-1] != sign[1:]) != window)
@@ -754,24 +766,36 @@ def _first_bracket(f, pts, window, vals, ex, end: str) -> tuple:
             )
     if ex.size:
         e = float(ex[np.argmin(np.abs(ex - 0.5 * (lo + hi)))])
-        f = lambda lam, f=f: np.asarray(f(lam)) / (lam - e)
-        ends = (ends[0] / (lo - e), ends[1] / (hi - e))
+        f = lambda lam, f=f: np.asarray(f(lam)) / (lam * lam - e * e)
+        ends = (ends[0] / (lo * lo - e * e), ends[1] / (hi * hi - e * e))
     guess = None
-    if i > 0 and i + 2 < vals.size and not window[i - 1 : i + 2].any():
-        x, y = pts[i - 1 : i + 3], vals[i - 1 : i + 3]
+    if not window[i]:
+        a, b = i, i + 1  # the run is pts[a : b + 1]; grow it on the shorter side first
+        while b - a + 1 < GUESS_POINTS:
+            left = a > 0 and not window[a - 1]
+            right = b + 1 < vals.size and not window[b]
+            if not (left or right):
+                break
+            if left and (not right or i - a <= b - i - 1):
+                a -= 1
+            else:
+                b += 1
+        x, y = pts[a : b + 1], vals[a : b + 1]
         if ex.size:
-            y = y / (x - e)
+            y = y / (x * x - e * e)
         steps = np.diff(y)
         if (steps > 0).all() or (steps < 0).all():
-            guess = _inverse_cubic_zero(x.tolist(), y.tolist(), lo)
+            square = _inverse_interpolation_zero((x * x).tolist(), y.tolist(), lo * lo)
+            guess = math.sqrt(max(square, 0.0))
             if not lo < guess < hi:
                 guess = None
     return f, lo, hi, ends, guess
 
 
-def _inverse_cubic_zero(x: list, y: list, origin: float) -> float:
-    """Zero of the cubic through the points (y_k, x_k), x as a function of
-    y, in Lagrange form about ``origin``; the y_k must be distinct."""
+def _inverse_interpolation_zero(x: list, y: list, origin: float) -> float:
+    """Zero of the polynomial through the points (y_k, x_k), x as a
+    function of y (inverse interpolation), in Lagrange form about
+    ``origin``; the y_k must be distinct."""
     total = 0.0
     for k, (xk, yk) in enumerate(zip(x, y)):
         weight = xk - origin

@@ -4,13 +4,17 @@
 convolution matrices as scalar closed forms.  ``assemble_forms_meshgrid``
 builds both quadratic forms on full (m, n) index grids, evaluating every
 entry's formula directly; ``lowzero.rayleigh.assemble_forms`` must agree
-with it bit for bit.
+with it bit for bit.  ``minimize_cholesky`` is ``lowzero.rayleigh.minimize``
+with LAPACK's Cholesky factor and BLAS triangular solves at every support,
+the diagonal numerators included.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 
+from lowzero import rayleigh
 from lowzero.rayleigh import QuadraticForms
 from lowzero.symmetry import Symmetry
 
@@ -104,3 +108,26 @@ def assemble_forms_meshgrid(g: Symmetry, R: float, N: int) -> QuadraticForms:
     A = 0.5 * (A + A.T)
     B = 0.5 * (B + B.T)
     return QuadraticForms(numerator=A, denominator=B, R=R, g=g)
+
+
+def minimize_cholesky(g: Symmetry, R: float, N: int) -> float:
+    """Inverse iteration of ``rayleigh.minimize``, every step solving
+    A y = B x by ``dpotrf``'s factor and two ``dtrsv`` calls and applying A
+    by a matrix-vector product."""
+    forms = rayleigh.assemble_forms(g, R, N)
+    A, B = forms.numerator, forms.denominator
+    factor, info = scipy.linalg.lapack.dpotrf(A.T)
+    assert info == 0, info
+    trsv = scipy.linalg.blas.dtrsv
+    rhs = B[:, 0]
+    best = math.inf
+    for _ in range(rayleigh._MAX_STEPS):
+        y = trsv(factor, trsv(factor, rhs, trans=1))
+        By = B @ y
+        yBy = y @ By
+        q = (y @ (A @ y)) / yBy
+        if not q < best:
+            return float(best)
+        best = q
+        rhs = By / math.sqrt(yBy)
+    raise AssertionError("inverse iteration did not settle")

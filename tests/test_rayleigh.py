@@ -18,6 +18,7 @@ from lowzero.verification import oracle_grid
 from rayleigh_oracles import (
     assemble_forms_meshgrid,
     cos_conv_integral,
+    minimize_cholesky,
     sin_conv_integral,
 )
 
@@ -224,6 +225,23 @@ def test_minimize_matches_reference_eigensolve_on_oracle_grid():
             got = minimize(g, R, 400)
             assert abs(got - expected) <= 2e-10 * expected, (g, R)
             assert sqrt_quotient(g, R, 400) >= minimal_quotient(g, R).bound, (g, R)
+
+
+DIAGONAL_NUMERATOR_CASES = [(g, R) for g in Symmetry for R in (0.17, 0.3, 0.5)] + [
+    (g, R) for g in (Symmetry.O, Symmetry.U) for R in (0.75, 2.7, 7.3, 20.0)
+]
+
+
+@pytest.mark.parametrize("g,R", DIAGONAL_NUMERATOR_CASES)
+def test_diagonal_numerator_minimize_matches_the_cholesky_solves_bitwise(g, R, monkeypatch):
+    modes = (1, 7, 64, 400)
+    expected = [minimize_cholesky(g, R, N).hex() for N in modes]
+
+    def no_factor(*args):
+        raise AssertionError("the diagonal numerator was factored")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", no_factor)
+    assert [minimize(g, R, N).hex() for N in modes] == expected
 
 
 def test_numerator_not_positive_definite_raises_naming_the_case(monkeypatch):

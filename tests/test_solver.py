@@ -14,11 +14,13 @@ from lowzero.solver import (
     EXCLUSION_CORE,
     EXCLUSION_RADIUS,
     GRID_STEP,
+    GUESS_POINTS,
     ROOT_XTOL,
     DegenerateRadiusError,
     RootScanError,
     _bisect,
     _first_bracket,
+    _inverse_interpolation_zero,
     _one_mode_quotient,
     _upper_frequency,
     build_context,
@@ -355,11 +357,11 @@ def test_batched_bisection_matches_one_at_a_time(g, R, monkeypatch):
     ctx = build_context(g, R)
     root = smallest_root(ctx)
     (guide, lo, hi, ends, guess), = brackets
-    assert guess is None or lo < guess < hi
+    assert lo < guess < hi
     single = bisect_one_at_a_time(lambda lam: spectral_equation(ctx, lam), lo, hi, ROOT_XTOL)
     assert list(ends) == guide(np.array([lo, hi])).tolist()
     # with the scan's first guess, and from the secant alone
-    for first_guess, most_calls in ((guess, 3), (None, 4)):
+    for first_guess, most_calls in ((guess, 2), (None, 3)):
         calls = []
 
         def f(lam):
@@ -651,24 +653,45 @@ def test_tabulated_equation_on_every_input_shape(fresh_tables):
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
-def test_first_guess_is_the_inverse_cubic_zero():
-    f = lambda x: x - 0.2504  # a straight line: the cubic through it is the line
+def _guess_from(run, values, lo):
+    """The first guess ``_first_bracket`` makes from the run of scan points
+    ``run`` with the divided values ``values``."""
+    square = _inverse_interpolation_zero((run * run).tolist(), values.tolist(), lo * lo)
+    return math.sqrt(square)
+
+
+@pytest.mark.parametrize(
+    "root,below",  # below: the run's scan points below the bracket
+    [(0.2504, 4), (0.0024, 1), (3.9996, 7)],  # centred, at the scan's start and at its end
+)
+def test_first_guess_is_the_inverse_interpolation_zero(root, below):
+    f = lambda x: x - root  # a straight line: lam^2 is a quadratic in its value
     f_div, lo, hi, ends, guess = first_bracket(f, 4.0, [])
-    assert (lo, hi) == (0.25, 0.251) and f_div is f
-    assert abs(guess - 0.2504) < 1e-15
+    pts, _ = scan_grid(4.0, [])
+    i = pts.tolist().index(lo)
+    assert hi == pts[i + 1] and f_div is f
+    run = pts[i - below : i - below + GUESS_POINTS]
+    assert run.size == GUESS_POINTS and run[0] <= lo < hi <= run[-1]
+    assert guess == _guess_from(run, f(run), lo)
+    assert abs(guess - root) <= 2e-18  # measured: 0, 1.3e-18 and 0
 
 
-PIECEWISE_GRID = [0.248, 0.249, 0.25, 0.251, 0.252, 0.253]
+PIECEWISE_GRID = [0.246, 0.247, 0.248, 0.249, 0.25, 0.251, 0.252, 0.253, 0.254, 0.255]
 
 
 @pytest.mark.parametrize(
     "values,expected",
     [
-        ([-2.0, -1.9, -1.0, 1e-3, 1.5, 3.0], 0.2509991012041522),  # monotone, zero inside
-        ([-3.0, -2.0, -1e-3, 1.0, 1.001, 1.002], None),  # the cubic's zero lies below lo
-        ([-1.0, -0.999, -0.998, 1e-3, 5.0, 9.0], None),  # the cubic's zero lies above hi
-        ([-1.0, -1e-9, -1e-3, 1.0, 2.0, 3.0], None),  # not monotone
-        ([-2.0, -1.0, -1e-3, 1.0, 1.0, 3.0], None),  # not strictly monotone
+        # monotone, zero inside
+        ([-4.0, -3.0, -2.5, -2.0, -1.0, 1e-3, 1.5, 3.0, 3.5, 4.5], 0.25099874874834077),
+        # the guess lies below lo
+        ([-5.0, -4.0, -3.0, -2.0, -1e-2, 1.0, 1.01, 1.02, 1.03, 1.04], None),
+        # the guess lies above hi
+        ([-1.004, -1.003, -1.002, -1.001, -1.0, 1e-3, 2.0, 3.0, 4.0, 5.0], None),
+        # not monotone at the run's first point
+        ([-1.0, -1.5, -1.4, -1.3, -1.0, 1e-3, 1.5, 3.0, 3.5, 4.5], None),
+        # not strictly monotone at the run's last point
+        ([-4.0, -3.0, -2.5, -2.0, -1.0, 1e-3, 1.5, 3.0, 3.5, 3.5], None),
     ],
 )
 def test_first_guess_only_where_it_is_sound(values, expected):
@@ -680,28 +703,70 @@ def test_first_guess_only_where_it_is_sound(values, expected):
 
 
 def test_first_guess_needs_a_window_free_run():
-    for e in (0.2510005, 0.2525):  # the first window replaces the grid point 0.251
+    # the excluded frequency e, and the bounds of the run it leaves
+    for e, first, last in (
+        (0.2510005, 0.2415, 0.251),  # the window replaces 0.251: the run grows left only
+        (0.2525, 0.2435, 0.2525),  # the window stops the run two points past hi
+        (0.2478, 0.2478, 0.2565),  # the window stops the run three points below lo
+    ):
         f = lambda x: (x - 0.2504) * (x - e)  # vanishes at e, as the equation does
         f_div, lo, hi, _, guess = first_bracket(f, 4.0, [e])
-        assert f_div(np.array([0.2])) == f(np.array([0.2])) / (0.2 - e)
-        if e < 0.252:
-            assert (lo, hi) == (0.25, e - EXCLUSION_RADIUS)
-            assert guess is None  # the point beyond hi lies across the window
-        else:
-            assert (lo, hi) == (0.25, 0.251)
-            assert abs(guess - 0.2504) < 1e-15  # the window lies past the four points
+        assert f_div(np.array([0.2])) == f(np.array([0.2])) / (0.2 * 0.2 - e * e)
+        pts, window = scan_grid(4.0, [e])
+        a, b = np.searchsorted(pts, [first, last])
+        run = pts[a:b]
+        assert run.size == GUESS_POINTS and not window[a : b - 1].any()
+        assert run[0] <= lo < hi <= run[-1]
+        assert guess == _guess_from(run, f(run) / (run * run - e * e), lo)
+        assert abs(guess - 0.2504) < 1e-15  # f / (x^2 - e^2) = (x - 0.2504) / (x + e)
+        assert first_root(f, 4.0, [e]) == bisect_one_at_a_time(f_div, lo, hi, ROOT_XTOL)
+
+
+def test_no_first_guess_when_the_bracket_is_a_window():
+    e = 0.2504 + 0.5 * EXCLUSION_RADIUS  # both window ends lie above 0: a second zero inside
+    f = lambda x: (x - 0.2504) * (x - e)
+    f_div, lo, hi, _, guess = first_bracket(f, 4.0, [e])
+    assert (lo, hi) == (e - EXCLUSION_RADIUS, e - EXCLUSION_CORE)
+    assert guess is None
+    assert first_root(f, 4.0, [e]) == bisect_one_at_a_time(f_div, lo, hi, ROOT_XTOL)
+
+
+# Supports with at most 20 cells, where the scan between windows is long
+GUESS_SUPPORTS = [
+    (g, R) for g in EQUATION_KERNELS for R in np.random.default_rng(8).uniform(0.51, 10.0, 20).tolist()
+]
 
 
 def test_first_guess_changes_no_root():
     rng = np.random.default_rng(5)
-    for g in EQUATION_KERNELS:
-        for R in rng.uniform(0.51, 20.0, 20).tolist() + CLOSED_END_SUPPORTS:
-            ctx = build_context(g, R)
-            f = lambda lam: spectral_equation(ctx, lam)
-            excluded = u_product_roots(ctx.n)
-            f_div, lo, hi, ends, guess = first_bracket(f, _upper_frequency(ctx), excluded)
-            assert smallest_root(ctx) == _bisect(f_div, lo, hi, ROOT_XTOL, ends, guess)
-            assert smallest_root(ctx) == _bisect(f_div, lo, hi, ROOT_XTOL, ends)
+    supports = [(g, R) for g in EQUATION_KERNELS for R in rng.uniform(0.51, 20.0, 20).tolist()]
+    supports += [(g, R) for g in EQUATION_KERNELS for R in CLOSED_END_SUPPORTS] + GUESS_SUPPORTS
+    for g, R in supports:
+        ctx = build_context(g, R)
+        f = lambda lam: spectral_equation(ctx, lam)
+        excluded = u_product_roots(ctx.n)
+        f_div, lo, hi, ends, guess = first_bracket(f, _upper_frequency(ctx), excluded)
+        assert smallest_root(ctx) == _bisect(f_div, lo, hi, ROOT_XTOL, ends, guess)
+        assert smallest_root(ctx) == _bisect(f_div, lo, hi, ROOT_XTOL, ends)
+        assert smallest_root(ctx) == bisect_one_at_a_time(f, lo, hi, ROOT_XTOL)
+
+
+def test_first_guess_leaves_few_path_calls_per_root(monkeypatch):
+    calls = []
+
+    def counting_bisect(f, lo, hi, xtol, ends=None, guess=None):
+        def counted(lam):
+            calls.append(np.size(lam))
+            return f(lam)
+
+        return _bisect(counted, lo, hi, xtol, ends, guess)
+
+    monkeypatch.setattr(solver, "_bisect", counting_bisect)
+    for g, R in GUESS_SUPPORTS:
+        smallest_root(build_context(g, R))
+    # measured: 1.13 calls per root (Sp 1.25, SO+ 1.15, SO- 1.0); 2.07 with
+    # a four-point guess through the equation divided by lam - e
+    assert len(calls) <= 1.25 * len(GUESS_SUPPORTS)
 
 
 def _one_mode_supports():
