@@ -271,12 +271,22 @@ def small_support_minimum(g: Symmetry, R: float) -> BoundResult:
     support.  The defining relation inverts to
 
         sqrt(scaled minimum) = 4 * tan_ratio_inverse(1 + (delta + 2 eps)/R).
+
+    The minima of the last 16 (kernel, support) pairs are kept, so the
+    ``minimal_quotient`` and ``reconstruct`` calls at one support invert
+    ``tan_ratio`` once.  A float support and an equal ``np.float64`` one
+    are separate entries, so ``support`` keeps the type the caller passed.
     """
     if g is Symmetry.U:
         raise ValueError("unitary kernel has its own exact branch")
     _check_support(g, R)
     if g is not Symmetry.O and R > 0.5:
         raise ValueError("Sp/SO kernels need the transcendental branch past R = 1/2")
+    return _small_support_minimum(g, R)
+
+
+@lru_cache(maxsize=16, typed=True)
+def _small_support_minimum(g: Symmetry, R: float) -> BoundResult:
     weight = float(g.corrective_weight)
     sqrt_m = 4 * tan_ratio_inverse(1.0 + weight / R)
     m_tilde = (sqrt_m / (4 * R)) ** 2
@@ -360,8 +370,8 @@ class _OrderTables:
     the block's orders k of U_k times the sine of the phase (the second);
     the tables are indexed [k, j].
 
-    ``excluded`` holds the roots of U_n * U_{n-1} where the root scan puts
-    its windows, and ``scan`` the scan points of ``first_root`` with the
+    ``roots`` holds the positive roots of U_n * U_{n-1} (``u_product_roots``),
+    ``excluded`` those where the root scan puts its windows, and ``scan`` the scan points of ``first_root`` with the
     amplitude sums there, which depend on no support.
     """
 
@@ -380,7 +390,8 @@ class _OrderTables:
             blocks.append((theta, u, phase, sines[0], beta_sum))
         self.blocks = tuple(blocks)
         self.n, self.delta = n, delta
-        self.excluded = _windowed(u_product_roots(n))
+        self.roots = u_product_roots(n)
+        self.excluded = _windowed(self.roots)
         self.points, self.window, self.sums = np.empty(0), np.empty(0, bool), np.empty((2, 0))
         for arr in (self.excluded, *(arr for block in blocks for arr in block)):
             arr.setflags(write=False)
@@ -552,15 +563,22 @@ def forcing_amplitude(ctx: EquationContext, lam: float) -> complex:
     Undefined within ``EXCLUSION_CORE`` of a root of U_n * U_{n-1}; those
     frequencies are excluded from the root search as well.
     """
+    return _amplitude_and_stack(ctx, lam)[0]
+
+
+def _amplitude_and_stack(ctx: EquationContext, lam: float) -> tuple[complex, np.ndarray]:
+    """``forcing_amplitude`` at lam, with the stack U_0(lam)..U_n(lam) it
+    is built from; the roots of U_n * U_{n-1} are read from the (n, delta)
+    tables."""
     if lam <= 0:
         raise ValueError("frequency must be positive")
-    for root in u_product_roots(ctx.n):
+    for root in _order_tables(ctx.n, ctx.delta).roots:
         if abs(lam - root) < EXCLUSION_CORE:
             raise ValueError(f"frequency {lam} is excluded (Chebyshev root)")
     lam = np.asarray(lam, dtype=float)
     u = cheb.u_stack(ctx.n, lam)
     re, im = _scaled_amplitude(ctx, lam, _amplitude_sum(ctx.delta, lam, u[: ctx.n]))
-    return complex(float(re), float(im)) / float(u[ctx.n] * u[ctx.n - 1])
+    return complex(float(re), float(im)) / float(u[ctx.n] * u[ctx.n - 1]), u
 
 
 def u_product_roots(n: int) -> list[float]:
@@ -669,8 +687,10 @@ EXCLUSION_RADIUS = 1e-6
 EXCLUSION_CORE = 1e-9
 ROOT_XTOL = 1e-12
 #: The most scan points the first guess of a root's bisection interpolates
-#: through (see ``_first_bracket``).
+#: through, and the least slope of the run's values, as a share of the
+#: bracket's, at which the run is cut (see ``_first_bracket``).
 GUESS_POINTS = 10
+GUESS_SLOPE = 0.7
 
 
 def first_root(f, lam_max: float, excluded) -> float:
@@ -737,11 +757,16 @@ def _first_bracket(f, pts, window, vals, ex, end: str) -> tuple:
     through the longest run of scan points around the bracket that holds
     no window, up to ``GUESS_POINTS``: the run grows by one point at a
     time on the side with fewer, or on the one side left where a window or
-    the scan's end stops the other.  The guess is the square root of the
-    zero of that polynomial (``_inverse_interpolation_zero``) when the
-    bracket is not a window, the run's values are strictly monotone and
-    the guess falls inside the bracket; otherwise None, and the bisection
-    starts from the secant.  The equations are nearly even in lam, so
+    the scan's end stops the other.  The run is then cut, on each side of
+    the bracket, before the first step whose slope is not of the bracket's
+    sign or falls below ``GUESS_SLOPE`` of the bracket's in size: values
+    that flatten near an extremum, where their inverse is singular, and a
+    run through one interpolates badly, monotone or not (past R = 20 such
+    runs are common).  The guess is the square root of the zero of that
+    polynomial (``_inverse_interpolation_zero``) when the bracket is not a
+    window, its values differ and the guess falls inside the bracket;
+    otherwise None, and the bisection starts from the secant.  The
+    equations are nearly even in lam, so
     near 0, where the SO- roots of many cells lie, they are flat in lam
     but not in lam^2, and the inverse of a flat function interpolates
     badly.
@@ -783,8 +808,16 @@ def _first_bracket(f, pts, window, vals, ex, end: str) -> tuple:
         x, y = pts[a : b + 1], vals[a : b + 1]
         if ex.size:
             y = y / (x * x - e * e)
-        steps = np.diff(y)
-        if (steps > 0).all() or (steps < 0).all():
+        slopes = np.diff(y) / np.diff(x)
+        bracket = slopes[i - a]
+        steep = (slopes * math.copysign(1.0, bracket) > GUESS_SLOPE * abs(bracket)).tolist()
+        start, stop = i - a, i - a + 1  # the run's steps start..stop-1 stay
+        while start > 0 and steep[start - 1]:
+            start -= 1
+        while stop < len(steep) and steep[stop]:
+            stop += 1
+        if steep[i - a]:
+            x, y = x[start : stop + 1], y[start : stop + 1]
             square = _inverse_interpolation_zero((x * x).tolist(), y.tolist(), lo * lo)
             guess = math.sqrt(max(square, 0.0))
             if not lo < guess < hi:

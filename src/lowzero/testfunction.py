@@ -6,9 +6,10 @@ homogeneous orders, plus a single mode at the solved frequency lam.  The
 homogeneous amplitudes come from the continuity linear system; the lam-mode
 amplitudes are fixed complex numbers depending only on (kernel, support, lam).
 One record of that mode (``_lambda_mode``) holds the forcing amplitude z,
-U_0(lam)..U_n(lam) and z(-i delta)^k for k < n; each cell's lam-mode
-coefficient, the continuity right side and both closed-form integrals of h
-read it.  ``assemble`` evaluates it once and keeps it on h, and the
+U_0(lam)..U_n(lam) (the stack z was built from) and z(-i delta)^k for
+k < n; each cell's lam-mode coefficient, the continuity right side and both
+closed-form integrals of h read it.  ``assemble`` evaluates it once and
+keeps it on h, with the [term, cell] tables of h's terms it built, and the
 residuals of h at h's own context read it from there, so an optimizer and
 its residuals evaluate it once between them.
 
@@ -16,11 +17,13 @@ Every defining property of the optimizer is re-checked here as a residual
 (``residuals``): the delay differential equation, the integral (Volterra)
 form, the scalar compatibility relation, the two closed-form integrals of h
 against h's exact antiderivative, and the Rayleigh quotient itself.  The
-quotient has one path, ``quotient_quadrature``: a fixed Gauss-Legendre rule
-on every interval between the cell ends and the cell ends shifted by +-1,
-where each integrand is analytic, so the rule converges geometrically in its
-number of nodes; ``residuals`` calls it and evaluates h only where its other
-checks read it.
+quotient has one path, ``_quotient``, behind ``quotient_quadrature``: a
+fixed Gauss-Legendre rule on every interval between the cell ends and the
+cell ends shifted by +-1, where each integrand is analytic, so the rule
+converges geometrically in its number of nodes.  ``residuals`` evaluates h
+and h' once each, at its own samples and at the rule's nodes together, and
+sums the quotient from those values.  Every evaluator is a few numpy calls
+on [term, point] or [term, window] arrays, whatever the number of terms.
 """
 
 from __future__ import annotations
@@ -29,14 +32,13 @@ import cmath
 import math
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.integrate  # noqa: F401  uncalled; bench/harness.py times its import (ROADMAP item 4)
 
-from . import chebyshev as cheb
-from .solver import BoundResult, EquationContext, _ipow, forcing_amplitude, solve
+from .solver import BoundResult, EquationContext, _amplitude_and_stack, _ipow, solve
 from .symmetry import Symmetry
 
 __all__ = [
@@ -67,7 +69,9 @@ class PiecewiseTestFunction:
 
     ``ctx`` is the equation context it was assembled from and ``_mode`` the
     lam-mode record ``assemble`` read there, both None for the shifted
-    cosine.  Amplitudes follow the scale-1 convention of ``solver``.
+    cosine.  ``_table`` holds the cells' ends and their terms as ``assemble``
+    built them, read by ``_cells``; None where h is built from its pieces.
+    Amplitudes follow the scale-1 convention of ``solver``.
     """
 
     pieces: tuple[Piece, ...]
@@ -76,6 +80,7 @@ class PiecewiseTestFunction:
     g: Symmetry
     ctx: Optional[EquationContext] = field(default=None, compare=False, repr=False)
     _mode: Optional[_LambdaMode] = field(default=None, compare=False, repr=False)
+    _table: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def breakpoints(self) -> np.ndarray:
         pts = [p.lo for p in self.pieces] + [self.pieces[-1].hi]
@@ -84,53 +89,71 @@ class PiecewiseTestFunction:
     @cached_property
     def _cells(self) -> tuple:
         """Lookup tables of ``_values`` and ``_slopes``: the cells' lower
-        and upper ends, and a, f, ph and the slope amplitudes a*f as [term,
-        cell] arrays, each cell padded to the longest cell's number of terms
+        and upper ends, and the stacked [term, cell] arrays (a, f, ph) and
+        (a*f, f, ph), each cell padded to the longest cell's number of terms
         with terms (0, 0, 0).  searchsorted(side="right") on the upper ends
         of every cell but the last gives the first cell whose upper end
         exceeds u, else the last cell, which keeps its upper end; a*f is the
-        product that a * f * cos(f*u + ph) forms first.
+        product that a * f * cos(f*u + ph) forms first.  ``assemble`` hands
+        over the ends and (a, f, ph) it built; otherwise they are read from
+        the pieces, with the same bits.
         """
-        terms = [p.terms for p in self.pieces]
-        width = max(map(len, terms))
-        pad = ((0.0, 0.0, 0.0),)
-        flat = chain.from_iterable(chain.from_iterable(c + pad * (width - len(c)) for c in terms))
-        table = np.fromiter(flat, float, 3 * width * len(terms)).reshape(len(terms), width, 3)
-        a, f, ph = table.transpose(2, 1, 0).copy()
-        los = np.array([p.lo for p in self.pieces])
-        his = np.array([p.hi for p in self.pieces])
-        return los, his, a, f, ph, a * f
+        if self._table is not None:
+            los, his, values = self._table
+        else:
+            terms = [p.terms for p in self.pieces]
+            width = max(map(len, terms))
+            pad = ((0.0, 0.0, 0.0),)
+            flat = chain.from_iterable(chain.from_iterable(c + pad * (width - len(c)) for c in terms))
+            table = np.fromiter(flat, float, 3 * width * len(terms)).reshape(len(terms), width, 3)
+            values = table.transpose(2, 1, 0).copy()
+            los = np.array([p.lo for p in self.pieces])
+            his = np.array([p.hi for p in self.pieces])
+        slopes = values.copy()
+        slopes[0] *= values[1]
+        return los, his, values, slopes
 
     @cached_property
     def _antiderivatives(self) -> tuple:
         """Integration tables over the padded terms of ``_cells``.
 
-        Per term (f, ph, c, cos_lo, cos_hi, const), as [term, cell] arrays:
-        c = a/f, the term integrates to c*(cos(f*x + ph) - cos(f*y + ph))
-        over [x, y], and cos_lo and cos_hi are those cosines at the cell's
-        ends; a term of frequency below ``_ZERO_FREQ``, padding included, is
-        a constant (const true) c = a*sin(ph) and integrates to c*(y - x).
-        Returned with the number of terms per cell, every term's integral
-        over its whole cell, in cell order, with 0.0 appended, and the
-        integral over the support [-R, R] as a Python float.  A padding
-        term integrates to 0 times a width, +0.0, and a term of a cell of
-        no width to c*0.0: adding either leaves a sum that starts at +0.0
-        as it is.  The support's integral is the left fold of the whole-cell
-        integrals from +0.0, which is the sum ``_integrals`` forms for the
-        window [-R, R]: its first and last cells are whole.
+        Per term c = a/f: the term integrates to c*(w(x) - w(y)) over
+        [x, y], with w(u) = cos(f*u + ph); a term of frequency below
+        ``_ZERO_FREQ``, padding included, is a constant (const true) c =
+        a*sin(ph), and w(u) = -u, since (-x) - (-y) is y - x exactly.
+        Returned: every term's integral over its whole cell as a [term,
+        cell] array with a column of 0.0 appended, the integral over the
+        support [-R, R] as a Python float, and the [quantity, term, column]
+        table that ``_integrals`` gathers from: column i < C (the number of
+        cells) is cell i as a window's first cell, (f, ph, c, w at its
+        upper end, const), and column C + i is cell i as a window's last
+        cell, (f, ph, -c, w at its lower end, const).  A padding term
+        integrates to 0 times a width, and a term of a cell of no width to
+        c*0.0, a zero of either sign: adding it leaves a sum that starts at
+        +0.0 as it is.  The support's integral is the left fold of the
+        whole-cell integrals from +0.0, which is the sum ``_integrals``
+        forms for the window [-R, R]: its first and last cells are whole.
         """
-        los, his, a, f, ph, _ = self._cells
+        los, his, values, _ = self._cells
+        a, f, ph = values
         const = np.abs(f) < _ZERO_FREQ
         c = np.where(const, a * np.sin(ph), a / np.where(const, 1.0, f))
-        cos_lo, cos_hi = np.cos(f * los + ph), np.cos(f * his + ph)
-        whole = np.where(const, c * (his - los), c * (cos_lo - cos_hi)).T.ravel()
-        support = np.add.accumulate(np.concatenate([[0.0], whole]))[-1].item()
-        return f.shape[0], np.append(whole, 0.0), support, (f, ph, c, cos_lo, cos_hi, const)
+        at_lo = np.where(const, -los, np.cos(f * los + ph))
+        at_hi = np.where(const, -his, np.cos(f * his + ph))
+        whole = np.zeros((f.shape[0], los.size + 1))
+        whole[:, :-1] = c * (at_lo - at_hi)
+        support = np.add.accumulate(np.concatenate([[0.0], whole[:, :-1].T.ravel()]))[-1].item()
+        table = np.empty((5, f.shape[0], 2, los.size))  # [quantity, term, first/last, cell]
+        table[:2] = values[1:, :, None]  # f and ph
+        table[2, :, 0], table[3, :, 0] = c, at_hi
+        table[2, :, 1], table[3, :, 1] = -c, at_lo
+        table[4] = const[:, None]
+        return whole, support, table.reshape(5, f.shape[0], 2 * los.size)
 
     # The terms of a cell are added left to right, one [term] row after
-    # another or in a left fold (np.add.accumulate is sequential by
-    # definition, np.add.reduce may add pairwise), and a Python float is
-    # evaluated as a one-element array, so every route gives the same bits.
+    # another into a total that starts at +0.0 (np.add.reduce may add
+    # pairwise), and a Python float is evaluated as a one-element array, so
+    # every route gives the same bits.
 
     def _values(self, u: np.ndarray) -> np.ndarray:
         """h at every entry of the 1-D array u."""
@@ -138,19 +161,21 @@ class PiecewiseTestFunction:
 
     def _slopes(self, u: np.ndarray) -> np.ndarray:
         """h' at every entry of the 1-D array u."""
-        return self._fold_terms(u, self._cells[5], np.cos)
+        return self._fold_terms(u, self._cells[3], np.cos)
 
-    def _fold_terms(self, u: np.ndarray, amp: np.ndarray, wave) -> np.ndarray:
-        """Sum over u's cell of amp * wave(f*u + ph), amp being a [term,
-        cell] table; 0.0 off the support."""
-        los, his, _, f, ph, _ = self._cells
+    def _fold_terms(self, u: np.ndarray, table: np.ndarray, wave) -> np.ndarray:
+        """Sum over u's cell of amp * wave(f*u + ph), (amp, f, ph) being a
+        stacked [term, cell] table of ``_cells``; 0.0 off the support.  One
+        take gathers every term at every point as [term, point] rows, which
+        are added in term order."""
+        los, his = self._cells[:2]
         u = np.asarray(u, dtype=float)
         inside = (los[0] <= u) & (u <= his[-1])
         u = np.where(inside, u, los[0])  # keeps wave finite where the result is 0.0
-        cell = np.searchsorted(his[:-1], u, side="right")
+        amp, f, ph = np.take(table, np.searchsorted(his[:-1], u, side="right"), axis=2)
         total = np.zeros(u.shape)
-        for amp_j, f_j, ph_j in zip(amp, f, ph):
-            total += amp_j[cell] * wave(f_j[cell] * u + ph_j[cell])
+        for row in amp * wave(f * u + ph):
+            total += row
         return np.where(inside, total, 0.0)
 
     def __call__(self, u):
@@ -170,60 +195,64 @@ class PiecewiseTestFunction:
         return self._integrals(np.array([float(lo)]), np.array([float(hi)])).item()
 
     def _integrals(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Exact integral over every window [lo[k], hi[k]] of two 1-D arrays.
+        """Exact integral over every window [lo[k], hi[k]] of two 1-D arrays
+        of one size.
 
         A reversed window is swapped and its integral negated, and each
         window is clipped to the support, where h vanishes.  The cells are
-        contiguous, so only the first and last covered cells can be partial:
-        each window's cosines are taken once per term, at lo in its first
-        cell and at hi in its last, and those two cells add their terms one
-        by one, with the stored cosines at their other ends; the whole cells
-        between add their stored per-term integrals, gathered into rows (a
-        window with fewer adds the appended 0.0) and folded left to right by
-        np.add.accumulate.  These are the same operands in the same order as
-        evaluating every term afresh, so the same sum.  A window's total
-        starts at +0.0 and so never is -0.0, and adding +0.0 leaves it as it
-        is.
+        contiguous, so only the first and last covered cells can be partial.
+        One take gathers both, side by side ([first cells | last cells]),
+        from the table of ``_antiderivatives``, and w (a cosine, or -u for a
+        constant term) is taken once per term, at lo in the first cell and
+        at hi in the last; their other ends use the stored w at the cell's
+        edge, except that a first cell that is also the last ends at hi.  A
+        last cell's c is stored negated, with its ends swapped: -c * (x - y)
+        is c * (y - x) up to the sign of a zero.  The window's total adds
+        the first cell's terms one by one, then the stored integrals of the
+        whole cells between, gathered in one take as [cell, term, window]
+        rows (a window with fewer cells reads the column of 0.0) and added
+        row by row, then the last cell's terms.  These are the same
+        operands in the same order as evaluating every term afresh, so the
+        same sum.  A window's total starts at +0.0 and so never is -0.0,
+        and adding a zero leaves it as it is.  An empty window (after
+        clipping) gets a first cell at or past its last, like a window in
+        one cell, and its total is set to 0.0.
         """
         los, his = self._cells[:2]
-        width, wholes, _, (f, ph, _, cos_lo, cos_hi, _) = self._antiderivatives
-        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-        flip = hi < lo
-        lo, hi = np.where(flip, hi, lo), np.where(flip, lo, hi)
+        wholes, _, table = self._antiderivatives
+        ends = np.array([lo, hi], dtype=float)
+        flip = ends[1] < ends[0]
+        ends = np.where(flip, ends[::-1], ends)
         # Clipping is spelled out as max() and min() evaluate it (the second
-        # operand only when strictly past the first).
-        lo = np.where(los[0] > lo, los[0], lo)
-        hi = np.where(his[-1] < hi, his[-1], hi)
-        some = hi > lo
-        first = np.where(some, np.searchsorted(his, lo, side="right"), 0)
-        last = np.where(some, np.searchsorted(los, hi, side="left") - 1, 0)
-        inner = last > first
-        at_lo = np.cos(f[:, first] * lo + ph[:, first])
-        at_hi = np.cos(f[:, last] * hi + ph[:, last])
-        # the first cell ends where the window does if it is also the last
-        first_hi = np.where(inner, his[first], hi)
-        first_cos = np.where(inner, cos_hi[:, first], at_hi)
-        total = self._cell_integrals(first, lo, at_lo, first_hi, first_cos, np.zeros(lo.shape), some)
-        begin = (first + 1) * width
-        count = np.where(inner, (last - first - 1) * width, 0)
+        # operand only when strictly past the first); it clips both ends of
+        # a window at both ends of the support, which changes no result.
+        ends = np.where(los[0] > ends, los[0], ends)
+        ends = np.where(his[-1] < ends, his[-1], ends)
+        lo, hi = ends
+        first = np.searchsorted(his, lo, side="right")
+        last = np.searchsorted(los, hi, side="left") - 1
+        single = last <= first
+        k = lo.size
+        f, ph, c, w_end, const = np.take(table, np.concatenate([first, last + los.size]), axis=2)
+        x = ends.ravel()  # lo, then hi
+        w = np.where(const, -x, np.cos(f * x + ph))
+        np.copyto(w_end[:, :k], w[:, k:], where=single)
+        terms = c * (w - w_end)
+        np.copyto(terms[:, k:], 0.0, where=single)
+        total = np.zeros(k)
+        for row in terms[:, :k]:
+            total += row
+        count = np.where(single, 0, last - first - 1)
         if count.size and count.max() > 0:
             step = np.arange(count.max())[:, None]
-            rows = wholes[np.where(step < count, begin + step, len(wholes) - 1)]
-            total = np.add.accumulate(np.concatenate([total[None], rows]), axis=0)[-1]
-        total = self._cell_integrals(last, los[last], cos_lo[:, last], hi, at_hi, total, inner)
-        total = np.where(some, total, 0.0)
-        return np.where(flip, -total, total)
-
-    def _cell_integrals(self, i, a, cos_a, b, cos_b, total, use) -> np.ndarray:
-        """``total`` plus, where ``use`` holds, the integral of cell i[k]
-        over [a[k], b[k]], given cos(f*a + ph) and cos(f*b + ph) per term,
-        added in place."""
-        _, _, c, _, _, const = self._antiderivatives[3]
-        c = c[:, i]
-        terms = np.where(const[:, i], c * (b - a), c * (cos_a - cos_b))
-        for row in np.where(use, terms, 0.0):
+            cells = np.where(step < count, first + 1 + step, los.size)
+            for block in np.take(wholes, cells, axis=1).transpose(1, 0, 2):
+                for row in block:
+                    total += row
+        for row in terms[:, k:]:
             total += row
-        return total
+        total = np.where(hi > lo, total, 0.0)
+        return np.where(flip, -total, total)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +292,8 @@ class _LambdaMode(NamedTuple):
 
 
 def _lambda_mode(ctx: EquationContext, lam: float) -> _LambdaMode:
-    z = forcing_amplitude(ctx, lam)
-    u = cheb.u_stack(ctx.n, lam).tolist()
+    z, u = _amplitude_and_stack(ctx, lam)
+    u = u.tolist()  # the stack the forcing amplitude was built from
     rot = [z * _ipow(-ctx.delta, k) for k in range(ctx.n)]
     return _LambdaMode(z, u, rot, [uk * r.imag for uk, r in zip(u, rot)])
 
@@ -276,31 +305,32 @@ def _solve_continuity(ctx: EquationContext, mode: _LambdaMode) -> np.ndarray:
     return np.linalg.solve(ctx.m_matrix, np.array(mode.rhs))
 
 
-def _interval_bounds(ctx: EquationContext, m: int) -> tuple[float, float]:
-    a = ctx.a
-    if m == 0:
-        return (-a[1], a[1])
-    if m > 0:
-        return (a[m], a[m + 1])
-    return (-a[-m + 1], -a[-m])
-
-
 def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
     """Build the piecewise optimizer at the solved frequency.
 
     The two interval families jointly tile [-R, R]; on each cell the phases
     of the homogeneous modes are pinned to the cell midpoint, and the
-    lam-mode amplitude/phase come from ``_mode_coefficient``.  Each family's
-    homogeneous terms are built at once as [cell, term] arrays: amplitude
-    r_j * U_k(theta_j) and phase -pi/2 * (j + delta * mid) - theta_j * mid
-    on cell k with midpoint mid; only the lam-mode coefficient is taken
-    cell by cell.  The record of the lam mode is kept on h for ``residuals``.
+    lam-mode amplitude/phase come from ``_mode_coefficient``.  The terms
+    are built at once as a [cell, quantity, term] array, cell m in row
+    m + n - 1: amplitude r_j * U_k(theta_j), frequency theta_j and phase
+    -pi/2 * (j + delta * mid) - theta_j * mid on cell k of a family, with
+    midpoint mid, then the lam mode, then terms (0, 0, 0) up to the outer
+    family's number; only the lam-mode coefficient is taken cell by cell.
+    The pieces are read from that array, which h keeps for its tables
+    (``_cells``), as it keeps the record of the lam mode for ``residuals``.
     """
     n = ctx.n
     mode = _lambda_mode(ctx, lam)
     x = _solve_continuity(ctx, mode)
 
-    pieces: list[Piece] = []
+    # cell m, from -(n - 1) to n - 1, spans [a_m, a_{m+1}] for m > 0,
+    # [-a_1, a_1] for m = 0 and the mirror image of cell -m for m < 0
+    a = ctx.a
+    los = np.concatenate([-a[n:0:-1], a[1:n]])
+    his = np.concatenate([-a[n - 1 : 0 : -1], a[1 : n + 1]])
+    full = his > los  # not an empty cell of a closed-end context
+    values = np.zeros((2 * n - 1, 3, n - n // 2 + 1))
+    sizes = np.empty(2 * n - 1, dtype=int)  # terms per cell, padding aside
     # outer family (order n): cells n-1, n-3, ..., -(n-1); inner family
     # (order n-1): cells n-2, n-4, ..., -(n-2); cell m has midpoint m/2
     for order, r, u, theta in (
@@ -310,20 +340,25 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
         m = order - 1 - 2 * np.arange(order)
         mid = (m / 2.0)[:, None]
         j = np.arange(1, theta.size + 1)
-        amps = (r * u).tolist()
-        phases = (-0.5 * math.pi * (j + ctx.delta * mid) - theta * mid).tolist()
-        thetas = theta.tolist()
+        cells = values[order + n - 2 :: -2]  # the rows m + n - 1
+        cells[:, 0, : theta.size] = r * u
+        cells[:, 1, : theta.size] = theta
+        cells[:, 2, : theta.size] = -0.5 * math.pi * (j + ctx.delta * mid) - theta * mid
+        lam_terms = []
         for k, m_k in enumerate(m.tolist()):
-            lo, hi = _interval_bounds(ctx, m_k)
-            if not hi > lo:  # an empty cell of a closed-end context
-                continue
             z = _mode_coefficient(ctx, lam, k, order, mode.u)
-            lam_term = (abs(z), lam, cmath.phase(z) - lam * (m_k / 2.0))
-            pieces.append(Piece(lo=lo, hi=hi, terms=(*zip(amps[k], thetas, phases[k]), lam_term)))
+            lam_terms.append((abs(z), lam, cmath.phase(z) - lam * (m_k / 2.0)))
+        cells[:, :, theta.size] = lam_terms
+        sizes[order + n - 2 :: -2] = theta.size + 1
 
-    pieces.sort(key=lambda p: p.lo)
+    los, his, values = los[full], his[full], values[full]
+    pieces = tuple(
+        Piece(lo=lo, hi=hi, terms=tuple(zip(*row))[:size])
+        for lo, hi, size, row in zip(los, his, sizes[full].tolist(), values.tolist())
+    )
+    table = (los, his, values.transpose(1, 2, 0).copy())
     return PiecewiseTestFunction(
-        pieces=tuple(pieces), R=ctx.R, lam=lam, g=ctx.g, ctx=ctx, _mode=mode
+        pieces=pieces, R=ctx.R, lam=lam, g=ctx.g, ctx=ctx, _mode=mode, _table=table
     )
 
 
@@ -412,7 +447,8 @@ def _gauss_rule(lo: float, hi: float, cuts: Sequence[float]) -> tuple[np.ndarray
 
 def _at(fn, *args: np.ndarray) -> list[np.ndarray]:
     """The array evaluator fn at each 1-D array of args, in one call."""
-    return np.split(fn(np.concatenate(args)), np.cumsum([a.size for a in args[:-1]]))
+    values, ends = fn(np.concatenate(args)), list(accumulate(a.size for a in args))
+    return [values[end - a.size : end] for a, end in zip(args, ends)]
 
 
 def quotient_quadrature(h: PiecewiseTestFunction) -> float:
@@ -424,19 +460,26 @@ def quotient_quadrature(h: PiecewiseTestFunction) -> float:
     h'(t) * (h(1 - t) - h(-1 - t)).  Each is analytic between consecutive
     ``_cuts``, so one rule, ``_gauss_rule`` on those cuts, serves all four:
     h is evaluated in one ``_values`` call at its nodes t and at 1 - t and
-    -1 - t, h' in one ``_slopes`` call at t, and the windows in one
-    ``_integrals`` call; the integral of h over [-R, R] is read from h's
-    ``_antiderivatives`` table.  Each integral is np.sum(f * w), which calls
-    no BLAS routine, so its bits do not depend on the thread count.
+    -1 - t, h' in one ``_slopes`` call at t, and ``_quotient`` sums the
+    quotient from those values.
+    """
+    t, w = _gauss_rule(-h.R, h.R, _cuts(h))
+    ht, ahead, behind = _at(h._values, t, 1 - t, -1 - t)
+    return _quotient(h, t, w, ht, ahead, behind, h._slopes(t))
+
+
+def _quotient(h, t, w, ht, ahead, behind, dt) -> float:
+    """The quotient of ``quotient_quadrature`` from h at the nodes t of its
+    rule (weights w) and at 1 - t and -1 - t, and h' at t.
+
+    The windows [-1 - t, 1 - t] take one ``_integrals`` call, and the
+    integral of h over [-R, R] is read from h's ``_antiderivatives`` table.
+    Each integral is np.sum(f * w), which calls no BLAS routine, so its
+    bits do not depend on the thread count.
     """
     delta = h.g.delta
     eps = float(h.g.epsilon)
-    R = h.R
-
-    t, w = _gauss_rule(-R, R, _cuts(h))
-    ht, ahead, behind = _at(h._values, t, 1 - t, -1 - t)
-    dt = h._slopes(t)
-    i_h = h._antiderivatives[2]
+    i_h = h._antiderivatives[1]
 
     num = np.sum(dt * dt * w)
     den = np.sum(ht * ht * w) + eps * i_h**2
@@ -487,11 +530,13 @@ def residuals(
     A support up to 1e-4 is a single cell narrower than those margins, and
     there they shrink to R/2 and R/4.
 
-    The quotient is ``quotient_quadrature``'s.  Besides it, h is evaluated
-    in one ``_values`` call, at the samples, their shifts by +-1 and the
-    Volterra samples; h' in one ``_slopes`` call at the samples; the
-    Volterra windows and [R - 1, R] take one ``_integrals`` call, and the
-    integral over [-R, R] is read from h's ``_antiderivatives`` table.
+    The quotient is ``quotient_quadrature``'s, summed by ``_quotient`` from
+    the values below.  h is evaluated in one ``_values`` call, at the
+    samples, their shifts by +-1, the Volterra samples and the quotient's
+    nodes t, 1 - t and -1 - t; h' in one ``_slopes`` call at the samples
+    and at t.  The quotient's windows take one ``_integrals`` call, the
+    Volterra windows and [R - 1, R] another, and the integral over
+    [-R, R] is read from h's ``_antiderivatives`` table.
     """
     ctx = h.ctx if ctx is None else ctx
     delta = h.g.delta
@@ -504,8 +549,11 @@ def residuals(
     us = us[np.min(np.abs(us[:, None] - brks[None, :]), axis=1) > near]
     vs = np.linspace(0.0, R - near, _RESIDUAL_SAMPLES // 2)
 
-    hs, ahead, behind, h_vs = _at(h._values, us, us + 1, us - 1, vs)
-    dhs = h._slopes(us)
+    t, w = _gauss_rule(-R, R, _cuts(h))
+    hs, ahead, behind, h_vs, ht, t_ahead, t_behind = _at(
+        h._values, us, us + 1, us - 1, vs, t, 1 - t, -1 - t
+    )
+    dhs, dt = _at(h._slopes, us, t)
     h_scale = max(1e-300, float(np.max(np.abs(hs))))
     dh_scale = max(1.0, float(np.max(np.abs(dhs))))
 
@@ -517,17 +565,17 @@ def residuals(
     lo = np.concatenate([vs + 1, vs - 1, [R - 1]])
     hi = np.concatenate([np.full(vs.size, R + 1), np.full(vs.size, R - 1), [R]])
     ints = h._integrals(lo, hi)
-    ahead, behind = np.split(ints[:-1], 2)
+    ahead, behind = ints[: vs.size], ints[vs.size : -1]
     defect = h_vs - _phi(h, vs) - 0.5 * delta * (ahead - behind)
     volt = float(np.max(np.abs(defect))) / h_scale
 
-    tail_exact, full_exact = ints[-1].item(), h._antiderivatives[2]
+    tail_exact, full_exact = ints[-1].item(), h._antiderivatives[1]
     compat = (1 / lam) * math.cos(lam * R) + 0.5 * delta * tail_exact + eps * full_exact
     compat_scale = max(abs(1 / lam), abs(tail_exact), abs(full_exact), 1e-300)
     compat = abs(compat) / compat_scale
 
     target = lam**2 / (4 * math.pi**2)
-    ray = abs(quotient_quadrature(h) - target) / target
+    ray = abs(_quotient(h, t, w, ht, t_ahead, t_behind, dt) - target) / target
 
     if ctx is not None:
         scale = max(abs(tail_exact), abs(full_exact), 1e-300)

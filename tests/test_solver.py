@@ -165,6 +165,22 @@ def test_small_support_guards():
         small_support_minimum(Symmetry.O, 0.0)
 
 
+def test_small_support_minimum_inverts_once_per_support(monkeypatch):
+    # minimal_quotient and reconstruct at one support share one inversion;
+    # a float support and an equal np.float64 one are separate entries
+    solver._small_support_minimum.cache_clear()
+    inverse = solver.tan_ratio_inverse
+    calls = []
+    monkeypatch.setattr(solver, "tan_ratio_inverse", lambda y: calls.append(y) or inverse(y))
+    first = minimal_quotient(Symmetry.O, 2.7)
+    assert small_support_minimum(Symmetry.O, 2.7) is first
+    assert len(calls) == 1
+    wide = small_support_minimum(Symmetry.O, np.float64(2.7))
+    assert len(calls) == 2 and wide == first and type(wide.support) is np.float64
+    with pytest.raises(ValueError):
+        small_support_minimum(Symmetry.Sp, 0.7)  # checked before the cache
+
+
 # ---------------------------------------------------------------------------
 # Equation context
 # ---------------------------------------------------------------------------
@@ -680,26 +696,39 @@ PIECEWISE_GRID = [0.246, 0.247, 0.248, 0.249, 0.25, 0.251, 0.252, 0.253, 0.254, 
 
 
 @pytest.mark.parametrize(
-    "values,expected",
+    "values,kept",  # kept: the run's points that the guess interpolates
     [
-        # monotone, zero inside
-        ([-4.0, -3.0, -2.5, -2.0, -1.0, 1e-3, 1.5, 3.0, 3.5, 4.5], 0.25099874874834077),
-        # the guess lies below lo
-        ([-5.0, -4.0, -3.0, -2.0, -1e-2, 1.0, 1.01, 1.02, 1.03, 1.04], None),
-        # the guess lies above hi
-        ([-1.004, -1.003, -1.002, -1.001, -1.0, 1e-3, 2.0, 3.0, 4.0, 5.0], None),
-        # not monotone at the run's first point
-        ([-1.0, -1.5, -1.4, -1.3, -1.0, 1e-3, 1.5, 3.0, 3.5, 4.5], None),
+        # steep all along, zero inside: the whole run
+        ([-4.2, -3.4, -2.6, -1.8, -1.0, 1e-3, 1.0, 1.9, 2.8, 3.6], slice(0, 10)),
+        # flattening toward an extremum past the run: cut before the first
+        # step below 0.7 of the bracket's slope, though all are monotone
+        ([-4.2, -3.4, -2.6, -1.8, -1.0, 1e-3, 1.0, 1.9, 2.5, 2.6], slice(0, 8)),
+        # not monotone at the run's first point, flat at 3.5: cut on both sides
+        ([-1.0, -1.5, -1.4, -1.3, -1.0, 1e-3, 1.5, 3.0, 3.5, 4.5], slice(4, 8)),
         # not strictly monotone at the run's last point
-        ([-4.0, -3.0, -2.5, -2.0, -1.0, 1e-3, 1.5, 3.0, 3.5, 3.5], None),
+        ([-4.0, -3.0, -2.5, -2.0, -1.0, 1e-3, 1.5, 3.0, 3.5, 3.5], slice(3, 8)),
+        # the whole run would put the guess below lo
+        ([-5.0, -4.0, -3.0, -2.0, -1e-2, 1.0, 1.01, 1.02, 1.03, 1.04], slice(0, 6)),
+        # the whole run would put the guess above hi
+        ([-1.004, -1.003, -1.002, -1.001, -1.0, 1e-3, 2.0, 3.0, 4.0, 5.0], slice(4, 10)),
     ],
 )
-def test_first_guess_only_where_it_is_sound(values, expected):
+def test_first_guess_interpolates_the_steep_part_of_the_run(values, kept):
     f = lambda x: np.interp(x, PIECEWISE_GRID, values, left=-5.0, right=5.0)
     _, lo, hi, _, guess = first_bracket(f, 1.04, [])
     assert (lo, hi) == (0.25, 0.251)
-    assert guess == expected
+    pts, _ = scan_grid(1.04, [])
+    run = pts[pts.tolist().index(lo) - 4 :][kept]
+    assert guess == _guess_from(run, f(run), lo) and lo < guess < hi
     assert first_root(f, 1.04, []) == bisect_one_at_a_time(f, lo, hi, ROOT_XTOL)
+
+
+def test_no_first_guess_outside_the_bracket(monkeypatch):
+    f = lambda x: np.interp(x, PIECEWISE_GRID, [-4.2, -3.4, -2.6, -1.8, -1.0, 1e-3, 1.0, 1.9, 2.8, 3.6])
+    for outside in (0.2499, 0.2511):
+        monkeypatch.setattr(solver, "_inverse_interpolation_zero", lambda x, y, origin: outside**2)
+        assert first_bracket(f, 1.04, [])[4] is None
+        assert first_root(f, 1.04, []) == bisect_one_at_a_time(f, 0.25, 0.251, ROOT_XTOL)
 
 
 def test_first_guess_needs_a_window_free_run():
@@ -737,10 +766,20 @@ GUESS_SUPPORTS = [
 ]
 
 
+#: Sp and SO+ supports past R = 20, where the run of scan values around a
+#: root often flattens toward an extremum.
+FAR_GUESS_SUPPORTS = [
+    (g, R)
+    for g in (Symmetry.Sp, Symmetry.SOplus)
+    for R in np.random.default_rng(29).uniform(20.0, 60.0, 40).tolist()
+]
+
+
 def test_first_guess_changes_no_root():
     rng = np.random.default_rng(5)
     supports = [(g, R) for g in EQUATION_KERNELS for R in rng.uniform(0.51, 20.0, 20).tolist()]
     supports += [(g, R) for g in EQUATION_KERNELS for R in CLOSED_END_SUPPORTS] + GUESS_SUPPORTS
+    supports += FAR_GUESS_SUPPORTS
     for g, R in supports:
         ctx = build_context(g, R)
         f = lambda lam: spectral_equation(ctx, lam)
@@ -751,7 +790,13 @@ def test_first_guess_changes_no_root():
         assert smallest_root(ctx) == bisect_one_at_a_time(f, lo, hi, ROOT_XTOL)
 
 
-def test_first_guess_leaves_few_path_calls_per_root(monkeypatch):
+# measured: 1.13 calls per root (Sp 1.25, SO+ 1.15, SO- 1.0), 2.07 with a
+# four-point guess through the equation divided by lam - e; past R = 20 2.55,
+# and 2.75 with a guess only where the whole run is monotone
+@pytest.mark.parametrize(
+    "supports,most", [(GUESS_SUPPORTS, 1.25), (FAR_GUESS_SUPPORTS, 2.6)], ids=["to R=10", "past R=20"]
+)
+def test_first_guess_leaves_few_path_calls_per_root(supports, most, monkeypatch):
     calls = []
 
     def counting_bisect(f, lo, hi, xtol, ends=None, guess=None):
@@ -762,11 +807,9 @@ def test_first_guess_leaves_few_path_calls_per_root(monkeypatch):
         return _bisect(counted, lo, hi, xtol, ends, guess)
 
     monkeypatch.setattr(solver, "_bisect", counting_bisect)
-    for g, R in GUESS_SUPPORTS:
+    for g, R in supports:
         smallest_root(build_context(g, R))
-    # measured: 1.13 calls per root (Sp 1.25, SO+ 1.15, SO- 1.0); 2.07 with
-    # a four-point guess through the equation divided by lam - e
-    assert len(calls) <= 1.25 * len(GUESS_SUPPORTS)
+    assert len(calls) <= most * len(supports)
 
 
 def _one_mode_supports():

@@ -29,6 +29,7 @@ from lowzero.solver import build_context, smallest_root
 from lowzero.symmetry import Symmetry
 from lowzero.verification import RESIDUAL_PAIRS, RESIDUAL_TOL, _case
 from lowzero.testfunction import (
+    PiecewiseTestFunction,
     ResidualReport,
     assemble,
     _mode_coefficient,
@@ -259,7 +260,7 @@ def test_lambda_mode_record_matches_the_reference_loops_bitwise(g, R):
 def _count_lambda_modes(monkeypatch) -> dict:
     """Counts of forcing-amplitude calls and of Chebyshev stacks at a
     scalar frequency from here on."""
-    amplitude = testfunction.forcing_amplitude
+    amplitude = testfunction._amplitude_and_stack
     stack = cheb.u_stack
     calls = {"amplitude": 0, "scalar stack": 0}
 
@@ -271,21 +272,35 @@ def _count_lambda_modes(monkeypatch) -> dict:
         calls["scalar stack"] += np.ndim(x) == 0
         return stack(n_max, x)
 
-    monkeypatch.setattr(testfunction, "forcing_amplitude", counted_amplitude)
+    monkeypatch.setattr(testfunction, "_amplitude_and_stack", counted_amplitude)
     monkeypatch.setattr(cheb, "u_stack", counted_stack)
     return calls
 
 
 def test_one_lambda_mode_per_reconstruct_and_check(monkeypatch):
-    # the optimizer evaluates the forcing amplitude once, and the Chebyshev
-    # stack at lam once besides the amplitude's own; its residuals read the
+    # the optimizer evaluates the forcing amplitude once, with the one
+    # Chebyshev stack at lam that the record keeps; its residuals read the
     # record kept on h
     calls = _count_lambda_modes(monkeypatch)
     h, res = reconstruct(Symmetry.SOplus, 5.2)
     residuals(h)
     residuals(h, h.ctx)
     assert res.branch == "transcendental"
-    assert calls == {"amplitude": 1, "scalar stack": 2}
+    assert calls == {"amplitude": 1, "scalar stack": 1}
+
+
+def test_forcing_amplitude_reads_the_roots_kept_per_order(monkeypatch):
+    # the exclusion test reads the (n, delta) tables' roots, not a fresh
+    # u_product_roots(n), and the record's stack is the amplitude's own
+    ctx = build_context(Symmetry.SOplus, 5.2)
+    lam = ctx.root
+    monkeypatch.setattr(solver, "u_product_roots", None)
+    z, u = solver._amplitude_and_stack(ctx, lam)
+    assert z == solver.forcing_amplitude(ctx, lam)
+    assert u.tobytes() == u_stack(ctx.n, lam).tobytes()
+    root = solver._order_tables(ctx.n, ctx.delta).roots[0]
+    with pytest.raises(ValueError, match="excluded"):
+        solver.forcing_amplitude(ctx, root)
 
 
 @pytest.mark.parametrize("g,R", [(Symmetry.SOplus, 5.2), (Symmetry.Sp, 0.75), (Symmetry.SOminus, 1.2)])
@@ -298,7 +313,7 @@ def test_residuals_derive_the_lambda_mode_of_another_context(g, R, monkeypatch):
     assert other is not h.ctx
     calls = _count_lambda_modes(monkeypatch)
     got = residuals(h, other)
-    assert calls == {"amplitude": 1, "scalar stack": 2}
+    assert calls == {"amplitude": 1, "scalar stack": 1}
     assert _bits_equal(astuple(got), astuple(want))
 
 
@@ -320,8 +335,8 @@ def _hex_pieces(h) -> list:
 
 
 def _table_bytes(h) -> list:
-    width, wholes, support, arrays = h._antiderivatives
-    return [a.tobytes() for a in (*h._cells, wholes, *arrays)] + [width, float.hex(support)]
+    wholes, support, arrays = h._antiderivatives
+    return [a.tobytes() for a in (*h._cells, wholes, *arrays)] + [float.hex(support)]
 
 
 @pytest.mark.parametrize("g,R", ASSEMBLE_CASES)
@@ -388,7 +403,7 @@ def test_support_integral_is_the_window_integral_bitwise(g, R):
     # the fold of the whole-cell integrals kept in h's table is the integral
     # over the window [-R, R], one cell or more than 200 cuts alike
     h, _ = reconstruct(g, R)
-    support = h._antiderivatives[2]
+    support = h._antiderivatives[1]
     assert type(support) is float
     assert float.hex(support) == float.hex(h.integral(-R, R))
     assert float.hex(support) == float.hex(integral_all_pieces(h, -R, R))
@@ -531,6 +546,24 @@ def test_residuals_repeatable_and_keep_no_state_on_h(g, R):
     assert residuals(h) == first
     target = h.lam**2 / (4 * math.pi**2)
     assert abs(quotient_quadrature(h) - target) / target == first.rayleigh_gap
+
+
+@pytest.mark.parametrize("g,R", [(Symmetry.SOplus, 5.2), (Symmetry.Sp, 0.3), (Symmetry.SOminus, 20.0)])
+def test_one_evaluator_call_per_kind(g, R, monkeypatch):
+    # residuals evaluates h once and h' once, at its own samples and at the
+    # quotient's nodes, and takes the quotient's windows and the Volterra
+    # windows in one call each; the quotient alone makes one call of each
+    calls = []
+    for name in ("_values", "_slopes", "_integrals"):
+        method = getattr(PiecewiseTestFunction, name)
+        counted = lambda self, *args, name=name, method=method: calls.append(name) or method(self, *args)
+        monkeypatch.setattr(PiecewiseTestFunction, name, counted)
+    h, _ = reconstruct(g, R)
+    residuals(h)
+    assert sorted(calls) == ["_integrals", "_integrals", "_slopes", "_values"]
+    calls.clear()
+    quotient_quadrature(h)
+    assert sorted(calls) == ["_integrals", "_slopes", "_values"]
 
 
 @pytest.mark.parametrize("g,R", [(Symmetry.SOplus, 5.2), (Symmetry.Sp, 0.75), (Symmetry.SOminus, 1.2)])

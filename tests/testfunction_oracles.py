@@ -17,7 +17,6 @@ from lowzero.testfunction import (
     ResidualReport,
     _cuts,
     _gauss_rule,
-    _interval_bounds,
     _lambda_mode,
     _mode_coefficient,
     _solve_continuity,
@@ -82,6 +81,16 @@ def integral_all_pieces(h, lo: float, hi: float) -> float:
     return total
 
 
+def interval_bounds(ctx, m: int) -> tuple[float, float]:
+    """The ends of cell m of the partition, -(n - 1) <= m <= n - 1."""
+    a = ctx.a
+    if m == 0:
+        return (-a[1], a[1])
+    if m > 0:
+        return (a[m], a[m + 1])
+    return (-a[-m + 1], -a[-m])
+
+
 def assemble_loop(ctx, lam) -> PiecewiseTestFunction:
     """``testfunction.assemble`` with every term of every cell formed on its
     own: the amplitude r_j * U_k(theta_j) and the phase
@@ -96,7 +105,7 @@ def assemble_loop(ctx, lam) -> PiecewiseTestFunction:
     pieces = []
 
     def add_piece(m, mid, amps, thetas, zmode):
-        lo, hi = _interval_bounds(ctx, m)
+        lo, hi = interval_bounds(ctx, m)
         if not hi > lo:  # an empty cell of a closed-end context
             return
         terms = []
