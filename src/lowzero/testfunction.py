@@ -32,7 +32,7 @@ import cmath
 import math
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -89,29 +89,24 @@ class PiecewiseTestFunction:
     @cached_property
     def _cells(self) -> tuple:
         """Lookup tables of ``_values`` and ``_slopes``: the cells' lower
-        and upper ends, and the stacked [term, cell] arrays (a, f, ph) and
-        (a*f, f, ph), each cell padded to the longest cell's number of terms
-        with terms (0, 0, 0).  searchsorted(side="right") on the upper ends
-        of every cell but the last gives the first cell whose upper end
-        exceeds u, else the last cell, which keeps its upper end; a*f is the
-        product that a * f * cos(f*u + ph) forms first.  ``assemble`` hands
+        and upper ends, and the stacked [term, cell] arrays (a, f, ph), each
+        cell padded to the longest cell's number of terms with terms
+        (0, 0, 0).  searchsorted(side="right") on the upper ends of every
+        cell but the last gives the first cell whose upper end exceeds u,
+        else the last cell, which keeps its upper end.  ``assemble`` hands
         over the ends and (a, f, ph) it built; otherwise they are read from
         the pieces, with the same bits.
         """
         if self._table is not None:
-            los, his, values = self._table
-        else:
-            terms = [p.terms for p in self.pieces]
-            width = max(map(len, terms))
-            pad = ((0.0, 0.0, 0.0),)
-            flat = chain.from_iterable(chain.from_iterable(c + pad * (width - len(c)) for c in terms))
-            table = np.fromiter(flat, float, 3 * width * len(terms)).reshape(len(terms), width, 3)
-            values = table.transpose(2, 1, 0).copy()
-            los = np.array([p.lo for p in self.pieces])
-            his = np.array([p.hi for p in self.pieces])
-        slopes = values.copy()
-        slopes[0] *= values[1]
-        return los, his, values, slopes
+            return self._table
+        terms = [p.terms for p in self.pieces]
+        width = max(map(len, terms))
+        pad = ((0.0, 0.0, 0.0),)
+        flat = chain.from_iterable(chain.from_iterable(c + pad * (width - len(c)) for c in terms))
+        table = np.fromiter(flat, float, 3 * width * len(terms)).reshape(len(terms), width, 3)
+        los = np.array([p.lo for p in self.pieces])
+        his = np.array([p.hi for p in self.pieces])
+        return los, his, table.transpose(2, 1, 0).copy()
 
     @cached_property
     def _antiderivatives(self) -> tuple:
@@ -123,19 +118,16 @@ class PiecewiseTestFunction:
         a*sin(ph), and w(u) = -u, since (-x) - (-y) is y - x exactly.
         Returned: every term's integral over its whole cell as a [term,
         cell] array with a column of 0.0 appended, the integral over the
-        support [-R, R] as a Python float, and the [quantity, term, column]
-        table that ``_integrals`` gathers from: column i < C (the number of
-        cells) is cell i as a window's first cell, (f, ph, c, w at its
-        upper end, const), and column C + i is cell i as a window's last
-        cell, (f, ph, -c, w at its lower end, const).  A padding term
-        integrates to 0 times a width, and a term of a cell of no width to
-        c*0.0, a zero of either sign: adding it leaves a sum that starts at
-        +0.0 as it is.  The support's integral is the left fold of the
-        whole-cell integrals from +0.0, which is the sum ``_integrals``
-        forms for the window [-R, R]: its first and last cells are whole.
+        support [-R, R] as a Python float, and the stacked [term, cell]
+        arrays (f, ph, c, w at the cell's lower end, w at its upper end,
+        const) that ``_integrals`` gathers from.  A padding term integrates
+        to 0 times a width, and a term of a cell of no width to c*0.0:
+        adding either leaves a sum that starts at +0.0 as it is.  The
+        support's integral is the left fold of the whole-cell integrals
+        from +0.0, which is the sum ``_integrals`` forms for the window
+        [-R, R]: its first and last cells are whole.
         """
-        los, his, values, _ = self._cells
-        a, f, ph = values
+        los, his, (a, f, ph) = self._cells
         const = np.abs(f) < _ZERO_FREQ
         c = np.where(const, a * np.sin(ph), a / np.where(const, 1.0, f))
         at_lo = np.where(const, -los, np.cos(f * los + ph))
@@ -143,12 +135,7 @@ class PiecewiseTestFunction:
         whole = np.zeros((f.shape[0], los.size + 1))
         whole[:, :-1] = c * (at_lo - at_hi)
         support = np.add.accumulate(np.concatenate([[0.0], whole[:, :-1].T.ravel()]))[-1].item()
-        table = np.empty((5, f.shape[0], 2, los.size))  # [quantity, term, first/last, cell]
-        table[:2] = values[1:, :, None]  # f and ph
-        table[2, :, 0], table[3, :, 0] = c, at_hi
-        table[2, :, 1], table[3, :, 1] = -c, at_lo
-        table[4] = const[:, None]
-        return whole, support, table.reshape(5, f.shape[0], 2 * los.size)
+        return whole, support, np.array([f, ph, c, at_lo, at_hi, const])
 
     # The terms of a cell are added left to right, one [term] row after
     # another into a total that starts at +0.0 (np.add.reduce may add
@@ -157,24 +144,24 @@ class PiecewiseTestFunction:
 
     def _values(self, u: np.ndarray) -> np.ndarray:
         """h at every entry of the 1-D array u."""
-        return self._fold_terms(u, self._cells[2], np.sin)
+        return self._fold_terms(u)
 
     def _slopes(self, u: np.ndarray) -> np.ndarray:
         """h' at every entry of the 1-D array u."""
-        return self._fold_terms(u, self._cells[3], np.cos)
+        return self._fold_terms(u, slope=True)
 
-    def _fold_terms(self, u: np.ndarray, table: np.ndarray, wave) -> np.ndarray:
-        """Sum over u's cell of amp * wave(f*u + ph), (amp, f, ph) being a
-        stacked [term, cell] table of ``_cells``; 0.0 off the support.  One
-        take gathers every term at every point as [term, point] rows, which
-        are added in term order."""
-        los, his = self._cells[:2]
+    def _fold_terms(self, u: np.ndarray, slope: bool = False) -> np.ndarray:
+        """Sum over u's cell of a * sin(f*u + ph), or for the slope of
+        a * f * cos(f*u + ph), which forms a*f first; 0.0 off the support.
+        One take gathers every term at every point as [term, point] rows,
+        which are added in term order."""
+        los, his, values = self._cells
         u = np.asarray(u, dtype=float)
         inside = (los[0] <= u) & (u <= his[-1])
         u = np.where(inside, u, los[0])  # keeps wave finite where the result is 0.0
-        amp, f, ph = np.take(table, np.searchsorted(his[:-1], u, side="right"), axis=2)
+        a, f, ph = np.take(values, np.searchsorted(his[:-1], u, side="right"), axis=2)
         total = np.zeros(u.shape)
-        for row in amp * wave(f * u + ph):
+        for row in a * f * np.cos(f * u + ph) if slope else a * np.sin(f * u + ph):
             total += row
         return np.where(inside, total, 0.0)
 
@@ -204,19 +191,18 @@ class PiecewiseTestFunction:
         One take gathers both, side by side ([first cells | last cells]),
         from the table of ``_antiderivatives``, and w (a cosine, or -u for a
         constant term) is taken once per term, at lo in the first cell and
-        at hi in the last; their other ends use the stored w at the cell's
-        edge, except that a first cell that is also the last ends at hi.  A
-        last cell's c is stored negated, with its ends swapped: -c * (x - y)
-        is c * (y - x) up to the sign of a zero.  The window's total adds
-        the first cell's terms one by one, then the stored integrals of the
-        whole cells between, gathered in one take as [cell, term, window]
-        rows (a window with fewer cells reads the column of 0.0) and added
-        row by row, then the last cell's terms.  These are the same
-        operands in the same order as evaluating every term afresh, so the
-        same sum.  A window's total starts at +0.0 and so never is -0.0,
-        and adding a zero leaves it as it is.  An empty window (after
-        clipping) gets a first cell at or past its last, like a window in
-        one cell, and its total is set to 0.0.
+        at hi in the last; the first cell spans [lo, its upper end] and the
+        last [its lower end, hi], read from the stored w at the cells'
+        edges, except that a first cell that is also the last spans
+        [lo, hi].  The window's total adds the first cell's terms one by
+        one, then the stored integrals of the whole cells between, gathered
+        in one take as [cell, term, window] rows (a window with fewer cells
+        reads the column of 0.0) and added row by row, then the last cell's
+        terms.  These are the same operands in the same order as evaluating
+        every term afresh, so the same sum.  A window's total starts at
+        +0.0 and so never is -0.0, and adding a zero leaves it as it is.
+        An empty window (after clipping) gets a first cell at or past its
+        last, like a window in one cell, and its total is set to 0.0.
         """
         los, his = self._cells[:2]
         wholes, _, table = self._antiderivatives
@@ -233,11 +219,14 @@ class PiecewiseTestFunction:
         last = np.searchsorted(los, hi, side="left") - 1
         single = last <= first
         k = lo.size
-        f, ph, c, w_end, const = np.take(table, np.concatenate([first, last + los.size]), axis=2)
+        # (mode="clip": an empty window's cells may lie one past either end)
+        f, ph, c, w_a, w_b, const = np.take(table, np.concatenate([first, last]), axis=2, mode="clip")
         x = ends.ravel()  # lo, then hi
         w = np.where(const, -x, np.cos(f * x + ph))
-        np.copyto(w_end[:, :k], w[:, k:], where=single)
-        terms = c * (w - w_end)
+        w_a[:, :k] = w[:, :k]
+        w_b[:, k:] = w[:, k:]
+        np.copyto(w_b[:, :k], w[:, k:], where=single)
+        terms = c * (w_a - w_b)
         np.copyto(terms[:, k:], 0.0, where=single)
         total = np.zeros(k)
         for row in terms[:, :k]:
@@ -310,14 +299,15 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
 
     The two interval families jointly tile [-R, R]; on each cell the phases
     of the homogeneous modes are pinned to the cell midpoint, and the
-    lam-mode amplitude/phase come from ``_mode_coefficient``.  The terms
-    are built at once as a [cell, quantity, term] array, cell m in row
-    m + n - 1: amplitude r_j * U_k(theta_j), frequency theta_j and phase
-    -pi/2 * (j + delta * mid) - theta_j * mid on cell k of a family, with
-    midpoint mid, then the lam mode, then terms (0, 0, 0) up to the outer
-    family's number; only the lam-mode coefficient is taken cell by cell.
-    The pieces are read from that array, which h keeps for its tables
-    (``_cells``), as it keeps the record of the lam mode for ``residuals``.
+    lam-mode amplitude/phase come from ``_mode_coefficient``.  Each
+    family's homogeneous terms are built at once as [cell, term] arrays:
+    amplitude r_j * U_k(theta_j) and phase -pi/2 * (j + delta * mid) -
+    theta_j * mid on cell k with midpoint mid; only the lam-mode
+    coefficient is taken cell by cell.  The pieces are read from those
+    arrays, and so is h's table of (a, f, ph), [quantity, term, cell],
+    padded with terms (0, 0, 0), which ``_cells`` would otherwise rebuild
+    from the pieces.  h also keeps the record of the lam mode for
+    ``residuals``.
     """
     n = ctx.n
     mode = _lambda_mode(ctx, lam)
@@ -328,9 +318,8 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
     a = ctx.a
     los = np.concatenate([-a[n:0:-1], a[1:n]])
     his = np.concatenate([-a[n - 1 : 0 : -1], a[1 : n + 1]])
-    full = his > los  # not an empty cell of a closed-end context
     values = np.zeros((2 * n - 1, 3, n - n // 2 + 1))
-    sizes = np.empty(2 * n - 1, dtype=int)  # terms per cell, padding aside
+    terms = [()] * (2 * n - 1)
     # outer family (order n): cells n-1, n-3, ..., -(n-1); inner family
     # (order n-1): cells n-2, n-4, ..., -(n-2); cell m has midpoint m/2
     for order, r, u, theta in (
@@ -340,21 +329,25 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
         m = order - 1 - 2 * np.arange(order)
         mid = (m / 2.0)[:, None]
         j = np.arange(1, theta.size + 1)
-        cells = values[order + n - 2 :: -2]  # the rows m + n - 1
-        cells[:, 0, : theta.size] = r * u
-        cells[:, 1, : theta.size] = theta
-        cells[:, 2, : theta.size] = -0.5 * math.pi * (j + ctx.delta * mid) - theta * mid
+        amps = r * u
+        phases = -0.5 * math.pi * (j + ctx.delta * mid) - theta * mid
         lam_terms = []
         for k, m_k in enumerate(m.tolist()):
             z = _mode_coefficient(ctx, lam, k, order, mode.u)
             lam_terms.append((abs(z), lam, cmath.phase(z) - lam * (m_k / 2.0)))
+        cells = values[order + n - 2 :: -2]  # the rows m + n - 1
+        cells[:, 0, : theta.size] = amps
+        cells[:, 1, : theta.size] = theta
+        cells[:, 2, : theta.size] = phases
         cells[:, :, theta.size] = lam_terms
-        sizes[order + n - 2 :: -2] = theta.size + 1
+        thetas = theta.tolist()
+        for m_k, amp, phase, lam_term in zip(m.tolist(), amps.tolist(), phases.tolist(), lam_terms):
+            terms[m_k + n - 1] = (*zip(amp, thetas, phase), lam_term)
 
+    full = his > los  # not an empty cell of a closed-end context
     los, his, values = los[full], his[full], values[full]
     pieces = tuple(
-        Piece(lo=lo, hi=hi, terms=tuple(zip(*row))[:size])
-        for lo, hi, size, row in zip(los, his, sizes[full].tolist(), values.tolist())
+        Piece(lo=lo, hi=hi, terms=cell) for lo, hi, cell in zip(los, his, compress(terms, full))
     )
     table = (los, his, values.transpose(1, 2, 0).copy())
     return PiecewiseTestFunction(
