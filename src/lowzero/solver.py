@@ -370,8 +370,9 @@ class _OrderTables:
     the block's orders k of U_k times the sine of the phase (the second);
     the tables are indexed [k, j].
 
-    ``roots`` holds the positive roots of U_n * U_{n-1} (``u_product_roots``),
-    ``excluded`` those where the root scan puts its windows, and ``scan`` the scan points of ``first_root`` with the
+    ``roots`` holds the positive roots of U_n * U_{n-1}
+    (``u_product_roots``), ``excluded`` those where the root scan puts its
+    windows, and ``scan`` the scan points of ``first_root`` with the
     amplitude sums there, which depend on no support.
     """
 
@@ -687,10 +688,11 @@ EXCLUSION_RADIUS = 1e-6
 EXCLUSION_CORE = 1e-9
 ROOT_XTOL = 1e-12
 #: The most scan points the first guess of a root's bisection interpolates
-#: through, and the least slope of the run's values, as a share of the
-#: bracket's, at which the run is cut (see ``_first_bracket``).
+#: through (see ``_first_bracket``).
 GUESS_POINTS = 10
-GUESS_SLOPE = 0.7
+#: The least slope of those points' values, as a share of the bracket's,
+#: that keeps a step in the run.
+_GUESS_SLOPE = 0.7
 
 
 def first_root(f, lam_max: float, excluded) -> float:
@@ -759,17 +761,16 @@ def _first_bracket(f, pts, window, vals, ex, end: str) -> tuple:
     time on the side with fewer, or on the one side left where a window or
     the scan's end stops the other.  The run is then cut, on each side of
     the bracket, before the first step whose slope is not of the bracket's
-    sign or falls below ``GUESS_SLOPE`` of the bracket's in size: values
+    sign or falls below ``_GUESS_SLOPE`` of the bracket's in size: values
     that flatten near an extremum, where their inverse is singular, and a
     run through one interpolates badly, monotone or not (past R = 20 such
     runs are common).  The guess is the square root of the zero of that
     polynomial (``_inverse_interpolation_zero``) when the bracket is not a
-    window, its values differ and the guess falls inside the bracket;
+    window, its two values differ and the guess falls inside the bracket;
     otherwise None, and the bisection starts from the secant.  The
-    equations are nearly even in lam, so
-    near 0, where the SO- roots of many cells lie, they are flat in lam
-    but not in lam^2, and the inverse of a flat function interpolates
-    badly.
+    equations are nearly even in lam, so near 0, where the SO- roots of
+    many cells lie, they are flat in lam but not in lam^2, and the inverse
+    of a flat function interpolates badly.
     """
     sign = np.signbit(vals)
     hits = np.flatnonzero((sign[:-1] != sign[1:]) != window)
@@ -810,7 +811,7 @@ def _first_bracket(f, pts, window, vals, ex, end: str) -> tuple:
             y = y / (x * x - e * e)
         slopes = np.diff(y) / np.diff(x)
         bracket = slopes[i - a]
-        steep = (slopes * math.copysign(1.0, bracket) > GUESS_SLOPE * abs(bracket)).tolist()
+        steep = (slopes * math.copysign(1.0, bracket) > _GUESS_SLOPE * abs(bracket)).tolist()
         start, stop = i - a, i - a + 1  # the run's steps start..stop-1 stay
         while start > 0 and steep[start - 1]:
             start -= 1
