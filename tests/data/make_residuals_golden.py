@@ -1,8 +1,10 @@
 """Write residuals_golden.json: the exact residuals and quotients of the optimizers.
 
-Run from the root of a checkout, against the lowzero it should pin:
+Run from the root of a checkout, against the lowzero it should pin, on one
+BLAS thread (from n = 100 cells on, h's continuity solve depends on the
+thread count):
 
-    PYTHONPATH=src python tests/data/make_residuals_golden.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/data/make_residuals_golden.py
 
 It records, as ``float.hex``, every field of ``residuals(h)`` and
 ``quotient_quadrature(h)`` for h = ``reconstruct(g, R)`` at about 60
