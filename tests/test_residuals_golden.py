@@ -1,11 +1,13 @@
-"""The residual layer, bit for bit against a stored table.
+"""The residual layer and the optimizer h, bit for bit against a stored table.
 
 ``tests/data/residuals_golden.json`` was written by
 ``tests/data/make_residuals_golden.py`` on one BLAS thread, before the
 optimizer's evaluators were batched across the residuals and the quotient;
-a speed change that keeps every output byte leaves these tests passing.
-From n = 100 cells on, h's continuity solve depends on the BLAS thread
-count, so those supports are checked in a subprocess on one thread.
+its ``h_sha256`` key (h and h' at 401 points and h's breakpoints) was added
+before h lost its ``Piece`` tuples.  A change that keeps every output byte
+leaves these tests passing.  From n = 100 cells on, h's continuity solve
+depends on the BLAS thread count, so those supports are checked in a
+subprocess on one thread.
 """
 
 import json
