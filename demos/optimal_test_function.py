@@ -30,7 +30,7 @@ for g, R in CASES:
     h, _ = reconstruct(g, R)
     report = residuals(h)
     print(
-        f"{g.value:7s} {R:5.2f} {len(h.pieces):5d} {report.delayed_ode:9.1e}"
+        f"{g.value:7s} {R:5.2f} {h.breakpoints().size - 1:5d} {report.delayed_ode:9.1e}"
         f" {report.volterra:9.1e} {report.compatibility:9.1e} {report.rayleigh_gap:9.1e}"
     )
 

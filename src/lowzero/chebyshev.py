@@ -1,10 +1,11 @@
 """Chebyshev polynomials of the second kind.
 
 Everything here evaluates through the three-term recurrence, never through
-the trigonometric forms: the solver routinely needs arguments with |x| > 1,
-and the recurrence is exact-form stable for the small orders (n <= ~20)
-appearing in this package.  The trig identities, the first kind and the
-truncated generating sums are reserved for tests.
+the trigonometric forms: the solver routinely needs arguments with |x| > 1.
+The orders used run up to n = ceil(2R) at a support R (``solver``'s context
+tables and ``_amplitude_and_stack``), so up to 200 for ``bound --symmetry Sp
+--nu-max 200``.  The trig identities, the first kind and the truncated
+generating sums are reserved for tests.
 """
 
 from __future__ import annotations

@@ -251,6 +251,8 @@ def _check_support(g: Symmetry, R: float) -> None:
     solved at."""
     if R <= 0:
         raise ValueError("R must be positive")
+    if not math.isfinite(R):
+        raise ValueError(f"support R = {R!r} is not finite")
     smallest = _SMALLEST_UNITARY_SUPPORT if g is Symmetry.U else _SMALLEST_SUPPORT
     if R < smallest:
         raise ValueError(
@@ -424,11 +426,11 @@ _order_tables = lru_cache(maxsize=128)(_OrderTables)
 def build_context(g: Symmetry, R: float) -> EquationContext:
     """Assemble the frequency-independent data for the equation branch.
 
-    Requires a Sp/SO kernel and R > 1/2.  The partition has n = ceil(2R)
-    positive points and alternates cells of widths 2R-(n-1) and n-2R.
-    Where 2R = n exactly, the second width is 0: this closed-end context
-    is the limit of the contexts just below, and its empty cells carry no
-    part of the optimizer.  Raises ``DegenerateRadiusError`` where the
+    Requires a Sp/SO kernel and a finite R > 1/2.  The partition has
+    n = ceil(2R) positive points and alternates cells of widths 2R-(n-1)
+    and n-2R.  Where 2R = n exactly, the second width is 0: this closed-end
+    context is the limit of the contexts just below, and its empty cells
+    carry no part of the optimizer.  Raises ``DegenerateRadiusError`` where the
     continuity matrix is numerically singular (cond(M, 1) above 1e10); the
     largest measured is 3.3e5 over 20,000 supports per kernel in
     (0.5, 20.4), and 2.8e5 over the closed-end contexts 2R = 2..40.
@@ -447,6 +449,8 @@ def _build_context(g: Symmetry, R: float) -> EquationContext:
         raise ValueError("equation branch applies to Sp and SO kernels only")
     if R <= 0.5:
         raise ValueError("equation branch requires R > 1/2")
+    if not math.isfinite(R):
+        raise ValueError(f"support R = {R!r} is not finite")
     n = math.ceil(2 * R)
 
     a = np.zeros(n + 1)
@@ -881,8 +885,9 @@ def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]
     integer included (see ``build_context``).  A support solved a moment
     ago reuses its context and the root found on it.  A support below the
     smallest solved, 1e-13 (1.5e-154 for U), or an O support above 5e6
-    raises ``ValueError`` naming the limit, and a singular continuity
-    matrix raises ``DegenerateRadiusError``.
+    raises ``ValueError`` naming the limit, a NaN or infinite support one
+    naming the value, and a singular continuity matrix raises
+    ``DegenerateRadiusError``.
     """
     _check_support(g, R)
     if g is Symmetry.U:

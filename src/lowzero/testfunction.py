@@ -9,9 +9,12 @@ One record of that mode (``_lambda_mode``) holds the forcing amplitude z,
 U_0(lam)..U_n(lam) (the stack z was built from) and z(-i delta)^k for
 k < n; each cell's lam-mode coefficient, the continuity right side and both
 closed-form integrals of h read it.  ``assemble`` evaluates it once and
-keeps it on h, with the [term, cell] tables of h's terms it built, and the
-residuals of h at h's own context read it from there, so an optimizer and
-its residuals evaluate it once between them.
+keeps it on h, and the residuals of h at h's own context read it from
+there, so an optimizer and its residuals evaluate it once between them.
+
+h has one representation, its table: the ends of its cells and the
+[quantity, term, cell] array of every cell's (amplitude, frequency, phase)
+triples, which every evaluator reads.
 
 Every defining property of the optimizer is re-checked here as a residual
 (``residuals``): the delay differential equation, the integral (Volterra)
@@ -32,7 +35,7 @@ import cmath
 import math
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -55,62 +58,38 @@ _ZERO_FREQ = 1e-14
 _RESIDUAL_SAMPLES = 200
 
 
-@dataclass(frozen=True)
-class Piece:
-    lo: float
-    hi: float
-    #: (amplitude, frequency, phase) triples; value = sum a*sin(f*u + p).
-    terms: tuple[tuple[float, float, float], ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseTestFunction:
     """Even, continuous, compactly supported piecewise-sinusoidal function.
 
-    ``ctx`` is the equation context it was assembled from and ``_mode`` the
+    On cell k, [los[k], his[k]], h(u) is the sum of a * sin(f*u + ph) over
+    (a, f, ph) = terms[:, j, k], padded with terms (0, 0, 0) to the longest
+    cell's count.  The three arrays are read-only, since ``_antiderivatives``
+    caches tables built from them, and h compares by identity (eq=False).
+    ``ctx`` is the equation context h was assembled from and ``_mode`` the
     lam-mode record ``assemble`` read there, both None for the shifted
-    cosine.  ``_table`` holds the cells' ends and their terms as ``assemble``
-    built them, read by ``_cells``; None where h is built from its pieces.
-    Amplitudes follow the scale-1 convention of ``solver``.
+    cosine.  Amplitudes follow the scale-1 convention of ``solver``.
     """
 
-    pieces: tuple[Piece, ...]
+    los: np.ndarray
+    his: np.ndarray
+    terms: np.ndarray
     R: float
     lam: float
     g: Symmetry
-    ctx: Optional[EquationContext] = field(default=None, compare=False, repr=False)
-    _mode: Optional[_LambdaMode] = field(default=None, compare=False, repr=False)
-    _table: Optional[tuple] = field(default=None, compare=False, repr=False)
+    ctx: Optional[EquationContext] = field(default=None, repr=False)
+    _mode: Optional[_LambdaMode] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        for arr in (self.los, self.his, self.terms):
+            arr.setflags(write=False)
 
     def breakpoints(self) -> np.ndarray:
-        pts = [p.lo for p in self.pieces] + [self.pieces[-1].hi]
-        return np.asarray(pts)
-
-    @cached_property
-    def _cells(self) -> tuple:
-        """Lookup tables of ``_values`` and ``_slopes``: the cells' lower
-        and upper ends, and the stacked [term, cell] arrays (a, f, ph), each
-        cell padded to the longest cell's number of terms with terms
-        (0, 0, 0).  searchsorted(side="right") on the upper ends of every
-        cell but the last gives the first cell whose upper end exceeds u,
-        else the last cell, which keeps its upper end.  ``assemble`` hands
-        over the ends and (a, f, ph) it built; otherwise they are read from
-        the pieces, with the same bits.
-        """
-        if self._table is not None:
-            return self._table
-        terms = [p.terms for p in self.pieces]
-        width = max(map(len, terms))
-        pad = ((0.0, 0.0, 0.0),)
-        flat = chain.from_iterable(chain.from_iterable(c + pad * (width - len(c)) for c in terms))
-        table = np.fromiter(flat, float, 3 * width * len(terms)).reshape(len(terms), width, 3)
-        los = np.array([p.lo for p in self.pieces])
-        his = np.array([p.hi for p in self.pieces])
-        return los, his, table.transpose(2, 1, 0).copy()
+        return np.append(self.los, self.his[-1])
 
     @cached_property
     def _antiderivatives(self) -> tuple:
-        """Integration tables over the padded terms of ``_cells``.
+        """Integration tables over h's padded terms.
 
         Per term c = a/f: the term integrates to c*(w(x) - w(y)) over
         [x, y], with w(u) = cos(f*u + ph); a term of frequency below
@@ -127,7 +106,7 @@ class PiecewiseTestFunction:
         from +0.0, which is the sum ``_integrals`` forms for the window
         [-R, R]: its first and last cells are whole.
         """
-        los, his, (a, f, ph) = self._cells
+        los, his, (a, f, ph) = self.los, self.his, self.terms
         const = np.abs(f) < _ZERO_FREQ
         c = np.where(const, a * np.sin(ph), a / np.where(const, 1.0, f))
         at_lo = np.where(const, -los, np.cos(f * los + ph))
@@ -153,13 +132,13 @@ class PiecewiseTestFunction:
     def _fold_terms(self, u: np.ndarray, slope: bool = False) -> np.ndarray:
         """Sum over u's cell of a * sin(f*u + ph), or for the slope of
         a * f * cos(f*u + ph), which forms a*f first; 0.0 off the support.
-        One take gathers every term at every point as [term, point] rows,
-        which are added in term order."""
-        los, his, values = self._cells
+        u's cell is the first whose upper end exceeds u, else the last, which
+        keeps its upper end.  One take gathers every term at every point as
+        [term, point] rows, which are added in term order."""
         u = np.asarray(u, dtype=float)
-        inside = (los[0] <= u) & (u <= his[-1])
-        u = np.where(inside, u, los[0])  # keeps wave finite where the result is 0.0
-        a, f, ph = np.take(values, np.searchsorted(his[:-1], u, side="right"), axis=2)
+        inside = (self.los[0] <= u) & (u <= self.his[-1])
+        u = np.where(inside, u, self.los[0])  # keeps wave finite where the result is 0.0
+        a, f, ph = np.take(self.terms, np.searchsorted(self.his[:-1], u, side="right"), axis=2)
         total = np.zeros(u.shape)
         for row in a * f * np.cos(f * u + ph) if slope else a * np.sin(f * u + ph):
             total += row
@@ -204,7 +183,7 @@ class PiecewiseTestFunction:
         An empty window (after clipping) gets a first cell at or past its
         last, like a window in one cell, and its total is set to 0.0.
         """
-        los, his = self._cells[:2]
+        los, his = self.los, self.his
         wholes, _, table = self._antiderivatives
         ends = np.array([lo, hi], dtype=float)
         flip = ends[1] < ends[0]
@@ -300,14 +279,14 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
     The two interval families jointly tile [-R, R]; on each cell the phases
     of the homogeneous modes are pinned to the cell midpoint, and the
     lam-mode amplitude/phase come from ``_mode_coefficient``.  Each
-    family's homogeneous terms are built at once as [cell, term] arrays:
-    amplitude r_j * U_k(theta_j) and phase -pi/2 * (j + delta * mid) -
-    theta_j * mid on cell k with midpoint mid; only the lam-mode
-    coefficient is taken cell by cell.  The pieces are read from those
-    arrays, and so is h's table of (a, f, ph), [quantity, term, cell],
-    padded with terms (0, 0, 0), which ``_cells`` would otherwise rebuild
-    from the pieces.  h also keeps the record of the lam mode for
-    ``residuals``.
+    family's homogeneous terms are written at once into a [cell, quantity,
+    term] array: amplitude r_j * U_k(theta_j), frequency theta_j and phase
+    -pi/2 * (j + delta * mid) - theta_j * mid on cell k with midpoint mid;
+    only the lam-mode term (|z|, lam, arg z - lam * mid) is formed cell by
+    cell, in the column after the homogeneous terms.  The empty cells of a
+    closed-end context are dropped, and the array is turned into h's
+    [quantity, term, cell] table.  h also keeps the record of the lam mode
+    for ``residuals``.
     """
     n = ctx.n
     mode = _lambda_mode(ctx, lam)
@@ -319,7 +298,6 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
     los = np.concatenate([-a[n:0:-1], a[1:n]])
     his = np.concatenate([-a[n - 1 : 0 : -1], a[1 : n + 1]])
     values = np.zeros((2 * n - 1, 3, n - n // 2 + 1))
-    terms = [()] * (2 * n - 1)
     # outer family (order n): cells n-1, n-3, ..., -(n-1); inner family
     # (order n-1): cells n-2, n-4, ..., -(n-2); cell m has midpoint m/2
     for order, r, u, theta in (
@@ -329,41 +307,26 @@ def assemble(ctx: EquationContext, lam: float) -> PiecewiseTestFunction:
         m = order - 1 - 2 * np.arange(order)
         mid = (m / 2.0)[:, None]
         j = np.arange(1, theta.size + 1)
-        amps = r * u
-        phases = -0.5 * math.pi * (j + ctx.delta * mid) - theta * mid
-        lam_terms = []
+        cells = values[order + n - 2 :: -2]  # the rows m + n - 1
+        cells[:, 0, : theta.size] = r * u
+        cells[:, 1, : theta.size] = theta
+        cells[:, 2, : theta.size] = -0.5 * math.pi * (j + ctx.delta * mid) - theta * mid
         for k, m_k in enumerate(m.tolist()):
             z = _mode_coefficient(ctx, lam, k, order, mode.u)
-            lam_terms.append((abs(z), lam, cmath.phase(z) - lam * (m_k / 2.0)))
-        cells = values[order + n - 2 :: -2]  # the rows m + n - 1
-        cells[:, 0, : theta.size] = amps
-        cells[:, 1, : theta.size] = theta
-        cells[:, 2, : theta.size] = phases
-        cells[:, :, theta.size] = lam_terms
-        thetas = theta.tolist()
-        for m_k, amp, phase, lam_term in zip(m.tolist(), amps.tolist(), phases.tolist(), lam_terms):
-            terms[m_k + n - 1] = (*zip(amp, thetas, phase), lam_term)
+            cells[k, :, theta.size] = (abs(z), lam, cmath.phase(z) - lam * (m_k / 2.0))
 
     full = his > los  # not an empty cell of a closed-end context
-    los, his, values = los[full], his[full], values[full]
-    pieces = tuple(
-        Piece(lo=lo, hi=hi, terms=cell) for lo, hi, cell in zip(los, his, compress(terms, full))
-    )
-    table = (los, his, values.transpose(1, 2, 0).copy())
     return PiecewiseTestFunction(
-        pieces=pieces, R=ctx.R, lam=lam, g=ctx.g, ctx=ctx, _mode=mode, _table=table
+        los[full], his[full], values[full].transpose(1, 2, 0).copy(),
+        R=ctx.R, lam=lam, g=ctx.g, ctx=ctx, _mode=mode,
     )
 
 
 def _shifted_cosine(g: Symmetry, R: float, lam: float) -> PiecewiseTestFunction:
     """Shifted-cosine optimizer -(1/lam)(cos(lam*u) - cos(lam*R)) on [-R, R]."""
-    terms = (
-        (-1 / lam, lam, 0.5 * math.pi),  # -(1/lam) cos(lam u)
-        (1 / lam * math.cos(lam * R), 0.0, 0.5 * math.pi),
-    )
-    return PiecewiseTestFunction(
-        pieces=(Piece(lo=-R, hi=R, terms=terms),), R=R, lam=lam, g=g
-    )
+    a = [-1 / lam, 1 / lam * math.cos(lam * R)]  # -(1/lam) cos(lam u), then a constant
+    terms = np.array([a, [lam, 0.0], [0.5 * math.pi] * 2])[:, :, None]
+    return PiecewiseTestFunction(np.array([-R]), np.array([R]), terms, R=R, lam=lam, g=g)
 
 
 def reconstruct(g: Symmetry, R: float) -> tuple[PiecewiseTestFunction, BoundResult]:

@@ -37,6 +37,7 @@ from lowzero.solver import (
     u_product_roots,
 )
 from lowzero.symmetry import Symmetry
+from lowzero.testfunction import reconstruct
 from solver_oracles import bisect_one_at_a_time, context_arrays_loop, spectral_equation_loop
 
 EQUATION_KERNELS = (Symmetry.Sp, Symmetry.SOplus, Symmetry.SOminus)
@@ -135,6 +136,23 @@ def test_smallest_support_is_solved_and_named(g, smallest):
         if g is not Symmetry.U:
             with pytest.raises(ValueError, match=f"below {smallest!r}"):
                 small_support_minimum(g, R)
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("g", list(Symmetry), ids=lambda g: g.name)
+def test_non_finite_support_is_named(g, R):
+    # a NaN or infinite support is refused by value, not returned as NaN or
+    # 0.0 or failed as a bisection bracket or an OverflowError
+    named = f"support R = {R!r} is not finite"
+    calls = [lambda: solver.minimal_quotient(g, R), lambda: height_bound(g, 2 * R)]
+    if g is not Symmetry.U:  # reconstruct refuses the unitary kernel at any support
+        calls.append(lambda: reconstruct(g, R))
+    if g in EQUATION_KERNELS:
+        calls.append(lambda: build_context(g, R))
+    for call in calls:
+        with pytest.raises(ValueError, match=named):
+            call()
+
 
 def test_small_support_orthogonal_full_range():
     res = small_support_minimum(Symmetry.O, 1.0)

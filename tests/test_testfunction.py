@@ -13,6 +13,7 @@ from lowzero import rayleigh, solver, testfunction
 from test_solver import CLOSED_END_SUPPORTS
 from testfunction_oracles import (
     assemble_loop,
+    cell_terms,
     full_integral_loop,
     integral_all_pieces,
     piece_index_linear_scan,
@@ -188,11 +189,10 @@ def test_assembled_frequency_split():
     # Chebyshev frequencies strictly below 1
     ctx, lam = _solved(Symmetry.SOminus, 1.2)
     h = assemble(ctx, lam)
-    for piece in h.pieces:
-        at_lam = [t for t in piece.terms if abs(t[1] - lam) < 1e-12]
-        others = [t for t in piece.terms if abs(t[1] - lam) >= 1e-12]
-        assert len(at_lam) == 1
-        assert all(abs(t[1]) < 1.0 for t in others)
+    f = h.terms[1]  # [term, cell]; padding terms have frequency 0
+    at_lam = np.abs(f - lam) < 1e-12
+    assert (at_lam.sum(axis=0) == 1).all()
+    assert (np.abs(f[~at_lam]) < 1.0).all()
 
 
 def test_small_support_function_is_shifted_cosine():
@@ -327,16 +327,9 @@ ASSEMBLE_CASES = list(dict.fromkeys(
 ))
 
 
-def _hex_pieces(h) -> list:
-    return [
-        (float.hex(p.lo), float.hex(p.hi), [tuple(map(float.hex, t)) for t in p.terms])
-        for p in h.pieces
-    ]
-
-
 def _table_bytes(h) -> list:
     wholes, support, arrays = h._antiderivatives
-    return [a.tobytes() for a in (*h._cells, wholes, *arrays)] + [float.hex(support)]
+    return [a.tobytes() for a in (h.los, h.his, h.terms, wholes, *arrays)] + [float.hex(support)]
 
 
 @pytest.mark.parametrize("g,R", ASSEMBLE_CASES)
@@ -345,24 +338,39 @@ def test_assemble_matches_the_per_term_loop_bitwise(g, R):
     # of forming each term on its own
     ctx, lam = _solved(g, R)
     got, want = assemble(ctx, lam), assemble_loop(ctx, lam)
-    assert _hex_pieces(got) == _hex_pieces(want)
+    assert got.terms.shape == want.terms.shape
     assert _table_bytes(got) == _table_bytes(want)
+
+
+@pytest.mark.parametrize(
+    "g,R", [(Symmetry.SOminus, 5.2), (Symmetry.Sp, 7.0), (Symmetry.O, 0.9), (Symmetry.Sp, 0.3)]
+)
+def test_h_is_its_read_only_cell_table(g, R):
+    # an equation support, a closed-end one (2R = 14, whose empty cells are
+    # dropped) and two shifted cosines (one cell of two terms)
+    h, _ = reconstruct(g, R)
+    assert h.terms.shape[::2] == (3, h.los.size) and h.his.shape == h.los.shape
+    for arr in (h.los, h.his, h.terms):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
+    assert (h.his > h.los).all() and np.array_equal(h.his[:-1], h.los[1:])
+    brks = h.breakpoints()
+    assert np.array_equal(brks, np.append(h.los, h.his[-1]))
+    assert brks[0] == -R and brks[-1] == R
 
 
 def test_lambda_mode_integrals_closed_form():
     # isolate the lam-frequency part of the optimizer and compare its two
     # closed-form integrals against quadrature of that part alone
     from lowzero.solver import _ipow, forcing_amplitude
-    from lowzero.testfunction import Piece, PiecewiseTestFunction
 
     for g, R in EQUATION_CASES:
         ctx, lam = _solved(g, R)
         h = assemble(ctx, lam)
-        lam_pieces = tuple(
-            Piece(p.lo, p.hi, tuple(t for t in p.terms if abs(t[1] - lam) < 1e-12))
-            for p in h.pieces
-        )
-        h_lam = PiecewiseTestFunction(pieces=lam_pieces, R=h.R, lam=lam, g=h.g)
+        at_lam = np.abs(h.terms[1] - lam) < 1e-12  # the lam column of every cell
+        lam_terms = np.where(at_lam, h.terms, 0.0)
+        h_lam = PiecewiseTestFunction(h.los, h.his, lam_terms, R=h.R, lam=lam, g=h.g)
         z = forcing_amplitude(ctx, lam)
         u = u_stack(ctx.n - 1, lam)
         d = ctx.delta
@@ -450,7 +458,7 @@ def test_table_driven_evaluation_matches_oracle_bitwise(g, R):
     assert np.array_equal(h(us), np.array([h(float(u)) for u in us]))
     for u in [float(u) for u in us] + [float(b) for b in h.breakpoints()]:
         i = piece_index_linear_scan(h, u)
-        terms = h.pieces[i].terms if i >= 0 else ()
+        terms = cell_terms(h, i) if i >= 0 else ()
         value = slope = 0.0  # added left to right, as the builtin sum does before 3.12
         for a, f, p in terms:
             value += a * math.sin(f * u + p)

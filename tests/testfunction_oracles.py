@@ -12,7 +12,6 @@ from lowzero.solver import _ipow, forcing_amplitude
 from lowzero.testfunction import (
     _RESIDUAL_SAMPLES,
     _ZERO_FREQ,
-    Piece,
     PiecewiseTestFunction,
     ResidualReport,
     _cuts,
@@ -23,24 +22,32 @@ from lowzero.testfunction import (
 )
 
 
+def cell_terms(h, i: int) -> list[tuple[float, float, float]]:
+    """The (a, f, ph) triples of cell i, read from h's table, padding
+    included: a padding term (0, 0, 0) adds +0.0 to a sum that started at
+    +0.0, which leaves it as it is."""
+    return [tuple(t) for t in h.terms[:, :, i].T.tolist()]
+
+
 def piece_index_linear_scan(h, u: float) -> int:
-    """Index of the piece holding u by scanning the pieces in order: the
+    """Index of the cell holding u by scanning the cells in order: the
     first whose upper end exceeds u, the last one keeping its upper end;
     -1 off the support."""
-    if u < h.pieces[0].lo or u > h.pieces[-1].hi:
+    his = h.his.tolist()
+    if u < h.los[0] or u > his[-1]:
         return -1
-    for i, p in enumerate(h.pieces):
-        if u < p.hi or (i == len(h.pieces) - 1 and u <= p.hi):
+    for i, hi in enumerate(his):
+        if u < hi or (i == len(his) - 1 and u <= hi):
             return i
     return -1
 
 
 def value_by_terms(h, u: float) -> float:
-    """h(u) from the terms of the piece holding u, added left to right as
+    """h(u) from the terms of the cell holding u, added left to right as
     the builtin sum does before Python 3.12."""
     i = piece_index_linear_scan(h, u)
     total = 0.0
-    for a, f, p in h.pieces[i].terms if i >= 0 else ():
+    for a, f, p in cell_terms(h, i) if i >= 0 else ():
         total += a * math.sin(f * u + p)
     return total
 
@@ -50,30 +57,31 @@ def slope_by_terms(h, u: float) -> float:
     ``value_by_terms`` gives h(u)."""
     i = piece_index_linear_scan(h, u)
     total = 0.0
-    for a, f, p in h.pieces[i].terms if i >= 0 else ():
+    for a, f, p in cell_terms(h, i) if i >= 0 else ():
         total += a * f * math.cos(f * u + p)
     return total
 
 
 def integral_all_pieces(h, lo: float, hi: float) -> float:
-    """Integral of h over [lo, hi] term by term, visiting every piece.
+    """Integral of h over [lo, hi] term by term, visiting every cell.
 
     The straightforward form of ``PiecewiseTestFunction.integral``: it scans
-    all pieces and derives each term's antiderivative coefficient afresh.
+    all cells and derives each term's antiderivative coefficient afresh.
     """
     if hi < lo:
         return -integral_all_pieces(h, hi, lo)
-    lo = max(lo, h.pieces[0].lo)
-    hi = min(hi, h.pieces[-1].hi)
+    los, his = h.los.tolist(), h.his.tolist()
+    lo = max(lo, los[0])
+    hi = min(hi, his[-1])
     if hi <= lo:
         return 0.0
     total = 0.0
-    for p in h.pieces:
-        seg_lo = max(lo, p.lo)
-        seg_hi = min(hi, p.hi)
+    for i, (cell_lo, cell_hi) in enumerate(zip(los, his)):
+        seg_lo = max(lo, cell_lo)
+        seg_hi = min(hi, cell_hi)
         if seg_hi <= seg_lo:
             continue
-        for a, f, ph in p.terms:
+        for a, f, ph in cell_terms(h, i):
             if abs(f) < _ZERO_FREQ:
                 total += a * math.sin(ph) * (seg_hi - seg_lo)
             else:
@@ -94,7 +102,9 @@ def interval_bounds(ctx, m: int) -> tuple[float, float]:
 def assemble_loop(ctx, lam) -> PiecewiseTestFunction:
     """``testfunction.assemble`` with every term of every cell formed on its
     own: the amplitude r_j * U_k(theta_j) and the phase
-    -pi/2 * (j + delta * mid) - theta_j * mid, one float at a time."""
+    -pi/2 * (j + delta * mid) - theta_j * mid, one float at a time.  The
+    cells' lists of terms are then padded with terms (0, 0, 0) into h's
+    [quantity, term, cell] table."""
     n = ctx.n
     delta = ctx.delta
     mode = _lambda_mode(ctx, lam)
@@ -102,9 +112,9 @@ def assemble_loop(ctx, lam) -> PiecewiseTestFunction:
     r_inner = x[: n // 2]
     r_outer = -x[n // 2 :]
 
-    pieces = []
+    cells = []  # (lo, hi, terms)
 
-    def add_piece(m, mid, amps, thetas, zmode):
+    def add_cell(m, mid, amps, thetas, zmode):
         lo, hi = interval_bounds(ctx, m)
         if not hi > lo:  # an empty cell of a closed-end context
             return
@@ -114,19 +124,25 @@ def assemble_loop(ctx, lam) -> PiecewiseTestFunction:
             phase = -0.5 * math.pi * (j + delta * mid) - th * mid
             terms.append((r, th, phase))
         terms.append((abs(zmode), lam, cmath.phase(zmode) - lam * mid))
-        pieces.append(Piece(lo=lo, hi=hi, terms=tuple(terms)))
+        cells.append((lo, hi, terms))
 
     for k in range(n):  # outer family: cells n-1, n-3, ..., -(n-1)
         mid = (n - 2 * k - 1) / 2.0
         amps = r_outer * ctx.u_hi[k]
-        add_piece(n - 1 - 2 * k, mid, amps, ctx.theta_hi, _mode_coefficient(ctx, lam, k, n, mode.u))
+        add_cell(n - 1 - 2 * k, mid, amps, ctx.theta_hi, _mode_coefficient(ctx, lam, k, n, mode.u))
     for k in range(n - 1):  # inner family: cells n-2, n-4, ..., -(n-2)
         mid = (n - 2 * k - 2) / 2.0
         amps = r_inner * ctx.u_lo[k]
-        add_piece(n - 2 - 2 * k, mid, amps, ctx.theta_lo, _mode_coefficient(ctx, lam, k, n - 1, mode.u))
+        add_cell(n - 2 - 2 * k, mid, amps, ctx.theta_lo, _mode_coefficient(ctx, lam, k, n - 1, mode.u))
 
-    pieces.sort(key=lambda p: p.lo)
-    return PiecewiseTestFunction(pieces=tuple(pieces), R=ctx.R, lam=lam, g=ctx.g, ctx=ctx, _mode=mode)
+    cells.sort(key=lambda c: c[0])
+    table = np.zeros((3, max(len(terms) for _, _, terms in cells), len(cells)))
+    for k, (_, _, terms) in enumerate(cells):
+        for j, term in enumerate(terms):
+            table[:, j, k] = term
+    los = np.array([lo for lo, _, _ in cells])
+    his = np.array([hi for _, hi, _ in cells])
+    return PiecewiseTestFunction(los, his, table, R=ctx.R, lam=lam, g=ctx.g, ctx=ctx, _mode=mode)
 
 
 # The continuity solve and the two closed-form integrals of h, each deriving
