@@ -426,11 +426,11 @@ _order_tables = lru_cache(maxsize=128)(_OrderTables)
 def build_context(g: Symmetry, R: float) -> EquationContext:
     """Assemble the frequency-independent data for the equation branch.
 
-    Requires a Sp/SO kernel and a finite R > 1/2.  The partition has
-    n = ceil(2R) positive points and alternates cells of widths 2R-(n-1)
-    and n-2R.  Where 2R = n exactly, the second width is 0: this closed-end
-    context is the limit of the contexts just below, and its empty cells
-    carry no part of the optimizer.  Raises ``DegenerateRadiusError`` where the
+    Requires a Sp/SO kernel and finite R > 1/2.  The partition has n = ceil(2R)
+    positive points and alternates cells of widths 2R-(n-1) and n-2R.
+    Where 2R = n exactly, the second width is 0: this closed-end context
+    is the limit of the contexts just below, and its empty cells carry no
+    part of the optimizer.  Raises ``DegenerateRadiusError`` where the
     continuity matrix is numerically singular (cond(M, 1) above 1e10); the
     largest measured is 3.3e5 over 20,000 supports per kernel in
     (0.5, 20.4), and 2.8e5 over the closed-end contexts 2R = 2..40.
