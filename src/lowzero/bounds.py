@@ -42,6 +42,8 @@ def height_bound_result(w_star: Symmetry, nu_max: float) -> BoundResult:
     """Full minimization record behind ``height_bound``."""
     if nu_max <= 0:
         raise ValueError("nu_max must be positive")
+    if not math.isfinite(nu_max):
+        raise ValueError(f"nu_max = {nu_max!r} is not finite")
     R = nu_max / 2.0
     if equation_branch(w_star, R):
         R -= _LIMIT_OFFSET  # the limit as R rises to nu_max/2, sampled below it

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -176,16 +176,10 @@ def _pole_free(gap):
     return f
 
 
-_X1_CACHE: Optional[float] = None
-
-
+@cache
 def tan_ratio_fixed_point() -> float:
     """Smallest x > 1/4 with tan(2*pi*x) = 2*pi*x (approximately 0.715)."""
-    global _X1_CACHE
-    if _X1_CACHE is None:
-        f = _pole_free(lambda t, tan: tan - t)
-        _X1_CACHE = _bisect(f, 0.25 + 1e-12, 0.75 - 1e-12, 1e-14)
-    return _X1_CACHE
+    return _bisect(_pole_free(lambda t, tan: tan - t), 0.25 + 1e-12, 0.75 - 1e-12, 1e-14)
 
 
 def tan_ratio_inverse(y: float) -> float:
@@ -387,9 +381,7 @@ class _OrderTables:
             k = np.arange(n)[:, None]
             phase = 0.5 * math.pi * (j + delta * (n - 2 * k - parity) / 2.0)
             sines = _map(math.sin, phase[:order])
-            terms = np.zeros((order + 1, j.size))  # 0.0, then the order rows
-            np.multiply(u[:order], sines, out=terms[1:])
-            beta_sum = _add_rows(terms)
+            beta_sum = _add_rows(u[:order] * sines) + 0.0
             blocks.append((theta, u, phase, sines[0], beta_sum))
         self.blocks = tuple(blocks)
         self.n, self.delta = n, delta
@@ -501,29 +493,27 @@ def _build_context(g: Symmetry, R: float) -> EquationContext:
 # The transcendental equation
 # ---------------------------------------------------------------------------
 
-#: Rows of at least this many entries are summed one row at a time; for
-#: fewer, one ``np.add.accumulate`` call is faster.  Timed on numpy 2.4 with
-#: 3 to 41 rows, the two cross between 70 and 240 entries per row.
-_WIDE_ROW = 200
-
-
 def _add_rows(rows: np.ndarray) -> np.ndarray:
     """rows[0] + rows[1] + ... added in that order, as a new array.
 
-    Wide rows are added to a copy of row 0 in place, one row at a time.
-    Narrow ones go through ``np.add.accumulate``, sequential by definition
-    where ``np.add.reduce`` may add pairwise along a contiguous axis; only
-    its last partial sum is kept, copied, so no view holds the others
-    alive.  The accumulation runs one inner loop per column, so it is slow
-    for a few wide rows; both add row 0, then row 1, and so on, so both
-    give the same bits.
+    The one home of the rule that keeps every array sum's bits: an array
+    call and a call on each entry alone add the same operands in the same
+    order.  ``np.add.reduce`` adds pairwise only along the axis that is
+    fastest in memory, so the rows are copied, where needed, into a
+    C-contiguous [row, entry] table and reduced along axis 0, which adds
+    row 0, then row 1, and so on.  Rows of one entry or none (a stack of
+    scalars, a call at one point, an empty array) would be reduced along
+    the fast axis; they go through ``np.add.accumulate``, sequential by
+    definition, of which only the last partial sum is kept, copied, so no
+    view holds the others alive.  A sum that starts at +0.0, as a loop
+    into a total of 0.0 does, is ``_add_rows(rows) + 0.0``: the two differ
+    at most in the sign of a zero, which adding +0.0 clears.
     """
-    if rows[0].size >= _WIDE_ROW:
-        out = rows[0].copy()
-        for row in rows[1:]:
-            out += row
-        return out
-    return np.add.accumulate(rows, axis=0)[-1].copy()
+    size = rows[0].size
+    if size <= 1:
+        return np.add.accumulate(rows, axis=0)[-1].copy()
+    table = np.ascontiguousarray(rows).reshape(len(rows), size)
+    return np.add.reduce(table, axis=0).reshape(rows.shape[1:])
 
 
 def _amplitude_sum(delta: int, lam: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 import scipy.integrate  # noqa: F401  uncalled; bench/harness.py times its import (ROADMAP item 4)
 
-from .solver import BoundResult, EquationContext, _amplitude_and_stack, _ipow, solve
+from .solver import BoundResult, EquationContext, _add_rows, _amplitude_and_stack, _ipow, solve
 from .symmetry import Symmetry
 
 __all__ = [
@@ -113,13 +113,8 @@ class PiecewiseTestFunction:
         at_hi = np.where(const, -his, np.cos(f * his + ph))
         whole = np.zeros((f.shape[0], los.size + 1))
         whole[:, :-1] = c * (at_lo - at_hi)
-        support = np.add.accumulate(np.concatenate([[0.0], whole[:, :-1].T.ravel()]))[-1].item()
+        support = float(_add_rows(whole[:, :-1].T.ravel()) + 0.0)
         return whole, support, np.array([f, ph, c, at_lo, at_hi, const])
-
-    # The terms of a cell are added left to right, one [term] row after
-    # another into a total that starts at +0.0 (np.add.reduce may add
-    # pairwise), and a Python float is evaluated as a one-element array, so
-    # every route gives the same bits.
 
     def _values(self, u: np.ndarray) -> np.ndarray:
         """h at every entry of the 1-D array u."""
@@ -134,15 +129,13 @@ class PiecewiseTestFunction:
         a * f * cos(f*u + ph), which forms a*f first; 0.0 off the support.
         u's cell is the first whose upper end exceeds u, else the last, which
         keeps its upper end.  One take gathers every term at every point as
-        [term, point] rows, which are added in term order."""
+        [term, point] rows, which ``_add_rows`` adds in term order to +0.0."""
         u = np.asarray(u, dtype=float)
         inside = (self.los[0] <= u) & (u <= self.his[-1])
         u = np.where(inside, u, self.los[0])  # keeps wave finite where the result is 0.0
         a, f, ph = np.take(self.terms, np.searchsorted(self.his[:-1], u, side="right"), axis=2)
-        total = np.zeros(u.shape)
-        for row in a * f * np.cos(f * u + ph) if slope else a * np.sin(f * u + ph):
-            total += row
-        return np.where(inside, total, 0.0)
+        rows = a * f * np.cos(f * u + ph) if slope else a * np.sin(f * u + ph)
+        return np.where(inside, _add_rows(rows) + 0.0, 0.0)
 
     def __call__(self, u):
         if isinstance(u, np.ndarray):
@@ -173,13 +166,13 @@ class PiecewiseTestFunction:
         at hi in the last; the first cell spans [lo, its upper end] and the
         last [its lower end, hi], read from the stored w at the cells'
         edges, except that a first cell that is also the last spans
-        [lo, hi].  The window's total adds the first cell's terms one by
-        one, then the stored integrals of the whole cells between, gathered
-        in one take as [cell, term, window] rows (a window with fewer cells
-        reads the column of 0.0) and added row by row, then the last cell's
-        terms.  These are the same operands in the same order as evaluating
-        every term afresh, so the same sum.  A window's total starts at
-        +0.0 and so never is -0.0, and adding a zero leaves it as it is.
+        [lo, hi].  The window's total is one ``_add_rows`` fold, to +0.0, of
+        a [row, window] table: the first cell's terms, then the stored
+        integrals of the whole cells between, gathered in one take in
+        [cell, term] order (a window with fewer cells reads the column of
+        0.0), then the last cell's terms.  These are the same operands in
+        the same order as evaluating every term afresh, so the same sum.  A
+        window's total is never -0.0, and adding a zero leaves it as it is.
         An empty window (after clipping) gets a first cell at or past its
         last, like a window in one cell, and its total is set to 0.0.
         """
@@ -207,18 +200,15 @@ class PiecewiseTestFunction:
         np.copyto(w_b[:, :k], w[:, k:], where=single)
         terms = c * (w_a - w_b)
         np.copyto(terms[:, k:], 0.0, where=single)
-        total = np.zeros(k)
-        for row in terms[:, :k]:
-            total += row
         count = np.where(single, 0, last - first - 1)
-        if count.size and count.max() > 0:
-            step = np.arange(count.max())[:, None]
+        steps = int(count.max(initial=0))
+        rows = np.empty((steps + 2, terms.shape[0], k))
+        rows[0], rows[-1] = terms[:, :k], terms[:, k:]
+        if steps:
+            step = np.arange(steps)[:, None]
             cells = np.where(step < count, first + 1 + step, los.size)
-            for block in np.take(wholes, cells, axis=1).transpose(1, 0, 2):
-                for row in block:
-                    total += row
-        for row in terms[:, k:]:
-            total += row
+            rows[1:-1] = np.take(wholes, cells, axis=1).transpose(1, 0, 2)
+        total = _add_rows(rows.reshape(rows.shape[0] * rows.shape[1], k)) + 0.0
         total = np.where(hi > lo, total, 0.0)
         return np.where(flip, -total, total)
 

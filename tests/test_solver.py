@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowzero import rayleigh, solver
-from lowzero.bounds import height_bound
+from lowzero.bounds import height_bound, height_bound_result, orthogonal_asymptotic
 from lowzero.chebyshev import u_stack
 from lowzero.solver import (
     EXCLUSION_CORE,
@@ -144,7 +144,7 @@ def test_non_finite_support_is_named(g, R):
     # a NaN or infinite support is refused by value, not returned as NaN or
     # 0.0 or failed as a bisection bracket or an OverflowError
     named = f"support R = {R!r} is not finite"
-    calls = [lambda: solver.minimal_quotient(g, R), lambda: height_bound(g, 2 * R)]
+    calls = [lambda: solver.minimal_quotient(g, R)]
     if g is not Symmetry.U:  # reconstruct refuses the unitary kernel at any support
         calls.append(lambda: reconstruct(g, R))
     if g in EQUATION_KERNELS:
@@ -152,6 +152,27 @@ def test_non_finite_support_is_named(g, R):
     for call in calls:
         with pytest.raises(ValueError, match=named):
             call()
+
+
+@pytest.mark.parametrize("nu_max", [math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("g", list(Symmetry), ids=lambda g: g.name)
+def test_non_finite_nu_max_is_named(g, nu_max):
+    # the front end names nu_max itself, not the support it would hand on
+    named = f"^nu_max = {nu_max!r} is not finite$"
+    calls = [lambda: height_bound(g, nu_max), lambda: height_bound_result(g, nu_max)]
+    if g is Symmetry.O:
+        calls.append(lambda: orthogonal_asymptotic(nu_max))
+    for call in calls:
+        with pytest.raises(ValueError, match=named):
+            call()
+
+
+def test_negative_infinite_nu_max_is_not_positive():
+    for call in (height_bound, height_bound_result):
+        with pytest.raises(ValueError, match="nu_max must be positive"):
+            call(Symmetry.Sp, -math.inf)
+    with pytest.raises(ValueError, match="expansion regime needs nu_max >= 4"):
+        orthogonal_asymptotic(-math.inf)
 
 
 def test_small_support_orthogonal_full_range():
@@ -660,17 +681,28 @@ def test_tabulated_prefix_matches_per_order_loop(g, n, longer_first, fresh_table
     assert points == ([sizes[1]] if longer_first else [sizes[0], sizes[1] - sizes[0]])
 
 
-@pytest.mark.parametrize("shape", [(3, 2910), (21, 600), (41, 20), (9,), (7, 2, 300)])
-@pytest.mark.parametrize("wide_row", [0, 10**9], ids=["per_row", "accumulate"])
-def test_add_rows_gives_accumulate_bits_on_both_branches(shape, wide_row, monkeypatch):
+def test_add_rows_gives_accumulate_bits():
     rng = np.random.default_rng(7)
-    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
-    monkeypatch.setattr(solver, "_WIDE_ROW", wide_row)
-    got = solver._add_rows(rows)
-    assert got.tobytes() == np.add.accumulate(rows, axis=0)[-1].tobytes()
-    assert got.shape == shape[1:]
-    if got.shape:
-        assert not np.shares_memory(got, rows)
+    shapes = [(3, 2910), (21, 600), (41, 20), (21, 2), (7, 2, 300), (4, 0)]
+    shapes += [(9,), (41,), (5, 1), (41, 1)]  # one entry a row: a reduce of 41 adds pairwise
+    inputs = [rng.standard_normal(s) * 10.0 ** rng.integers(-8, 9, s) for s in shapes]
+    wide = inputs[1]
+    inputs += [wide.T, wide[1::2], wide[:, ::3]]  # not C-contiguous
+    for rows in inputs:
+        got = solver._add_rows(rows)
+        assert got.tobytes() == np.add.accumulate(rows, axis=0)[-1].tobytes()
+        assert got.shape == rows.shape[1:]
+        if got.shape:
+            assert not np.shares_memory(got, rows)
+
+
+def test_equation_and_stack_on_empty_inputs():
+    for g in EQUATION_KERNELS:
+        got = spectral_equation(build_context(g, 3.3), np.array([]))
+        assert got.shape == (0,) and got.dtype == np.float64
+    for n in (0, 1, 7):
+        got = u_stack(n, np.array([]))
+        assert got.shape == (n + 1, 0) and got.dtype == np.float64
 
 
 def test_tabulated_equation_on_every_input_shape(fresh_tables):

@@ -482,6 +482,15 @@ def test_scalar_calls_return_python_floats():
             call([0.0, 0.1])
 
 
+@pytest.mark.parametrize("g,R", [(Symmetry.Sp, 3.3), (Symmetry.SOminus, 1.2), (Symmetry.O, 0.9)])
+def test_evaluators_on_empty_inputs(g, R):
+    h, _ = reconstruct(g, R)
+    empty = np.array([])
+    for got in (h(empty), h.derivative(empty), h._integrals(empty, empty)):
+        assert got.shape == (0,) and got.dtype == np.float64
+    assert h(np.empty((0, 3))).shape == (0, 3)
+
+
 def _bits_equal(got, want) -> bool:
     """Equal values and equal signs, so +0.0 and -0.0 differ."""
     got, want = np.asarray(got), np.asarray(want)
