@@ -12,9 +12,9 @@ with c = delta + 2*epsilon.  The limit is sampled once, at R = nu/2 - 1e-5;
 the minimum falls as R grows, so the sample bounds the limit from above.
 The solve scans once, up to the one-mode frequency: the one-mode test
 function is admissible, so its quotient bounds the minimum and its frequency
-the root.  That quotient is computed in closed form
-(``solver._one_mode_quotient``), with the bits of the oracle's one-mode
-forms, and a scan that holds no root raises ``RootScanError`` naming it.
+the root.  That frequency is computed in closed form
+(``solver._upper_frequency``), and a scan that holds no root raises
+``RootScanError`` naming it.
 
 Only the CLI's oracle checks (``bound --oracle-check``, ``verify``) use the
 eigenvalue oracle; on a 2-core machine their output is byte-identical with

@@ -647,34 +647,19 @@ def _upper_frequency(ctx: EquationContext) -> float:
     """The one-mode frequency, where the root scan ends.
 
     Past half support the first basis mode cos(pi u / 2R) is admissible, so
-    its quotient (``_one_mode_quotient``) bounds the minimum from above and
-    its frequency bounds the smallest root.
+    its quotient A/B bounds the minimum from above and its frequency
+    (pi/2R) sqrt(A/B) bounds the smallest root.  With s = sin(pi/2R) and
+    h = sin(pi/4R),
+
+        A = 1 + delta (2R - 1) s / pi,    B = A + 8R (delta h^2 + 2 eps) / pi^2,
+
+    where 2 h^2 stands for 1 - cos(pi/2R), which cancels at large R.
     """
-    m_up = _one_mode_quotient(ctx.g, ctx.R)
-    return math.pi * math.sqrt(m_up) / (2 * ctx.R)
-
-
-def _one_mode_quotient(g: Symmetry, R: float) -> float:
-    """A[0, 0] / B[0, 0] of ``rayleigh.assemble_forms(g, R, 1)`` for R > 1/2.
-
-    The two entries are written out for the single mode m = 1 with the
-    operations of ``assemble_forms`` in the same order (its diagonal
-    formulas, the zero-sign and symmetrizing steps of B included), so the
-    ratio has the same bits without assembling the forms.
-    """
-    arg = np.array([math.pi]) / (2 * R)
-    sin_d, cos_d = float(np.sin(arg)[0]), float(np.cos(arg)[0])
-    scale = g.delta / (2 * R)
-    pi_sq = math.pi * math.pi  # (math.pi * d) ** 2 at d = 1
-    b = 2 * R * (2 * R - 1) / math.pi * sin_d - 8 * R * R / pi_sq * cos_d + 8 * R * R / pi_sq
-    b *= scale
-    b += (16 * R * float(g.epsilon) / math.pi**2) * 1.0
-    b += 0.0
-    b += 1.0
-    b = (b + b) * 0.5
-    mu_diag = -2 * R * (2 * R - 1) / math.pi * sin_d
-    a = 1.0 - (scale * 1.0) * mu_diag
-    return a / b
+    R = ctx.R
+    h = math.sin(math.pi / (4 * R))
+    a = 1 + ctx.delta * (2 * R - 1) * math.sin(math.pi / (2 * R)) / math.pi
+    b = a + 8 * R * (ctx.delta * h * h + 2 * ctx.eps) / math.pi**2
+    return math.pi / (2 * R) * math.sqrt(a / b)
 
 
 GRID_STEP = 1e-3
@@ -839,7 +824,9 @@ def smallest_root(ctx: EquationContext) -> float:
 
     The scan ends at the one-mode frequency (``_upper_frequency``), which
     bounds the root, and reads the amplitude sums its points share with
-    every context of the same n and delta (``_OrderTables.scan``).
+    every context of the same n and delta (``_OrderTables.scan``).  The
+    scans of every end are prefixes of one sequence, so any end above the
+    root gives the root the same bits.
     """
     lam_up = _upper_frequency(ctx)
     tables = _order_tables(ctx.n, ctx.delta)

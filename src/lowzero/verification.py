@@ -16,9 +16,14 @@ from . import proportion as prop
 from . import rayleigh, solver, testfunction
 from .symmetry import Symmetry
 
-__all__ = ["run_all", "ORACLE_TOL", "ROOT_TOL", "RESIDUAL_TOL", "IDENTITY_TOL"]
+__all__ = ["run_all", "ORACLE_TOL", "ORACLE_EXCESS_TOL", "ROOT_TOL", "RESIDUAL_TOL", "IDENTITY_TOL"]
 
 ORACLE_TOL = 5e-3
+#: The most, relative to the bound, that ``bound --oracle-check`` lets a bound
+#: exceed its oracle, which bounds the minimum from above: the O minimum's own
+#: error reaches 6e-10 below R = 5e6, and the largest excess measured at
+#: N = 400 over all five kernels is 1.1e-13.
+ORACLE_EXCESS_TOL = 1e-9
 ROOT_TOL = 1e-9
 RESIDUAL_TOL = 1e-6
 IDENTITY_TOL = 1e-10

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import lowzero
-from lowzero import rayleigh
+from lowzero import bounds, rayleigh, testfunction
 from lowzero.cli import main
+from lowzero.symmetry import Symmetry
 
 
 def run(capsys, *argv):
@@ -94,6 +95,29 @@ def test_bound_oracle_check_uses_solved_support(capsys, monkeypatch):
     assert code == 0
     assert oracle_supports == [nu / 2 - 1e-5]
     assert float(parse_kv(out)["oracle_gap"]) <= 5e-3
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bound_above_its_oracle_exits_1(capsys, monkeypatch, fmt):
+    """The oracle bounds the minimum from above, so a bound more than 1e-9
+    above it is a wrong root: stdout as on success, one stderr line, exit 1."""
+    argv = ["bound", "--symmetry", "SO+", "--nu-max", "2", "--oracle-check", "--format", fmt]
+    result = bounds.height_bound_result(Symmetry.SOplus, 2.0)
+    for share, code in ((1 - 1e-12, 0), (1 - 1e-6, 1)):
+        oracle = result.bound * share
+        monkeypatch.setattr(rayleigh, "sqrt_quotient", lambda g, R, trunc: oracle)
+        got, out, err = run(capsys, *argv)
+        record = json.loads(out) if fmt == "json" else parse_kv(out)
+        assert got == code
+        assert record["oracle"] == format(oracle, ".17g")
+        assert record["bound"] == format(result.bound, ".17g")
+        if code == 0:
+            assert err == ""
+        else:
+            assert err == (
+                f"error: bound {result.bound:.17g} lies above its oracle {oracle:.17g} "
+                f"for SO+ at R={result.support!r} (N=400)\n"
+            )
 
 
 def test_bound_json_format(capsys):
@@ -398,6 +422,15 @@ def test_testfn_csv_even_and_supported(tmp_path, capsys):
     for field in ("delayed_ode", "volterra", "compatibility", "rayleigh_gap"):
         value = float(captured.err.split(f"{field}=")[1].split()[0])
         assert value <= 1e-7
+
+
+def test_testfn_residuals_line_format(capsys):
+    code, _, err = run(capsys, "testfn", "--symmetry", "SO-", "--R", "1.2", "--samples", "11")
+    report = testfunction.residuals(testfunction.reconstruct(Symmetry.SOminus, 1.2)[0])
+    names = ("delayed_ode", "volterra", "compatibility", "rayleigh_gap")
+    names += ("int_tail_gap", "int_full_gap")
+    assert code == 0
+    assert err == "residuals: " + " ".join(f"{n}={getattr(report, n):.3e}" for n in names) + "\n"
 
 
 def test_testfn_past_200_breakpoints(capsys):

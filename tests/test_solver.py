@@ -1,6 +1,8 @@
 import math
 import warnings
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -21,7 +23,6 @@ from lowzero.solver import (
     _bisect,
     _first_bracket,
     _inverse_interpolation_zero,
-    _one_mode_quotient,
     _upper_frequency,
     build_context,
     first_root,
@@ -870,12 +871,52 @@ def _one_mode_supports():
     return near_half + near_cells + np.linspace(0.5001, 60.0, 2001).tolist()
 
 
+def _scan_end(g, R):
+    """``_upper_frequency`` at (g, R); it reads only the kernel and support,
+    so no continuity system is built."""
+    return _upper_frequency(SimpleNamespace(g=g, R=R, delta=g.delta, eps=float(g.epsilon)))
+
+
 @pytest.mark.parametrize("g", EQUATION_KERNELS)
-def test_one_mode_quotient_matches_one_mode_forms_bitwise(g):
+def test_upper_frequency_is_the_one_mode_forms_frequency(g):
     for R in _one_mode_supports():
         forms = rayleigh.assemble_forms(g, R, 1)
-        expected = forms.numerator[0, 0] / forms.denominator[0, 0]
-        assert _one_mode_quotient(g, R) == expected, R
+        expected = math.pi * math.sqrt(forms.numerator[0, 0] / forms.denominator[0, 0]) / (2 * R)
+        assert _scan_end(g, R) == pytest.approx(expected, rel=1e-10, abs=0), R
+
+
+def _one_mode_frequency_mpmath(g, R):
+    """The one-mode frequency at 40 digits, with 1 - cos(pi/2R) as written."""
+    with mpmath.workdps(40):
+        R, pi = mpmath.mpf(R), mpmath.pi
+        eps = mpmath.mpf(g.epsilon.numerator) / g.epsilon.denominator
+        a = 1 + g.delta * (2 * R - 1) * mpmath.sin(pi / (2 * R)) / pi
+        b = a + 4 * R * (g.delta * (1 - mpmath.cos(pi / (2 * R))) + 4 * eps) / pi**2
+        return pi / (2 * R) * mpmath.sqrt(a / b)
+
+
+# measured: at most 8.5e-13 (Sp) up to R = 60 and 1.7e-10 (Sp) up to 800;
+# the forms' 1 - cos(pi/2R) gave 1.9e-11 and 2.7e-8
+@pytest.mark.parametrize("g", EQUATION_KERNELS)
+def test_upper_frequency_matches_mpmath(g):
+    far = np.geomspace(60.0, 800.0, 200).tolist()
+    far += [k / 2 + s for k in range(121, 1601, 37) for s in (-1e-9, 1e-9)]
+    for supports, rel in ((_one_mode_supports(), 1e-12), (far, 1e-9)):
+        for R in supports:
+            expected = _one_mode_frequency_mpmath(g, R)
+            assert abs(_scan_end(g, R) - expected) <= rel * expected, R
+
+
+@pytest.mark.parametrize("scale", [1 - 1e-9, 1 + 1e-9, 1.001, 1.5])
+def test_scan_end_above_the_root_moves_no_root(scale, monkeypatch):
+    """The scan points of every end are prefixes of one sequence and the
+    bisection is plain bisection's whatever its first guess, so an end
+    anywhere above the root gives every root the same bits."""
+    supports = GUESS_SUPPORTS + FAR_GUESS_SUPPORTS
+    expected = [smallest_root(build_context(g, R)) for g, R in supports]
+    upper = solver._upper_frequency
+    monkeypatch.setattr(solver, "_upper_frequency", lambda ctx: scale * upper(ctx))
+    assert [smallest_root(build_context(g, R)) for g, R in supports] == expected
 
 
 def test_scan_end_assembles_no_forms(monkeypatch):
@@ -884,8 +925,7 @@ def test_scan_end_assembles_no_forms(monkeypatch):
 
     monkeypatch.setattr(rayleigh, "assemble_forms", no_forms)
     ctx = build_context(Symmetry.SOminus, 3.3)
-    m_up = _one_mode_quotient(Symmetry.SOminus, 3.3)
-    assert _upper_frequency(ctx) == math.pi * math.sqrt(m_up) / (2 * 3.3)
+    assert smallest_root(ctx) <= _upper_frequency(ctx)
     assert solver.solve(Symmetry.SOminus, 3.3)[0].lam == smallest_root(ctx)
 
 
