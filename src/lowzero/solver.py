@@ -87,6 +87,8 @@ def tan_ratio(x: float) -> float:
     Defined on [0, 1/4) union (1/4, x1) where x1 = ``tan_ratio_fixed_point``;
     strictly increasing on each branch, spanning [1, +inf) and (-inf, 1).
     """
+    if math.isnan(x):
+        raise ValueError(f"tan_ratio of {x!r}: not a number")
     if x < 0:
         raise ValueError("argument must be nonnegative")
     if x == 0:
@@ -186,8 +188,10 @@ def tan_ratio_inverse(y: float) -> float:
     """Unique preimage of y under ``tan_ratio`` on the appropriate branch.
 
     y > 1 inverts on (0, 1/4); y < 1 on (1/4, x1); y = 1 maps to 0.
-    |y| up to 1.01e13 is solved, larger |y| raises ``ValueError``.
+    |y| up to 1.01e13 is solved; larger |y| and NaN raise ``ValueError``.
     """
+    if math.isnan(y):
+        raise ValueError(f"tan_ratio_inverse of {y!r}: not a number")
     if abs(y) > _TAN_RATIO_REACH:
         raise ValueError(
             f"tan_ratio_inverse solves |y| up to {_TAN_RATIO_REACH:g}, not y = {y!r}"
@@ -669,9 +673,6 @@ ROOT_XTOL = 1e-12
 #: The most scan points the first guess of a root's bisection interpolates
 #: through (see ``_first_bracket``).
 GUESS_POINTS = 10
-#: The least slope of those points' values, as a share of the bracket's,
-#: that keeps a step in the run.
-_GUESS_SLOPE = 0.7
 
 
 def first_root(f, lam_max: float, excluded) -> float:
@@ -734,22 +735,16 @@ def _first_bracket(f, pts, window, vals, ex, end: str) -> tuple:
     bracket next to e.  The end values are the scan's (or the exclusion
     core's), divided the same way.
 
-    The guess interpolates lam^2 as a function of the divided value
-    through the longest run of scan points around the bracket that holds
-    no window, up to ``GUESS_POINTS``: the run grows by one point at a
-    time on the side with fewer, or on the one side left where a window or
-    the scan's end stops the other.  The run is then cut, on each side of
-    the bracket, before the first step whose slope is not of the bracket's
-    sign or falls below ``_GUESS_SLOPE`` of the bracket's in size: values
-    that flatten near an extremum, where their inverse is singular, and a
-    run through one interpolates badly, monotone or not (past R = 20 such
-    runs are common).  The guess is the square root of the zero of that
-    polynomial (``_inverse_interpolation_zero``) when the bracket is not a
-    window, its two values differ and the guess falls inside the bracket;
-    otherwise None, and the bisection starts from the secant.  The
-    equations are nearly even in lam, so near 0, where the SO- roots of
-    many cells lie, they are flat in lam but not in lam^2, and the inverse
-    of a flat function interpolates badly.
+    The guess is the square root of the zero in (lo^2, hi^2) of the
+    polynomial that interpolates the divided values as a function of lam^2
+    (``_forward_zero``) through the longest run of scan points around the
+    bracket that holds no window, up to ``GUESS_POINTS``: the run grows by
+    one point at a time on the side with fewer, or on the one side left
+    where a window or the scan's end stops the other.  There is no guess
+    when the bracket is a window or its two values are equal (both zero),
+    and then the bisection starts from the secant.  The equations are
+    nearly even in lam, so near 0, where the SO- roots of many cells lie,
+    they are flat in lam but not in lam^2.
     """
     sign = np.signbit(vals)
     hits = np.flatnonzero((sign[:-1] != sign[1:]) != window)
@@ -774,7 +769,7 @@ def _first_bracket(f, pts, window, vals, ex, end: str) -> tuple:
         f = lambda lam, f=f: np.asarray(f(lam)) / (lam * lam - e * e)
         ends = (ends[0] / (lo * lo - e * e), ends[1] / (hi * hi - e * e))
     guess = None
-    if not window[i]:
+    if not window[i] and ends[0] != ends[1]:
         a, b = i, i + 1  # the run is pts[a : b + 1]; grow it on the shorter side first
         while b - a + 1 < GUESS_POINTS:
             left = a > 0 and not window[a - 1]
@@ -788,35 +783,38 @@ def _first_bracket(f, pts, window, vals, ex, end: str) -> tuple:
         x, y = pts[a : b + 1], vals[a : b + 1]
         if ex.size:
             y = y / (x * x - e * e)
-        slopes = np.diff(y) / np.diff(x)
-        bracket = slopes[i - a]
-        steep = (slopes * math.copysign(1.0, bracket) > _GUESS_SLOPE * abs(bracket)).tolist()
-        start, stop = i - a, i - a + 1  # the run's steps start..stop-1 stay
-        while start > 0 and steep[start - 1]:
-            start -= 1
-        while stop < len(steep) and steep[stop]:
-            stop += 1
-        if steep[i - a]:
-            x, y = x[start : stop + 1], y[start : stop + 1]
-            square = _inverse_interpolation_zero((x * x).tolist(), y.tolist(), lo * lo)
-            guess = math.sqrt(max(square, 0.0))
-            if not lo < guess < hi:
-                guess = None
+        guess = _forward_zero(x.tolist(), y.tolist(), i - a)
     return f, lo, hi, ends, guess
 
 
-def _inverse_interpolation_zero(x: list, y: list, origin: float) -> float:
-    """Zero of the polynomial through the points (y_k, x_k), x as a
-    function of y (inverse interpolation), in Lagrange form about
-    ``origin``; the y_k must be distinct."""
-    total = 0.0
-    for k, (xk, yk) in enumerate(zip(x, y)):
-        weight = xk - origin
-        for j, yj in enumerate(y):
-            if j != k:
-                weight *= yj / (yj - yk)
-        total += weight
-    return origin + total
+def _forward_zero(x: list, y: list, k: int) -> Optional[float]:
+    """sqrt(t) for the zero t in (x_k^2, x_(k+1)^2) of the polynomial
+    through the points (x_j^2, y_j), where y_k and y_(k+1) differ in sign.
+
+    Newton's method on the polynomial's divided-difference form, from the
+    secant of that bracket, until its step stops shrinking; None once a
+    step leaves the bracket.
+    """
+    # c[j] becomes the divided difference over the points 0..j; each
+    # x_j^2 - x_i^2 is taken as (x_j - x_i)(x_j + x_i), nonzero for x_j != x_i
+    m, c = len(x), list(y)
+    for d in range(1, m):
+        for j in range(m - 1, d - 1, -1):
+            c[j] = (c[j] - c[j - 1]) / ((x[j] - x[j - d]) * (x[j] + x[j - d]))
+    s = [v * v for v in x]
+    lo, hi, ylo, yhi = s[k], s[k + 1], y[k], y[k + 1]
+    t, last = lo - ylo * (hi - lo) / (yhi - ylo), math.inf
+    while True:
+        p, dp = c[-1], 0.0
+        for sj, cj in zip(s[-2::-1], c[-2::-1]):
+            dp = dp * (t - sj) + p
+            p = p * (t - sj) + cj
+        step = p / dp if dp else math.inf
+        if not lo < t - step < hi:
+            return None
+        if not abs(step) < last:
+            return math.sqrt(t)
+        t, last = t - step, abs(step)
 
 
 def smallest_root(ctx: EquationContext) -> float:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -22,7 +23,6 @@ from lowzero.solver import (
     RootScanError,
     _bisect,
     _first_bracket,
-    _inverse_interpolation_zero,
     _upper_frequency,
     build_context,
     first_root,
@@ -108,6 +108,15 @@ def test_inverse_names_its_reach():
     for y in (1.02e13, -1.02e13, 1e300):
         with pytest.raises(ValueError, match=r"solves \|y\| up to 1\.01e\+13"):
             tan_ratio_inverse(y)
+
+
+def test_tan_ratio_and_its_inverse_name_nan():
+    for nan in (math.nan, np.float64("nan")):
+        named = re.escape(f"of {nan!r}: not a number")
+        with pytest.raises(ValueError, match=f"^tan_ratio {named}$"):
+            tan_ratio(nan)
+        with pytest.raises(ValueError, match=f"^tan_ratio_inverse {named}$"):
+            tan_ratio_inverse(nan)
 
 
 # ---------------------------------------------------------------------------
@@ -720,86 +729,120 @@ def test_tabulated_equation_on_every_input_shape(fresh_tables):
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
-def _guess_from(run, values, lo):
-    """The first guess ``_first_bracket`` makes from the run of scan points
-    ``run`` with the divided values ``values``."""
-    square = _inverse_interpolation_zero((run * run).tolist(), values.tolist(), lo * lo)
-    return math.sqrt(square)
+def _forward_zero(run, values, lo, hi):
+    """The zero in (lo^2, hi^2) of the polynomial through the points
+    (x^2, value) of the scan points x in ``run``, at 40 digits (Lagrange
+    form, bisected), returned as its square root."""
+    with mpmath.workdps(40):
+        s = [mpmath.mpf(x) ** 2 for x in run.tolist()]
+        y = [mpmath.mpf(v) for v in values.tolist()]
+
+        def p(t):
+            total = 0
+            for k, (sk, yk) in enumerate(zip(s, y)):
+                for j, sj in enumerate(s):
+                    if j != k:
+                        yk *= (t - sj) / (sk - sj)
+                total += yk
+            return total
+
+        a, b = mpmath.mpf(lo) ** 2, mpmath.mpf(hi) ** 2
+        below = p(a) < 0
+        for _ in range(150):
+            m = (a + b) / 2
+            a, b = (m, b) if (p(m) < 0) == below else (a, m)
+        return float(mpmath.sqrt(a))
+
+
+# measured: the guess lies within 2.2e-16 of the zero in every case below
+FORWARD_ZERO_REL = 1e-15
 
 
 @pytest.mark.parametrize(
     "root,below",  # below: the run's scan points below the bracket
     [(0.2504, 4), (0.0024, 1), (3.9996, 7)],  # centred, at the scan's start and at its end
 )
-def test_first_guess_is_the_inverse_interpolation_zero(root, below):
-    f = lambda x: x - root  # a straight line: lam^2 is a quadratic in its value
+def test_first_guess_is_the_forward_interpolation_zero(root, below):
+    f = lambda x: x * x - root * root  # even, as the equations nearly are: linear in lam^2
     f_div, lo, hi, ends, guess = first_bracket(f, 4.0, [])
     pts, _ = scan_grid(4.0, [])
     i = pts.tolist().index(lo)
     assert hi == pts[i + 1] and f_div is f
     run = pts[i - below : i - below + GUESS_POINTS]
     assert run.size == GUESS_POINTS and run[0] <= lo < hi <= run[-1]
-    assert guess == _guess_from(run, f(run), lo)
-    assert abs(guess - root) <= 2e-18  # measured: 0, 1.3e-18 and 0
-
-
-PIECEWISE_GRID = [0.246, 0.247, 0.248, 0.249, 0.25, 0.251, 0.252, 0.253, 0.254, 0.255]
+    assert guess == pytest.approx(_forward_zero(run, f(run), lo, hi), rel=FORWARD_ZERO_REL, abs=0)
+    assert abs(guess - root) <= 5e-16  # measured: 0, 0 and 4.4e-16
 
 
 @pytest.mark.parametrize(
-    "values,kept",  # kept: the run's points that the guess interpolates
+    "f",
     [
-        # steep all along, zero inside: the whole run
-        ([-4.2, -3.4, -2.6, -1.8, -1.0, 1e-3, 1.0, 1.9, 2.8, 3.6], slice(0, 10)),
-        # flattening toward an extremum past the run: cut before the first
-        # step below 0.7 of the bracket's slope, though all are monotone
-        ([-4.2, -3.4, -2.6, -1.8, -1.0, 1e-3, 1.0, 1.9, 2.5, 2.6], slice(0, 8)),
-        # not monotone at the run's first point, flat at 3.5: cut on both sides
-        ([-1.0, -1.5, -1.4, -1.3, -1.0, 1e-3, 1.5, 3.0, 3.5, 4.5], slice(4, 8)),
-        # not strictly monotone at the run's last point
-        ([-4.0, -3.0, -2.5, -2.0, -1.0, 1e-3, 1.5, 3.0, 3.5, 3.5], slice(3, 8)),
-        # the whole run would put the guess below lo
-        ([-5.0, -4.0, -3.0, -2.0, -1e-2, 1.0, 1.01, 1.02, 1.03, 1.04], slice(0, 6)),
-        # the whole run would put the guess above hi
-        ([-1.004, -1.003, -1.002, -1.001, -1.0, 1e-3, 2.0, 3.0, 4.0, 5.0], slice(4, 10)),
+        lambda x: (x - 0.2504) * (0.2566 - x),  # a maximum at 0.2535, past hi
+        lambda x: (x - 0.2504) * ((x - 0.2474) ** 2 + 1e-6),  # a maximum and a minimum below lo
     ],
+    ids=["above", "below"],
 )
-def test_first_guess_interpolates_the_steep_part_of_the_run(values, kept):
-    f = lambda x: np.interp(x, PIECEWISE_GRID, values, left=-5.0, right=5.0)
+def test_first_guess_interpolates_through_an_extremum(f):
     _, lo, hi, _, guess = first_bracket(f, 1.04, [])
     assert (lo, hi) == (0.25, 0.251)
     pts, _ = scan_grid(1.04, [])
-    run = pts[pts.tolist().index(lo) - 4 :][kept]
-    assert guess == _guess_from(run, f(run), lo) and lo < guess < hi
+    run = pts[pts.tolist().index(lo) - 4 :][:GUESS_POINTS]
+    assert not (np.diff(f(run)) > 0).all()  # the run's values turn
+    assert lo < guess < hi
+    assert guess == pytest.approx(_forward_zero(run, f(run), lo, hi), rel=FORWARD_ZERO_REL, abs=0)
+    assert abs(guess - 0.2504) <= 1e-16  # measured: 0 and 0
     assert first_root(f, 1.04, []) == bisect_one_at_a_time(f, lo, hi, ROOT_XTOL)
 
 
-def test_no_first_guess_outside_the_bracket(monkeypatch):
-    f = lambda x: np.interp(x, PIECEWISE_GRID, [-4.2, -3.4, -2.6, -1.8, -1.0, 1e-3, 1.0, 1.9, 2.8, 3.6])
-    for outside in (0.2499, 0.2511):
-        monkeypatch.setattr(solver, "_inverse_interpolation_zero", lambda x, y, origin: outside**2)
-        assert first_bracket(f, 1.04, [])[4] is None
-        assert first_root(f, 1.04, []) == bisect_one_at_a_time(f, 0.25, 0.251, ROOT_XTOL)
+@pytest.mark.parametrize("lo_index,sign", [(249, 1.0), (0, -1.0)], ids=["past hi", "below lo"])
+def test_no_first_guess_once_a_newton_step_leaves_the_bracket(lo_index, sign):
+    # f is quadratic in lam^2, -1 at lo and 0.2 at hi (past hi), or the
+    # mirror image in lam^2, -0.2 at lo and 1 at hi (below lo, the scan's
+    # first bracket); its extremum lies in the bracket, and the secant's
+    # zero on the far side of it, where Newton's first step heads out
+    pts, _ = scan_grid(1.04, [])
+    lo, hi = pts[lo_index : lo_index + 2].tolist()
+    to_peak = (hi * hi - lo * lo) / (1 + math.sqrt(0.4))
+    peak = lo * lo + to_peak if sign > 0 else hi * hi - to_peak
+    f = lambda x: sign * (1 - 2 / to_peak**2 * (x * x - peak) ** 2)
+    _, *bracket, ends, guess = first_bracket(f, 1.04, [])
+    assert bracket == [lo, hi]
+    assert ends == pytest.approx((-1.0, 0.2) if sign > 0 else (-0.2, 1.0), rel=1e-9)
+    assert guess is None
+    assert first_root(f, 1.04, []) == bisect_one_at_a_time(f, lo, hi, ROOT_XTOL)
 
 
-def test_first_guess_needs_a_window_free_run():
-    # the excluded frequency e, and the bounds of the run it leaves
-    for e, first, last in (
+def test_no_first_guess_between_two_zeros():
+    # -0.0 and 0.0 differ in sign bit only: the bracket has no secant, and
+    # its lower end is the root
+    f = lambda x: np.where(np.asarray(x) < 0.2505, -0.0, 0.0)
+    _, lo, hi, ends, guess = first_bracket(f, 1.04, [])
+    assert (lo, hi) == (0.25, 0.251) and guess is None
+    assert first_root(f, 1.04, []) == 0.25
+
+
+# the excluded frequency e, and the bounds of the run it leaves
+@pytest.mark.parametrize(
+    "e,first,last",
+    [
         (0.2510005, 0.2415, 0.251),  # the window replaces 0.251: the run grows left only
         (0.2525, 0.2435, 0.2525),  # the window stops the run two points past hi
         (0.2478, 0.2478, 0.2565),  # the window stops the run three points below lo
-    ):
-        f = lambda x: (x - 0.2504) * (x - e)  # vanishes at e, as the equation does
-        f_div, lo, hi, _, guess = first_bracket(f, 4.0, [e])
-        assert f_div(np.array([0.2])) == f(np.array([0.2])) / (0.2 * 0.2 - e * e)
-        pts, window = scan_grid(4.0, [e])
-        a, b = np.searchsorted(pts, [first, last])
-        run = pts[a:b]
-        assert run.size == GUESS_POINTS and not window[a : b - 1].any()
-        assert run[0] <= lo < hi <= run[-1]
-        assert guess == _guess_from(run, f(run) / (run * run - e * e), lo)
-        assert abs(guess - 0.2504) < 1e-15  # f / (x^2 - e^2) = (x - 0.2504) / (x + e)
-        assert first_root(f, 4.0, [e]) == bisect_one_at_a_time(f_div, lo, hi, ROOT_XTOL)
+    ],
+)
+def test_first_guess_needs_a_window_free_run(e, first, last):
+    f = lambda x: (x - 0.2504) * (x - e)  # vanishes at e, as the equation does
+    f_div, lo, hi, _, guess = first_bracket(f, 4.0, [e])
+    assert f_div(np.array([0.2])) == f(np.array([0.2])) / (0.2 * 0.2 - e * e)
+    pts, window = scan_grid(4.0, [e])
+    a, b = np.searchsorted(pts, [first, last])
+    run = pts[a:b]
+    assert run.size == GUESS_POINTS and not window[a : b - 1].any()
+    assert run[0] <= lo < hi <= run[-1]
+    expected = _forward_zero(run, f(run) / (run * run - e * e), lo, hi)
+    assert guess == pytest.approx(expected, rel=FORWARD_ZERO_REL, abs=0)
+    assert abs(guess - 0.2504) < 5e-16  # f / (x^2 - e^2) = (x - 0.2504) / (x + e); measured 2.8e-16
+    assert first_root(f, 4.0, [e]) == bisect_one_at_a_time(f_div, lo, hi, ROOT_XTOL)
 
 
 def test_no_first_guess_when_the_bracket_is_a_window():
@@ -841,11 +884,10 @@ def test_first_guess_changes_no_root():
         assert smallest_root(ctx) == bisect_one_at_a_time(f, lo, hi, ROOT_XTOL)
 
 
-# measured: 1.13 calls per root (Sp 1.25, SO+ 1.15, SO- 1.0), 2.07 with a
-# four-point guess through the equation divided by lam - e; past R = 20 2.55,
-# and 2.75 with a guess only where the whole run is monotone
+# measured: 1.07 calls per root (Sp 1.05, SO+ 1.15, SO- 1.0), past R = 20
+# 2.29, and 4.2 without the division by lam^2 - e^2
 @pytest.mark.parametrize(
-    "supports,most", [(GUESS_SUPPORTS, 1.25), (FAR_GUESS_SUPPORTS, 2.6)], ids=["to R=10", "past R=20"]
+    "supports,most", [(GUESS_SUPPORTS, 1.10), (FAR_GUESS_SUPPORTS, 2.35)], ids=["to R=10", "past R=20"]
 )
 def test_first_guess_leaves_few_path_calls_per_root(supports, most, monkeypatch):
     calls = []
