@@ -14,14 +14,16 @@ has a pole at ``beta_pole`` (where the averaged detector changes sign),
 turns positive at ``beta_threshold``, increases beyond it, and saturates at
 ``proportion_bound_limit``.
 
-The two symmetric-power specializations fix R at half the variance-admissible
-support: R = 1/(2 r^2) for the full family, R = 1/(4 r (r+2)) for the
-sign-restricted ones.
+The two symmetric-power families are ``beta_threshold`` and
+``proportion_bound`` at R fixed to half the variance-admissible support:
+R = 1/(2 r^2) for the full family, R = 1/(4 r (r+2)) for the sign-restricted
+ones.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = [
     "detector_hat",
@@ -49,25 +51,27 @@ def detector_hat(u: float, R: float, beta: float) -> float:
     )
 
 
-def _denominator(sigma: int, R: float, beta: float) -> float:
-    b2 = beta * beta
-    return 128 * sigma * R**3 * b2 + 16 * _PI2 * R * R * b2 - _PI2
-
-
 def proportion_bound(sigma: int, R: float, beta: float) -> float:
     """Second-moment lower bound on the small-first-zero proportion.
 
     Only meaningful above ``beta_threshold``; returns the signed closed form
     everywhere else (negative values carry no information).  Rejects the
-    pole of the averaged detector.
+    pole of the averaged detector, and an R whose R**4 is not a normal float.
+    Where beta^4 or the squared denominator overflows (beta past about 1e76)
+    it returns ``proportion_bound_limit``: there R*beta > 1, so the two
+    differ by about 0.1/beta^2, far below an ulp.
     """
     _check_sigma_R(sigma, R)
-    den = _denominator(sigma, R, beta)
+    if _underflows(R):
+        raise ValueError(f"R={R!r} is too small for the closed form: R**4 underflows")
     b2 = beta * beta
+    b4 = b2 * b2
+    den = 128 * sigma * R**3 * b2 + 16 * _PI2 * R * R * b2 - _PI2
+    if math.isinf(b4) or math.isinf(den * den):
+        return proportion_bound_limit(sigma, R)
     den_scale = abs(128 * sigma * R**3 * b2) + 16 * _PI2 * R * R * b2 + _PI2
     if abs(den) <= 1e-12 * den_scale:
         raise ValueError(f"beta={beta} is the detector's sign-change pole at R={R}")
-    b4 = b2 * b2
     num = 256 * (3 + _PI2) * R**4 * b4 + 32 * (9 - _PI2) * R * R * b2 + _PI2 + 3
     return 1.0 - (2 * _PI2 * R * R / 3.0) * num / den**2
 
@@ -103,59 +107,35 @@ def proportion_bound_limit(sigma: int, R: float) -> float:
 
 
 def sym_power_proportion(r: int, beta: float) -> tuple[float, float]:
-    """Threshold and lower bound for the full symmetric-power family.
-
-    Specializes the generic bound at sigma = (-1)^(r+1), R = 1/(2 r^2); the
-    returned closed forms are algebraically identical to that specialization.
-    """
+    """Threshold and lower bound for the full symmetric-power family: the
+    generic ones at sigma = (-1)^(r+1), R = 1/(2 r^2)."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    r2 = r * r
-    r4 = r2 * r2
-    sgn = (-1) ** r
-    inner = -_PI4 + 6 * _PI4 * r4 + 7 * _PI2 + 12 - 24 * sgn * _PI2 * r2
-    num = (
-        6 * math.pi**3 * r4
-        - 24 * sgn * math.pi * r2
-        + 9 * math.pi
-        - math.pi**3
-        + 2 * math.sqrt(6) * math.sqrt(inner)
-    )
-    den = 6 * _PI4 * r4 - 48 * sgn * _PI2 * r2 + 96 - 3 * _PI2 - _PI4
-    threshold = math.sqrt(math.pi * r4 / 4.0 * num / den)
-
-    b2 = beta * beta
-    b4 = b2 * b2
-    lb_num = 16 * (_PI2 + 3) * b4 + 8 * r4 * (9 - _PI2) * b2 + (3 + _PI2) * r4 * r4
-    lb_den = r4 * r2 * _PI2 - 4 * b2 * r2 * _PI2 + 16 * b2 * sgn
-    lower = 1.0 - (_PI2 / 6.0) * lb_num / lb_den**2
-    return threshold, lower
+    return _family(r, (-1) ** (r + 1), 1 / (2 * r * r), beta)
 
 
 def sym_power_proportion_signed(r: int, sigma: int, beta: float) -> tuple[float, float]:
     """Threshold and lower bound for a sign-restricted symmetric-power family.
 
-    Only odd r carries a sign split; specializes at R = 1/(4 r (r+2)).
+    Only odd r carries a sign split; the generic ones at R = 1/(4 r (r+2)).
     """
     if r < 1 or r % 2 == 0:
         raise ValueError("sign-restricted families require odd r")
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +-1")
-    q = r * (r + 2)
-    q2 = q * q
-    inner = -_PI4 + 24 * _PI4 * q2 + 7 * _PI2 + 12 + 48 * sigma * _PI2 * q
-    num = math.pi * (24 * _PI2 * q2 + 48 * sigma * q + 9 - _PI2) + 2 * math.sqrt(
-        6
-    ) * math.sqrt(inner)
-    den = 24 * _PI4 * q2 + 96 * sigma * _PI2 * q + 96 - 3 * _PI2 - _PI4
-    threshold = q * math.sqrt(math.pi) * math.sqrt(num / den)
+    return _family(r, sigma, 1 / (4 * r * (r + 2)), beta)
 
-    b2 = beta * beta
-    b4 = b2 * b2
-    lb_num = (_PI2 + 3) * b4 + 2 * q2 * (9 - _PI2) * b2 + (_PI2 + 3) * q2 * q2
-    lb_den = 2 * sigma * b2 + _PI2 * b2 * q - _PI2 * q * q2
-    lower = 1.0 - (_PI2 / 24.0) * lb_num / lb_den**2
-    return threshold, lower
+
+def _family(r: int, sigma: int, R: float, beta: float) -> tuple[float, float]:
+    """The generic threshold and bound at a family's (sigma, R); names an r too large."""
+    if _underflows(R):
+        raise ValueError(f"r={r} is too large: R={R!r} is below the closed form's range")
+    return beta_threshold(sigma, R), proportion_bound(sigma, R, beta)
+
+
+def _underflows(R: float) -> bool:
+    """Whether R**4, a factor of the closed form, falls below the normal floats."""
+    return R**4 < sys.float_info.min
 
 
 def _check_sigma_R(sigma: int, R: float) -> None:

@@ -4,8 +4,8 @@ Each case compares an independent route against the production one: the
 closed-form minimum against the truncated eigenvalue oracle, the general
 transcendental equation against its two-piece reduction, the reconstructed
 optimizer against its defining residuals, and the symmetric-power proportion
-closed forms against the generic bound.  Results are flat, deterministic
-records so two runs diff cleanly.
+bounds against their second-moment definition, rebuilt by quadrature.
+Results are flat, deterministic records so two runs diff cleanly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from . import proportion as prop
 from . import rayleigh, solver, testfunction
 from .symmetry import Symmetry
 
-__all__ = ["run_all", "ORACLE_TOL", "ORACLE_EXCESS_TOL", "ROOT_TOL", "RESIDUAL_TOL", "IDENTITY_TOL"]
+__all__ = ["run_all", "ORACLE_TOL", "ORACLE_EXCESS_TOL", "ROOT_TOL", "RESIDUAL_TOL", "DEFINITION_TOL"]
 
 ORACLE_TOL = 5e-3
 #: The most, relative to the bound, that ``bound --oracle-check`` lets a bound
@@ -26,7 +26,9 @@ ORACLE_TOL = 5e-3
 ORACLE_EXCESS_TOL = 1e-9
 ROOT_TOL = 1e-9
 RESIDUAL_TOL = 1e-6
-IDENTITY_TOL = 1e-10
+#: Gap between a family's proportion bound and its definition, relative to
+#: max(1, |bound|); the seeded draws of ``proportion_cases`` measure 1.1e-14.
+DEFINITION_TOL = 1e-13
 THRESHOLD_ZERO_TOL = 1e-9
 PROPORTION_DRAWS = 50
 PROPORTION_SEED = 20240901
@@ -134,9 +136,9 @@ def proportion_cases() -> list[dict]:
         r = int(rng.integers(1, 7))
         beta = float(rng.uniform(0.2, 40.0))
         _, lower = prop.sym_power_proportion(r, beta)
-        generic = prop.proportion_bound((-1) ** (r + 1), 1 / (2 * r * r), beta)
-        worst_full = max(worst_full, abs(lower - generic) / max(1.0, abs(generic)))
-    cases.append(_case("proportion/full-family-identity", 0.0, worst_full, IDENTITY_TOL))
+        defined = proportion_by_definition((-1) ** (r + 1), 1 / (2 * r * r), beta)
+        worst_full = max(worst_full, abs(lower - defined) / max(1.0, abs(defined)))
+    cases.append(_case("proportion/full-family-definition", 0.0, worst_full, DEFINITION_TOL))
 
     worst_signed = 0.0
     for _ in range(PROPORTION_DRAWS):
@@ -144,9 +146,9 @@ def proportion_cases() -> list[dict]:
         sigma = int(rng.choice([-1, 1]))
         beta = float(rng.uniform(0.2, 40.0))
         _, lower = prop.sym_power_proportion_signed(r, sigma, beta)
-        generic = prop.proportion_bound(sigma, 1 / (4 * r * (r + 2)), beta)
-        worst_signed = max(worst_signed, abs(lower - generic) / max(1.0, abs(generic)))
-    cases.append(_case("proportion/signed-family-identity", 0.0, worst_signed, IDENTITY_TOL))
+        defined = proportion_by_definition(sigma, 1 / (4 * r * (r + 2)), beta)
+        worst_signed = max(worst_signed, abs(lower - defined) / max(1.0, abs(defined)))
+    cases.append(_case("proportion/signed-family-definition", 0.0, worst_signed, DEFINITION_TOL))
 
     worst_zero = 0.0
     for _ in range(20):
@@ -157,6 +159,22 @@ def proportion_cases() -> list[dict]:
         )
     cases.append(_case("proportion/zero-at-threshold", 0.0, worst_zero, THRESHOLD_ZERO_TOL))
     return cases
+
+
+def proportion_by_definition(sigma: int, R: float, beta: float) -> float:
+    """The proportion bound 1 - 2V/E^2 from its second-moment argument.
+
+    E = detector_hat(0) + (sigma/2) Phi(0) is the averaged detector, with
+    Phi(0) = -beta^2 (4R/pi)^2, and V the integral over the line of
+    |u| detector_hat(u)^2, half the variance, by ``testfunction._gauss_rule``
+    on [0, 2R] (where detector_hat is analytic), doubled.
+    """
+    phi0 = -beta * beta * (4 * R / np.pi) ** 2
+    mean = prop.detector_hat(0.0, R, beta) + sigma / 2 * phi0
+    u, w = testfunction._gauss_rule(0.0, 2 * R, ())
+    hat = np.array([prop.detector_hat(x, R, beta) for x in u.tolist()])
+    half_variance = 2 * float(np.sum(u * hat * hat * w))
+    return 1.0 - 2 * half_variance / mean**2
 
 
 def run_all(grid_size: int = 12, trunc: int = 400) -> dict:

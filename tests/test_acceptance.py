@@ -137,15 +137,13 @@ def test_criterion_07_symmetric_power_identities():
             r = int(rng.integers(1, 7))
             beta = float(rng.uniform(0.2, 50.0))
             _, lower = prop.sym_power_proportion(r, beta)
-            generic = prop.proportion_bound((-1) ** (r + 1), 1 / (2 * r * r), beta)
-            assert abs(lower - generic) <= 1e-10 * max(1.0, abs(generic))
+            assert lower == prop.proportion_bound((-1) ** (r + 1), 1 / (2 * r * r), beta)
         for _ in range(50):
             r = int(rng.choice([1, 3, 5]))
             sigma = int(rng.choice([-1, 1]))
             beta = float(rng.uniform(0.2, 50.0))
             _, lower = prop.sym_power_proportion_signed(r, sigma, beta)
-            generic = prop.proportion_bound(sigma, 1 / (4 * r * (r + 2)), beta)
-            assert abs(lower - generic) <= 1e-10 * max(1.0, abs(generic))
+            assert lower == prop.proportion_bound(sigma, 1 / (4 * r * (r + 2)), beta)
         for _ in range(20):
             sigma = int(rng.choice([-1, 1]))
             R = float(rng.uniform(0.05, 0.5))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lowzero
-from lowzero import bounds, rayleigh, testfunction
+from lowzero import bounds, proportion, rayleigh, testfunction
 from lowzero.cli import main
 from lowzero.symmetry import Symmetry
 
@@ -381,6 +381,42 @@ def test_bad_sign_is_usage_error(capsys):
     assert "argument --sign: bad sign 'x' (use +1 or -1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "family, sigma, R",
+    [(["--family", "Hr", "--r", "1"], 1, 0.5),
+     (["--family", "Hrpm", "--r", "1", "--sign", "-1"], -1, 1 / 12)],
+    ids=["Hr-1", "Hrpm-1-minus"],
+)
+def test_proportion_at_the_pole_is_a_usage_error(family, sigma, R, capsys):
+    beta = proportion.beta_pole(sigma, R)
+    code, out, err = run(capsys, "proportion", *family, "--beta", repr(beta))
+    assert code == 2 and out == ""
+    assert err == f"error: beta={beta} is the detector's sign-change pole at R={R}\n"
+
+
+@pytest.mark.parametrize("beta", ["1e76", "1e77", "1e150", "1e160", "1e300"])
+def test_proportion_at_huge_beta_prints_the_limit(beta, capsys):
+    for family, sigma, R in (
+        (["--family", "Hr", "--r", "2"], -1, 1 / 8),
+        (["--family", "Hrpm", "--r", "3", "--sign", "+1"], 1, 1 / 60),
+    ):
+        code, out, err = run(capsys, "proportion", *family, "--beta", beta, "--format", "json")
+        assert code == 0 and err == ""
+        record = json.loads(out)
+        assert record["cleared"] is True
+        assert float(record["lower_bound"]) == pytest.approx(
+            proportion.proportion_bound_limit(sigma, R), rel=0, abs=1.2e-16
+        )
+
+
+@pytest.mark.parametrize("exponent", (80, 155, 200))
+def test_proportion_rejects_an_order_too_large_for_floats(exponent, capsys):
+    r = str(10**exponent)
+    code, out, err = run(capsys, "proportion", "--family", "Hr", "--r", r, "--beta", "3")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: r={r} is too large: R=") and err.count("\n") == 1
+
+
 def test_proportion_json_format(capsys):
     code, out, _ = run(
         capsys, "proportion", "--family", "Hr", "--r", "2", "--beta", "3", "--format", "json"
@@ -587,6 +623,18 @@ def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1
     assert "FAIL rigged/one" in captured.err
+
+
+def test_verify_fails_a_proportion_bound_off_its_definition(tmp_path, capsys, monkeypatch):
+    closed_form = proportion.proportion_bound
+    monkeypatch.setattr(proportion, "proportion_bound", lambda *a: closed_form(*a) * (1 + 1e-12))
+    code = main(["verify", "--grid-size", "3", "--trunc", "100", "--out", str(tmp_path / "v.json")])
+    failures = [line for line in capsys.readouterr().err.splitlines() if "FAIL" in line]
+    assert code == 1
+    assert failures == [
+        "  FAIL proportion/full-family-definition",
+        "  FAIL proportion/signed-family-definition",
+    ]
 
 
 DATA = Path(__file__).parent / "data"

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -13,6 +15,7 @@ from lowzero.proportion import (
     sym_power_proportion,
     sym_power_proportion_signed,
 )
+from lowzero.verification import proportion_by_definition
 from proportion_oracles import variation_radii, weighted_integral
 
 PI2 = math.pi**2
@@ -220,8 +223,7 @@ def test_full_family_matches_generic_bound():
         r = int(rng.integers(1, 7))
         beta = float(rng.uniform(0.2, 50.0))
         _, lower = sym_power_proportion(r, beta)
-        generic = proportion_bound((-1) ** (r + 1), 1 / (2 * r * r), beta)
-        assert abs(lower - generic) <= 1e-10 * max(1.0, abs(generic))
+        assert lower == proportion_bound((-1) ** (r + 1), 1 / (2 * r * r), beta)
 
 
 def test_signed_family_matches_generic_bound():
@@ -231,22 +233,94 @@ def test_signed_family_matches_generic_bound():
         sigma = int(rng.choice([-1, 1]))
         beta = float(rng.uniform(0.2, 50.0))
         _, lower = sym_power_proportion_signed(r, sigma, beta)
-        generic = proportion_bound(sigma, 1 / (4 * r * (r + 2)), beta)
-        assert abs(lower - generic) <= 1e-10 * max(1.0, abs(generic))
+        assert lower == proportion_bound(sigma, 1 / (4 * r * (r + 2)), beta)
 
 
 def test_thresholds_match_generic_threshold():
     for r in range(1, 7):
         th, _ = sym_power_proportion(r, 1.0)
-        assert th == pytest.approx(
-            beta_threshold((-1) ** (r + 1), 1 / (2 * r * r)), rel=1e-12
-        )
+        assert th == beta_threshold((-1) ** (r + 1), 1 / (2 * r * r))
     for r in (1, 3, 5):
         for sigma in (1, -1):
             th, _ = sym_power_proportion_signed(r, sigma, 1.0)
-            assert th == pytest.approx(
-                beta_threshold(sigma, 1 / (4 * r * (r + 2))), rel=1e-12
-            )
+            assert th == beta_threshold(sigma, 1 / (4 * r * (r + 2)))
+
+
+def _threshold_50_digits(sigma, R):
+    # beta^2 at the threshold is the larger root of den^2 - (2 pi^2 R^2 / 3) num,
+    # a quadratic in beta^2, solved at 50 digits and at the exact rational R
+    with mpmath.workdps(50):
+        pi2 = mpmath.pi**2
+        R = mpmath.mpf(R.numerator) / R.denominator
+        slope = 128 * sigma * R**3 + 16 * pi2 * R**2  # den = slope beta^2 - pi^2
+        k = 2 * pi2 * R**2 / 3
+        c2 = slope**2 - k * 256 * (3 + pi2) * R**4
+        c1 = -2 * pi2 * slope - k * 32 * (9 - pi2) * R**2
+        c0 = pi2**2 - k * (pi2 + 3)
+        root = max(mpmath.polyroots([c2, c1, c0]), key=lambda x: mpmath.re(x))
+        return mpmath.sqrt(root)
+
+
+def test_family_thresholds_match_50_digits():
+    # every family of order r <= 20, both signs: 23 of these 40 thresholds
+    # moved by an ulp when the families became specializations; the worst
+    # error is 2.4e-16
+    cases = [
+        (sym_power_proportion(r, 1.0)[0], (-1) ** (r + 1), Fraction(1, 2 * r * r))
+        for r in range(1, 21)
+    ] + [
+        (sym_power_proportion_signed(r, s, 1.0)[0], s, Fraction(1, 4 * r * (r + 2)))
+        for r in range(1, 21, 2)
+        for s in (1, -1)
+    ]
+    for th, sigma, R in cases:
+        exact = _threshold_50_digits(sigma, R)
+        assert abs(th - exact) / exact <= 2.5e-16, (sigma, R)
+
+
+@pytest.mark.parametrize("sigma", (1, -1))
+@pytest.mark.parametrize("R, beta", ((0.25, 3.0), (0.4, 1.7), (0.5, 5.0)))
+def test_bound_matches_its_definition(sigma, R, beta):
+    # 1 - 2V/E^2, with V the |u|-weighted energy of the detector's transform
+    # by Gauss-Legendre quadrature, measures at most 1.1e-16 from the closed form
+    assert proportion_by_definition(sigma, R, beta) == pytest.approx(
+        proportion_bound(sigma, R, beta), rel=0, abs=2.3e-16
+    )
+
+
+@pytest.mark.parametrize("beta", (1e76, 1e77, 1e150, 1e160, 1e300))
+def test_families_saturate_at_huge_beta(beta):
+    # past the overflow of beta^4 or of the squared denominator the bound is
+    # its limit, which the closed form reaches to an ulp long before
+    for order, sign in ((1, None), (2, None), (3, 1), (3, -1)):
+        if sign is None:
+            sigma, R = (-1) ** (order + 1), 1 / (2 * order * order)
+            th, lower = sym_power_proportion(order, beta)
+        else:
+            sigma, R = sign, 1 / (4 * order * (order + 2))
+            th, lower = sym_power_proportion_signed(order, sign, beta)
+        limit = proportion_bound_limit(sigma, R)
+        assert math.isfinite(th) and th < beta
+        assert lower == pytest.approx(limit, rel=0, abs=1.2e-16)
+        assert proportion_bound(sigma, R, 1e70) == pytest.approx(limit, rel=0, abs=1.2e-16)
+        if beta >= 1e77:  # beta^4 overflows
+            assert lower == limit
+
+
+@pytest.mark.parametrize("exponent", (37, 38, 39, 80, 155, 162, 200))
+def test_huge_orders_are_finite_or_named(exponent):
+    r = 10**exponent + 1  # odd, so both families take it
+    for family in (lambda beta: sym_power_proportion(r, beta),
+                   lambda beta: sym_power_proportion_signed(r, -1, beta)):
+        try:
+            th, _ = family(1.0)
+        except ValueError as exc:
+            assert exponent >= 39 and f"r={r}" in str(exc) and "too large" in str(exc)
+            continue
+        assert exponent <= 38
+        for beta in (1.0, 2 * th, 1e300):
+            values = family(beta)
+            assert all(math.isfinite(v) for v in values), beta
 
 
 def test_threshold_zero_and_limit_for_base_family():
@@ -277,3 +351,5 @@ def test_guards():
         proportion_bound(1, 0.6, 1.0)
     with pytest.raises(ValueError):
         beta_threshold(1, 0.0)
+    with pytest.raises(ValueError, match="R\\*\\*4 underflows"):
+        proportion_bound(1, 1e-78, 1.0)
