@@ -15,7 +15,8 @@ turns positive at ``beta_threshold``, increases beyond it, and saturates at
 ``proportion_bound_limit``.
 
 The two symmetric-power families are ``beta_threshold`` and
-``proportion_bound`` at R fixed to half the variance-admissible support:
+``proportion_bound`` at their sign sigma and R fixed to half the
+variance-admissible support rho_max (``symmetry.sign_and_rho_max``):
 R = 1/(2 r^2) for the full family, R = 1/(4 r (r+2)) for the sign-restricted
 ones.
 """
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 import math
 import sys
+
+from .symmetry import sign_and_rho_max
 
 __all__ = [
     "detector_hat",
@@ -111,7 +114,7 @@ def sym_power_proportion(r: int, beta: float) -> tuple[float, float]:
     generic ones at sigma = (-1)^(r+1), R = 1/(2 r^2)."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    return _family(r, (-1) ** (r + 1), 1 / (2 * r * r), beta)
+    return _family(r, "none", beta)
 
 
 def sym_power_proportion_signed(r: int, sigma: int, beta: float) -> tuple[float, float]:
@@ -123,11 +126,14 @@ def sym_power_proportion_signed(r: int, sigma: int, beta: float) -> tuple[float,
         raise ValueError("sign-restricted families require odd r")
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +-1")
-    return _family(r, sigma, 1 / (4 * r * (r + 2)), beta)
+    return _family(r, "plus" if sigma == 1 else "minus", beta)
 
 
-def _family(r: int, sigma: int, R: float, beta: float) -> tuple[float, float]:
-    """The generic threshold and bound at a family's (sigma, R); names an r too large."""
+def _family(r: int, restriction: str, beta: float) -> tuple[float, float]:
+    """The generic threshold and bound at the family's sigma and
+    R = rho_max/2; names an r too large."""
+    sigma, rho_max = sign_and_rho_max(r, restriction)
+    R = float(rho_max / 2)
     if _underflows(R):
         raise ValueError(f"r={r} is too large: R={R!r} is below the closed form's range")
     return beta_threshold(sigma, R), proportion_bound(sigma, R, beta)

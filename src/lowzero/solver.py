@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -53,9 +53,13 @@ __all__ = [
 ]
 
 
+#: The largest cond(M, 1) of a continuity matrix that ``build_context`` accepts.
+DEGENERATE_COND = 1e10
+
+
 class DegenerateRadiusError(ValueError):
     """The continuity matrix is numerically singular at this support
-    (cond(M, 1) above 1e10).
+    (cond(M, 1) above ``DEGENERATE_COND``).
 
     A safety check: no support measured comes near it (see
     ``build_context``).
@@ -237,10 +241,12 @@ class BoundResult:
 # ``tan_ratio_inverse`` solves down to R = 1e-13.
 _SMALLEST_UNITARY_SUPPORT = 1.5e-154
 _SMALLEST_SUPPORT = 1e-13
-# The largest O support solved.  Rounding 1 + 1/R loses the last bits of
-# 1/R, so the O minimum's relative error grows about like R * 1e-16: against
-# a 40-digit inversion it stays below 6e-10 up to R = 5e6 and passes 1e-9
-# before R = 1e7 (and 1 + 1/R rounds to 1 past R = 9e15).
+# The largest supports solved.  The unitary minimum is subnormal past
+# R = 1.68e153 (16 R^2 overflows past 3.35e153) and 2.8e-308 at 1.5e153.
+# Rounding 1 + 1/R loses the last bits of 1/R, so the O minimum's relative
+# error grows about like R * 1e-16: against a 40-digit inversion it stays
+# below 6e-10 up to R = 5e6 and passes 1e-9 before R = 1e7.
+_LARGEST_UNITARY_SUPPORT = 1.5e153
 _LARGEST_O_SUPPORT = 5e6
 
 
@@ -257,10 +263,11 @@ def _check_support(g: Symmetry, R: float) -> None:
             f"support R = {R!r} is below {smallest!r}, the smallest support the "
             f"{g.value} kernel is solved at (a height bound needs nu_max >= {2 * smallest!r})"
         )
-    if g is Symmetry.O and R > _LARGEST_O_SUPPORT:
+    largest = {Symmetry.U: _LARGEST_UNITARY_SUPPORT, Symmetry.O: _LARGEST_O_SUPPORT}.get(g, math.inf)
+    if R > largest:
         raise ValueError(
-            f"support R = {R!r} is above {_LARGEST_O_SUPPORT!r}, the largest support the "
-            f"O kernel is solved at (a height bound needs nu_max <= {2 * _LARGEST_O_SUPPORT!r})"
+            f"support R = {R!r} is above {largest!r}, the largest support the "
+            f"{g.value} kernel is solved at (a height bound needs nu_max <= {2 * largest!r})"
         )
 
 
@@ -272,30 +279,17 @@ def small_support_minimum(g: Symmetry, R: float) -> BoundResult:
 
         sqrt(scaled minimum) = 4 * tan_ratio_inverse(1 + (delta + 2 eps)/R).
 
-    The minima of the last 16 (kernel, support) pairs are kept, so the
-    ``minimal_quotient`` and ``reconstruct`` calls at one support invert
-    ``tan_ratio`` once.  A float support and an equal ``np.float64`` one
-    are separate entries, so ``support`` keeps the type the caller passed.
+    Each call inverts ``tan_ratio``; ``solve`` keeps the minima it returns.
     """
     if g is Symmetry.U:
         raise ValueError("unitary kernel has its own exact branch")
     _check_support(g, R)
     if g is not Symmetry.O and R > 0.5:
         raise ValueError("Sp/SO kernels need the transcendental branch past R = 1/2")
-    return _small_support_minimum(g, R)
-
-
-@lru_cache(maxsize=16, typed=True)
-def _small_support_minimum(g: Symmetry, R: float) -> BoundResult:
     weight = float(g.corrective_weight)
     sqrt_m = 4 * tan_ratio_inverse(1.0 + weight / R)
     m_tilde = (sqrt_m / (4 * R)) ** 2
-    return BoundResult(
-        m_tilde=m_tilde,
-        bound=math.sqrt(m_tilde),
-        branch="small_support",
-        support=R,
-    )
+    return BoundResult(m_tilde, math.sqrt(m_tilde), "small_support", R)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +307,9 @@ class EquationContext:
     blocks of the continuity matrix ``m_matrix``; ``u_lo``/``u_hi`` hold
     U_k at those frequencies, indexed [k, j] for k = 0..n-1.
     ``alpha``/``beta_arr`` are the integral contractions of the inverse
-    matrix entering the final equation.  A context may be shared between
+    matrix entering the final equation, and ``weights`` the per-order
+    weights of ``spectral_equation``: the parts of (-i delta)^k and
+    -(delta alpha_k/2 - 1 + eps beta_k).  A context may be shared between
     callers (see ``build_context``), so its arrays are read-only.
     """
 
@@ -328,6 +324,7 @@ class EquationContext:
     m_matrix: np.ndarray
     alpha: np.ndarray
     beta_arr: np.ndarray
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def delta(self) -> int:
@@ -336,19 +333,6 @@ class EquationContext:
     @property
     def eps(self) -> float:
         return float(self.g.epsilon)
-
-    @cached_property
-    def _equation_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per order k: real and imaginary parts of (-i delta)^k, and the
-        negated coefficient of the sine sum in ``spectral_equation``."""
-        powers = [_ipow(-self.delta, k) for k in range(self.n)]
-        coef = self.delta * self.alpha / 2.0 - 1.0 + self.eps * self.beta_arr
-        return np.array([p.real for p in powers]), np.array([p.imag for p in powers]), -coef
-
-    @cached_property
-    def root(self) -> float:
-        """``smallest_root`` of this context, computed on first use."""
-        return smallest_root(self)
 
 
 def _ipow(delta: int, p: int) -> complex:
@@ -360,7 +344,8 @@ def _ipow(delta: int, p: int) -> complex:
 
 class _OrderTables:
     """The support-independent tables of the contexts with n cells and
-    kernel sign delta; shared between contexts, so every array is read-only.
+    kernel sign delta, built whole; shared between contexts, so every
+    array is read-only.
 
     ``blocks`` holds the two blocks of the continuity matrix, orders n-1
     and n.  Each block holds its Chebyshev frequencies theta_j, the
@@ -368,12 +353,16 @@ class _OrderTables:
     the continuity entries (p = 2, 1 for the two blocks), the sines of the
     phases at k = 0 (the first integral weight) and, per j, the sum over
     the block's orders k of U_k times the sine of the phase (the second);
-    the tables are indexed [k, j].
+    the tables are indexed [k, j].  ``powers`` holds the real and
+    imaginary parts of (-i delta)^k for k < n.
 
     ``roots`` holds the positive roots of U_n * U_{n-1}
     (``u_product_roots``), ``excluded`` those where the root scan puts its
-    windows, and ``scan`` the scan points of ``first_root`` with the
-    amplitude sums there, which depend on no support.
+    windows, and ``points``, ``window`` and ``sums`` the scan of
+    ``first_root`` with the amplitude sums at its points, up to one
+    ``GRID_STEP`` past the one-mode frequency at R = (n - 1)/2 and eps = 0.
+    That frequency bounds the one-mode frequency of every support with n
+    cells: it falls as R grows, and eps = 1 only lowers it.
     """
 
     def __init__(self, n: int, delta: int):
@@ -388,29 +377,24 @@ class _OrderTables:
             beta_sum = _add_rows(u[:order] * sines) + 0.0
             blocks.append((theta, u, phase, sines[0], beta_sum))
         self.blocks = tuple(blocks)
-        self.n, self.delta = n, delta
+        powers = [_ipow(-delta, k) for k in range(n)]
+        self.powers = (np.array([p.real for p in powers]), np.array([p.imag for p in powers]))
         self.roots = u_product_roots(n)
         self.excluded = _windowed(self.roots)
-        self.points, self.window, self.sums = np.empty(0), np.empty(0, bool), np.empty((2, 0))
-        for arr in (self.excluded, *(arr for block in blocks for arr in block)):
+        end = _upper_frequency((n - 1) / 2, delta, 0.0) + GRID_STEP
+        self.points, self.window = _scan_points(end, self.excluded)
+        self.sums = _amplitude_sum(delta, self.points, cheb.u_stack(n - 1, self.points))
+        kept = (*self.powers, self.excluded, self.points, self.window, self.sums)
+        for arr in (*kept, *(arr for block in blocks for arr in block)):
             arr.setflags(write=False)
 
     def scan(self, lam_max: float) -> tuple:
         """The scan points of ``first_root`` up to the first past lam_max,
         the window flags of their neighbour pairs, and the amplitude sums
-        (``_amplitude_sum``) at the points.
-
-        The scans of every lam_max are prefixes of one sequence (see
-        ``_scan_points``): the longest so far is kept and sliced, and a
-        longer one sums its new points only, so no bit changes.
+        (``_amplitude_sum``) at the points, for a lam_max below the last
+        point.  The scans of every lam_max are prefixes of one sequence (see
+        ``_scan_points``), so the slice has the bits of a scan built to it.
         """
-        if not self.points.size or self.points[-1] <= lam_max:
-            points, self.window = _scan_points(lam_max, self.excluded)
-            new = points[self.points.size :]
-            sums = _amplitude_sum(self.delta, new, cheb.u_stack(self.n - 1, new))
-            self.points, self.sums = points, np.concatenate([self.sums, sums], axis=1)
-            for arr in (self.points, self.window, self.sums):
-                arr.setflags(write=False)
         cut = int(np.searchsorted(self.points, lam_max, side="right")) + 1
         return self.points[:cut], self.window[: cut - 1], self.sums[:, :cut]
 
@@ -427,14 +411,15 @@ def build_context(g: Symmetry, R: float) -> EquationContext:
     Where 2R = n exactly, the second width is 0: this closed-end context
     is the limit of the contexts just below, and its empty cells carry no
     part of the optimizer.  Raises ``DegenerateRadiusError`` where the
-    continuity matrix is numerically singular (cond(M, 1) above 1e10); the
-    largest measured is 3.3e5 over 20,000 supports per kernel in
-    (0.5, 20.4), and 2.8e5 over the closed-end contexts 2R = 2..40.
+    continuity matrix is numerically singular (cond(M, 1) above
+    ``DEGENERATE_COND``); the largest measured is 3.3e5 over 20,000
+    supports per kernel in (0.5, 20.4), and 2.8e5 over the closed-end
+    contexts 2R = 2..40.
 
-    The contexts of the last 16 (kernel, support) pairs are kept, so a
-    support solved a moment ago returns the same context, with its root.
-    A float support and an equal ``np.float64`` one are separate entries,
-    so the context's ``R`` keeps the type the caller passed.
+    The contexts of the last 16 (kernel, support) pairs are kept, each
+    finished when first returned.  A float support and an equal
+    ``np.float64`` one are separate entries, so the context's ``R`` keeps
+    the type the caller passed.
     """
     return _build_context(g, R)
 
@@ -456,7 +441,8 @@ def _build_context(g: Symmetry, R: float) -> EquationContext:
     # Block lo holds the order-(n-1) modes in columns :n//2, block hi the
     # order-n modes in the rest; the integral weight vectors contract the
     # inverse matrix, each block integrating its modes over its home interval.
-    lo, hi = _order_tables(n, g.delta).blocks
+    tables = _order_tables(n, g.delta)
+    lo, hi = tables.blocks
     M = np.empty((n, n))
     v_alpha = np.empty(n)
     v_beta = np.empty(n)
@@ -470,13 +456,14 @@ def _build_context(g: Symmetry, R: float) -> EquationContext:
         v_beta[cols] = 2 * ratio * beta_sum
 
     cond = float(np.linalg.cond(M, 1))
-    if cond > 1e10:
+    if cond > DEGENERATE_COND:
         raise DegenerateRadiusError(f"continuity matrix is singular at R={R!r} (cond {cond:.3e})")
 
     alpha = np.linalg.solve(M.T, v_alpha)
     beta_arr = np.linalg.solve(M.T, v_beta)
+    neg_coef = -(g.delta * alpha / 2.0 - 1.0 + float(g.epsilon) * beta_arr)
 
-    for arr in (a, M, alpha, beta_arr):
+    for arr in (a, M, alpha, beta_arr, neg_coef):
         arr.setflags(write=False)
     return EquationContext(
         g=g,
@@ -490,6 +477,7 @@ def _build_context(g: Symmetry, R: float) -> EquationContext:
         m_matrix=M,
         alpha=alpha,
         beta_arr=beta_arr,
+        weights=(*tables.powers, neg_coef),
     )
 
 
@@ -614,7 +602,7 @@ def spectral_equation(ctx: EquationContext, lam, _sums=None):
     # it, the power's parts c and d being 0 or +-1.  Adding the negated term
     # is subtracting it, bit for bit.
     column = (-1,) + (1,) * lam.ndim
-    c, d, neg_coef = (v.reshape(column) for v in ctx._equation_weights)
+    c, d, neg_coef = (v.reshape(column) for v in ctx.weights)
     rows = np.empty((1 + ctx.n * (2 if eps else 1),) + lam.shape)
     rows[0] = (delta / lam) * re
     np.multiply(u * (re * d + im * c), neg_coef, out=rows[1::2] if eps else rows[1:])
@@ -647,8 +635,8 @@ def spectral_equation_two_piece(g: Symmetry, R: float, lam):
     return out if out.shape else float(out)
 
 
-def _upper_frequency(ctx: EquationContext) -> float:
-    """The one-mode frequency, where the root scan ends.
+def _upper_frequency(R: float, delta: int, eps: float) -> float:
+    """The one-mode frequency of the kernel (delta, eps) at R: the scan's end.
 
     Past half support the first basis mode cos(pi u / 2R) is admissible, so
     its quotient A/B bounds the minimum from above and its frequency
@@ -659,10 +647,9 @@ def _upper_frequency(ctx: EquationContext) -> float:
 
     where 2 h^2 stands for 1 - cos(pi/2R), which cancels at large R.
     """
-    R = ctx.R
     h = math.sin(math.pi / (4 * R))
-    a = 1 + ctx.delta * (2 * R - 1) * math.sin(math.pi / (2 * R)) / math.pi
-    b = a + 8 * R * (ctx.delta * h * h + 2 * ctx.eps) / math.pi**2
+    a = 1 + delta * (2 * R - 1) * math.sin(math.pi / (2 * R)) / math.pi
+    b = a + 8 * R * (delta * h * h + 2 * eps) / math.pi**2
     return math.pi / (2 * R) * math.sqrt(a / b)
 
 
@@ -821,12 +808,12 @@ def smallest_root(ctx: EquationContext) -> float:
     """Smallest positive root of the equation away from the excluded set.
 
     The scan ends at the one-mode frequency (``_upper_frequency``), which
-    bounds the root, and reads the amplitude sums its points share with
-    every context of the same n and delta (``_OrderTables.scan``).  The
-    scans of every end are prefixes of one sequence, so any end above the
-    root gives the root the same bits.
+    bounds the root.  Its points and amplitude sums are a slice of the
+    record every context of the same n and delta shares (``_OrderTables``).
+    The scans of every end are prefixes of one sequence, so any end above
+    the root gives the root the same bits.  ``solve`` keeps the roots.
     """
-    lam_up = _upper_frequency(ctx)
+    lam_up = _upper_frequency(ctx.R, ctx.delta, ctx.eps)
     tables = _order_tables(ctx.n, ctx.delta)
     pts, window, sums = tables.scan(lam_up)
     f = lambda lam: spectral_equation(ctx, lam)
@@ -851,18 +838,23 @@ def equation_branch(g: Symmetry, R: float) -> bool:
     return g not in (Symmetry.U, Symmetry.O) and R > 0.5
 
 
+@lru_cache(maxsize=16, typed=True)
 def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]]:
     """Minimum for kernel g at support R, with the context it was solved on.
 
     Dispatches on kernel and support: exact unitary value, shifted-cosine
     branch, or transcendental-equation branch; the context is None off the
     equation branch.  Every support is solved where it is asked, 2R an
-    integer included (see ``build_context``).  A support solved a moment
-    ago reuses its context and the root found on it.  A support below the
-    smallest solved, 1e-13 (1.5e-154 for U), or an O support above 5e6
-    raises ``ValueError`` naming the limit, a NaN or infinite support one
-    naming the value, and a singular continuity matrix raises
-    ``DegenerateRadiusError``.
+    integer included (see ``build_context``).  A support below the
+    smallest solved, 1e-13 (1.5e-154 for U), a U support above 1.5e153 or
+    an O support above 5e6 raises ``ValueError`` naming the limit, a NaN
+    or infinite support one naming the value, and a singular continuity
+    matrix raises ``DegenerateRadiusError``.
+
+    The results of the last 16 (kernel, support) pairs are kept (not a
+    raise), so ``minimal_quotient`` and ``reconstruct`` at one support
+    solve it once.  A float support and an equal ``np.float64`` one are
+    separate entries, so ``support`` keeps the type the caller passed.
     """
     _check_support(g, R)
     if g is Symmetry.U:
@@ -872,16 +864,9 @@ def solve(g: Symmetry, R: float) -> tuple[BoundResult, Optional[EquationContext]
         return small_support_minimum(g, R), None
 
     ctx = build_context(g, R)
-    lam = ctx.root
+    lam = smallest_root(ctx)
     m_tilde = (lam / (2 * math.pi)) ** 2
-    result = BoundResult(
-        m_tilde=m_tilde,
-        bound=math.sqrt(m_tilde),
-        branch="transcendental",
-        support=R,
-        lam=lam,
-    )
-    return result, ctx
+    return BoundResult(m_tilde, math.sqrt(m_tilde), "transcendental", R, lam), ctx
 
 
 def minimal_quotient(g: Symmetry, R: float) -> BoundResult:

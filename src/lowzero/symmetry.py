@@ -23,6 +23,7 @@ __all__ = [
     "FamilySpec",
     "FamilyParams",
     "family_params",
+    "sign_and_rho_max",
 ]
 
 #: Fixed exponent bound entering the admissible-support formulas.
@@ -132,6 +133,15 @@ def admissible_support(r: int, weight_k: int, signed: bool = False) -> Fraction:
     return base
 
 
+def sign_and_rho_max(r: int, restriction: str = "none") -> tuple[int, Fraction]:
+    """(sigma, rho_max) of the order-r symmetric-power family under
+    ``restriction``, for every weight: ((-1)^(r+1), 1/r^2) for the full
+    family, (+-1, 1/(2 r (r+2))) for the sign-restricted ones."""
+    if restriction == "none":
+        return (-1) ** (r + 1), Fraction(1, r * r)
+    return (1 if restriction == "plus" else -1), Fraction(1, 2 * r * (r + 2))
+
+
 def family_params(f: FamilySpec) -> FamilyParams:
     """Resolve a family descriptor into its analytic parameters.
 
@@ -139,24 +149,15 @@ def family_params(f: FamilySpec) -> FamilyParams:
     the effective symmetry once the forced central zero is removed: for the
     minus-sign families w = SO- but w_star = Sp.
     """
-    signed = f.restriction != "none"
-    nu_max = admissible_support(f.r, f.weight_k, signed=signed)
-    if signed:
-        rho_max = Fraction(1, 2 * f.r * (f.r + 2))
-    else:
-        rho_max = Fraction(1, f.r * f.r)
-
+    nu_max = admissible_support(f.r, f.weight_k, signed=f.restriction != "none")
+    sigma, rho_max = sign_and_rho_max(f.r, f.restriction)
     if f.restriction == "plus":
-        sigma = 1
         w = w_star = Symmetry.SOplus
     elif f.restriction == "minus":
-        sigma = -1
         w = Symmetry.SOminus
         w_star = Symmetry.Sp
+    elif f.r % 2 == 0:
+        w = w_star = Symmetry.Sp
     else:
-        sigma = (-1) ** (f.r + 1)
-        if f.r % 2 == 0:
-            w = w_star = Symmetry.Sp
-        else:
-            w = w_star = Symmetry.O
+        w = w_star = Symmetry.O
     return FamilyParams(nu_max=nu_max, rho_max=rho_max, sigma=sigma, w=w, w_star=w_star)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import proportion as prop
 from . import rayleigh, solver, testfunction
-from .symmetry import Symmetry
+from .symmetry import Symmetry, sign_and_rho_max
 
 __all__ = ["run_all", "ORACLE_TOL", "ORACLE_EXCESS_TOL", "ROOT_TOL", "RESIDUAL_TOL", "DEFINITION_TOL"]
 
@@ -25,6 +25,8 @@ ORACLE_TOL = 5e-3
 #: N = 400 over all five kernels is 1.1e-13.
 ORACLE_EXCESS_TOL = 1e-9
 ROOT_TOL = 1e-9
+#: The two-piece equation at R = 0.8 vanishes at 1/2: Sp, SO+, SO- give 0, 1.8e-16, 0.
+HALF_ZERO_TOL = 1e-12
 RESIDUAL_TOL = 1e-6
 #: Gap between a family's proportion bound and its definition, relative to
 #: max(1, |bound|); the seeded draws of ``proportion_cases`` measure 1.1e-14.
@@ -91,7 +93,7 @@ def two_piece_cases() -> list[dict]:
                 f"two-piece/{g.value}/vanishes-at-half",
                 0.0,
                 float(solver.spectral_equation_two_piece(g, 0.8, 0.5)),
-                1e-12,
+                HALF_ZERO_TOL,
             )
         )
     return cases
@@ -136,7 +138,8 @@ def proportion_cases() -> list[dict]:
         r = int(rng.integers(1, 7))
         beta = float(rng.uniform(0.2, 40.0))
         _, lower = prop.sym_power_proportion(r, beta)
-        defined = proportion_by_definition((-1) ** (r + 1), 1 / (2 * r * r), beta)
+        sigma, rho_max = sign_and_rho_max(r)
+        defined = proportion_by_definition(sigma, float(rho_max / 2), beta)
         worst_full = max(worst_full, abs(lower - defined) / max(1.0, abs(defined)))
     cases.append(_case("proportion/full-family-definition", 0.0, worst_full, DEFINITION_TOL))
 
@@ -146,7 +149,8 @@ def proportion_cases() -> list[dict]:
         sigma = int(rng.choice([-1, 1]))
         beta = float(rng.uniform(0.2, 40.0))
         _, lower = prop.sym_power_proportion_signed(r, sigma, beta)
-        defined = proportion_by_definition(sigma, 1 / (4 * r * (r + 2)), beta)
+        _, rho_max = sign_and_rho_max(r, "plus" if sigma == 1 else "minus")
+        defined = proportion_by_definition(sigma, float(rho_max / 2), beta)
         worst_signed = max(worst_signed, abs(lower - defined) / max(1.0, abs(defined)))
     cases.append(_case("proportion/signed-family-definition", 0.0, worst_signed, DEFINITION_TOL))
 

@@ -169,8 +169,10 @@ GUARD_NUS = np.linspace(1.01, 30.0, 25).tolist() + [1.00003, 4.00003, 9.000025, 
 @pytest.fixture
 def fresh_contexts():
     solver._build_context.cache_clear()
+    solver.solve.cache_clear()
     yield
     solver._build_context.cache_clear()
+    solver.solve.cache_clear()
 
 
 @pytest.mark.parametrize("g", EQUATION_KERNELS)
@@ -180,7 +182,8 @@ def test_limit_guard_matches_two_solve_reference(g, fresh_contexts):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = height_bound_result(g, nu)
-            solver._build_context.cache_clear()  # an independent solve, not the cached root
+            solver.solve.cache_clear()  # an independent solve, not the kept root
+            solver._build_context.cache_clear()
             expected = minimal_quotient(g, nu / 2.0 - 1e-5)
         assert repr(result) == repr(expected)
         assert caught == []

@@ -573,6 +573,25 @@ def test_huge_orthogonal_support_is_a_usage_error_naming_the_limit(argv, R, caps
     )
 
 
+@pytest.mark.parametrize("nu_max", ["1e160", "3.0000000000000006e153"])
+def test_huge_unitary_support_is_a_usage_error_naming_the_limit(nu_max, capsys):
+    # past R = 1.5e153 the unitary minimum 1/(16 R^2) is subnormal, then 0
+    code, out, err = run(capsys, "bound", "--symmetry", "U", "--nu-max", nu_max)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: support R = {float(nu_max) / 2!r} is above 1.5e+153, the largest support "
+        "the U kernel is solved at (a height bound needs nu_max <= 3e+153)\n"
+    )
+
+
+def test_unitary_bound_at_the_largest_support(capsys):
+    code, out, _ = run(capsys, "bound", "--symmetry", "U", "--nu-max", "3e153")
+    assert code == 0
+    fields = parse_kv(out)
+    assert float(fields["bound"]) == pytest.approx(1 / (2 * 3e153), rel=1e-15)
+    assert float(fields["m_tilde"]) == 1 / (16 * 1.5e153**2) >= sys.float_info.min
+
+
 def test_orthogonal_bound_at_the_largest_support(capsys):
     code, out, _ = run(capsys, "bound", "--symmetry", "O", "--nu-max", "1e7")
     assert code == 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lowzero.symmetry import FamilySpec, Symmetry, family_params
+from lowzero.symmetry import FamilySpec, Symmetry, family_params, sign_and_rho_max
 from symmetry_oracles import density_fourier, unit_window
 
 KERNEL_TABLE = {
@@ -106,6 +106,20 @@ def test_odd_r_sign_split():
         assert minus.w_star is Symmetry.Sp
         none = family_params(FamilySpec(r=r, restriction="none", weight_k=4))
         assert none.sigma == 1
+
+
+def test_sign_and_rho_max_halves_to_the_proportion_supports():
+    # the proportion bounds sit at R = rho_max/2, which rounds to the bits of
+    # 1/(2 r^2) and 1/(4 r (r+2)); family_params reads the same rule
+    for r in list(range(1, 400)) + [10**6 + 1, 10**40 + 1, 10**160 + 1]:
+        sigma, rho_max = sign_and_rho_max(r)
+        assert (sigma, float(rho_max / 2)) == ((-1) ** (r + 1), 1 / (2 * r * r))
+        for restriction, sign in (("plus", 1), ("minus", -1)):
+            sigma, rho_max = sign_and_rho_max(r, restriction)
+            assert (sigma, float(rho_max / 2)) == (sign, 1 / (4 * r * (r + 2)))
+    for r, restriction in ((2, "none"), (3, "none"), (3, "plus"), (5, "minus")):
+        params = family_params(FamilySpec(r, restriction, weight_k=4))
+        assert (params.sigma, params.rho_max) == sign_and_rho_max(r, restriction)
 
 
 def test_nu_max_strictly_decreasing_in_r():

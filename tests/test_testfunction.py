@@ -293,7 +293,7 @@ def test_forcing_amplitude_reads_the_roots_kept_per_order(monkeypatch):
     # the exclusion test reads the (n, delta) tables' roots, not a fresh
     # u_product_roots(n), and the record's stack is the amplitude's own
     ctx = build_context(Symmetry.SOplus, 5.2)
-    lam = ctx.root
+    lam = smallest_root(ctx)
     monkeypatch.setattr(solver, "u_product_roots", None)
     z, u = solver._amplitude_and_stack(ctx, lam)
     assert z == solver.forcing_amplitude(ctx, lam)
